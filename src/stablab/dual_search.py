@@ -13,6 +13,15 @@ graph of T*.  Feasibility for fixed c is decided by averaged projections;
 the smallest workable c is then located by bisection, which is sound
 because the constraint sets are nested in c.
 
+The graph projection has a closed form.  For every unrestricted operator
+kind T T* is the orthogonal projection onto the complement of ker T*, so
+(I + T T*)^{-1} = (I + Pi) / 2 with Pi the projection onto ker T*: the
+constants, plus the alternating top Fourier mode for ``hilbert``.  The
+projection of (v, w) is then (u + Pi u) / 2 with partner T* u / 2, where
+u = v + T w.  T and T* are applied as dense matvecs up to n = DENSE_MAX_N
+and by the operators' own transforms above it.  A restricted operator
+chi_E T is not a partial isometry, so ``make_instance`` rejects it.
+
 Every reported witness is re-checked against the constraints by direct
 norm evaluation; the solver is never trusted for the final verdict.
 """
@@ -22,12 +31,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
 from .distance import dist_linf_to_lp_ball
 from .grid import DimensionError, GridFunction, GridSet, inner, norm
-from .operators import LinearOperatorSpec, adjoint, apply, as_matrix
+from .operators import LinearOperatorSpec, adjoint, apply, apply_values, as_matrix
 
 __all__ = [
     "DualInstance",
@@ -42,12 +53,17 @@ __all__ = [
     "project_lp_ball",
     "FEAS_TOL",
     "MAX_ITER",
+    "DENSE_MAX_N",
 ]
 
 FEAS_TOL = 1e-7
 CONSENSUS_TOL = 1e-8
 MAX_ITER = 10000
 _ABS_DUST = 1e-12
+# T and T* are dense matvecs up to this n and transforms above it.  Per graph
+# step on one BLAS thread, dense wins at n = 256 for both kinds, the FFT wins
+# from n = 512 and the Haar pyramid from n = 1024.
+DENSE_MAX_N = 256
 
 
 class SupportError(ValueError):
@@ -64,24 +80,40 @@ class DualInstance:
     t: float
     Tstar_f: GridFunction
     support: GridSet | None = None
-    _matrix: np.ndarray | None = field(default=None, repr=False)
-    _graph_inv: np.ndarray | None = field(default=None, repr=False)
+    _appliers: tuple[Callable, Callable] | None = field(default=None, repr=False)
 
     @property
     def n(self) -> int:
         return self.f.n
 
-    def matrix(self) -> np.ndarray:
-        if self._matrix is None:
-            self._matrix = as_matrix(self.Tstar)
-        return self._matrix
+    def appliers(self) -> tuple[Callable, Callable]:
+        """(T, T*) on raw arrays, built on first use.
 
-    def graph_inverse(self) -> np.ndarray:
-        # (I + M^T M) is symmetric positive definite with condition <= 1 + |M|^2
-        if self._graph_inv is None:
-            M = self.matrix()
-            self._graph_inv = np.linalg.inv(np.eye(self.n) + M.T @ M)
-        return self._graph_inv
+        Dense matvecs against as_matrix(T*) up to DENSE_MAX_N cells, the
+        operators' own FFT or Haar transforms above.
+        """
+        if self._appliers is None:
+            if self.n <= DENSE_MAX_N:
+                M = as_matrix(self.Tstar)
+                self._appliers = (M.T.__matmul__, M.__matmul__)
+            else:
+                self._appliers = (partial(apply_values, adjoint(self.Tstar)), partial(apply_values, self.Tstar))
+        return self._appliers
+
+    def apply_tstar(self, x: np.ndarray) -> np.ndarray:
+        return self.appliers()[1](x)
+
+    def graph_step(self, v: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Exact projection of (v, w) onto the graph {(x, T*x)}, in closed form."""
+        T, Ts = self.appliers()
+        u = v + T(w)
+        # kernel part of u: its mean, plus its alternating top mode for hilbert
+        ker = np.full(u.size, u.mean())
+        if self.Tstar.kind == "hilbert":
+            top = 0.5 * (u[0::2].mean() - u[1::2].mean())
+            ker[0::2] += top
+            ker[1::2] -= top
+        return 0.5 * (u + ker), 0.5 * Ts(u)
 
 
 @dataclass(frozen=True)
@@ -135,6 +167,8 @@ def make_instance(
     s = float(s)
     if s <= 0:
         raise ValueError(f"ball radius must be positive, got {s}")
+    if T.restriction is not None:
+        raise ValueError("the dual search needs an unrestricted operator: chi_E T has no closed-form graph projection")
     p = float(p)
     if support is not None:
         if support.n != f.n:
@@ -211,7 +245,7 @@ def _clamp_box(values: np.ndarray, center: np.ndarray, radius: float) -> np.ndar
 # ---------------------------------------------------------------------------
 
 
-def _certify(inst: DualInstance, c: float, v_values: np.ndarray, Mv: np.ndarray) -> float:
+def _certify(inst: DualInstance, c: float, v_values: np.ndarray, Tsv: np.ndarray) -> float:
     """Maximum relative constraint violation of v at constant c (<= 0 is feasible)."""
     scale = max(1.0, norm(inst.f, np.inf))
     dust = _ABS_DUST * scale
@@ -221,7 +255,7 @@ def _certify(inst: DualInstance, c: float, v_values: np.ndarray, Mv: np.ndarray)
     bound_f = c * inst.r
     viol.append((float(np.abs(inst.f.values - v_values).max()) - bound_f - dust) / max(bound_f, dust))
     bound_T = c * (inst.t + inst.r)
-    viol.append((float(np.abs(inst.Tstar_f.values - Mv).max()) - bound_T - dust) / max(bound_T, dust))
+    viol.append((float(np.abs(inst.Tstar_f.values - Tsv).max()) - bound_T - dust) / max(bound_T, dust))
     return max(viol)
 
 
@@ -230,8 +264,8 @@ def certified(inst: DualInstance, c: float, v: GridFunction, tol: float = FEAS_T
     if inst.support is not None:
         if float(np.abs(v.values[~inst.support.membership]).max(initial=0.0)) > 0.0:
             return False
-    Mv = inst.matrix() @ v.values
-    return _certify(inst, c * (1.0 + tol), v.values, Mv) <= 0.0
+    Tsv = inst.apply_tstar(v.values)
+    return _certify(inst, c * (1.0 + tol), v.values, Tsv) <= 0.0
 
 
 def feasible(
@@ -265,15 +299,13 @@ def feasible(
     bound_p = c * inst.s
     bound_f = c * inst.r
     bound_T = c * (inst.t + inst.r)
-    M = inst.matrix()
-    K = inst.graph_inverse()
-    MT = M.T
+    Ts = inst.apply_tstar
 
     if x0 is None:
         v = dist_linf_to_lp_ball(inst.f, inst.s, inst.p).minimizer.values
         if sup_mask is not None:
             v = np.where(sup_mask, v, 0.0)
-        w = M @ v
+        w = Ts(v)
     else:
         v, w = x0[0].copy(), x0[1].copy()
 
@@ -281,12 +313,10 @@ def feasible(
     best_iter = 0
     scale = max(1.0, float(np.abs(fv).max()))
     for k in range(1, max_iter + 1):
-        # exact projection onto the graph {(v, Mv)}
-        vg = K @ (v + MT @ w)
-        wg = M @ vg
+        vg, wg = inst.graph_step(v, w)
         if k % 5 == 1:
             cand = vg if sup_mask is None else np.where(sup_mask, vg, 0.0)
-            res = _certify(inst, c, cand, wg if sup_mask is None else M @ cand)
+            res = _certify(inst, c, cand, Ts(cand))
             if res <= tol:
                 return FeasibilityOutcome("feasible", GridFunction(cand), k, max(res, 0.0))
             if res < best_res * (1.0 - 1e-3):
@@ -340,7 +370,7 @@ def min_constant(inst: DualInstance, tol: float = 1e-2, max_iter: int = MAX_ITER
         if out.is_feasible:
             hi = mid
             best_v = out.v
-            warm = (out.v.values, inst.matrix() @ out.v.values)
+            warm = (out.v.values, inst.apply_tstar(out.v.values))
         else:
             lo = mid
             if out.status == "inconclusive":
@@ -350,11 +380,11 @@ def min_constant(inst: DualInstance, tol: float = 1e-2, max_iter: int = MAX_ITER
 
 def _finish(inst: DualInstance, c_star: float, v: GridFunction, iterations: int, flagged: bool) -> DualResult:
     ok = certified(inst, c_star, v) if c_star > 0 else norm(v, 1) == 0.0
-    Mv = inst.matrix() @ v.values
+    Tsv = inst.apply_tstar(v.values)
     res_p = norm(v, inst.p) / inst.s
     res_inf = float(np.abs(inst.f.values - v.values).max()) / inst.r if inst.r > _ABS_DUST else 0.0
     denom_T = inst.t + inst.r
-    res_Tinf = float(np.abs(inst.Tstar_f.values - Mv).max()) / denom_T if denom_T > _ABS_DUST else 0.0
+    res_Tinf = float(np.abs(inst.Tstar_f.values - Tsv).max()) / denom_T if denom_T > _ABS_DUST else 0.0
     return DualResult(
         c_star=c_star,
         v=v,

@@ -268,16 +268,25 @@ def norm(f: GridFunction, p) -> float:
     """L^p norm with respect to the normalized counting measure.
 
     norm(f, p) = (mean |f_i|^p)^(1/p) for finite p, max |f_i| for p = inf.
+    When that power mean overflows, or underflows to 0 for a non-zero f, it
+    is recomputed as m * (mean (|f_i|/m)^p)^(1/p) with m = max |f_i|.
     """
     p = _as_p(p)
     a = np.abs(f.values)
     if math.isinf(p):
         return float(a.max())
-    if p == 1.0:
-        return float(a.mean())
-    if p == 2.0:
-        return float(math.sqrt(np.mean(a * a)))
-    return float(np.mean(a**p) ** (1.0 / p))
+    with np.errstate(over="ignore"):
+        if p == 1.0:
+            out = float(a.mean())
+        elif p == 2.0:
+            out = float(math.sqrt(np.mean(a * a)))
+        else:
+            out = float(np.mean(a**p) ** (1.0 / p))
+    if math.isinf(out) or out == 0.0:
+        m = float(a.max())
+        if m > 0.0:
+            out = m * float(np.mean((a / m) ** p) ** (1.0 / p))
+    return out
 
 
 def inner(f: GridFunction, g: GridFunction) -> float:

@@ -54,10 +54,25 @@ GOLDEN_ENV = "STABLAB_GOLDEN_DIR"
 CSV_SCHEMA = "stablab-csv-v1"
 FAMILIES = ("spikes", "steps", "smooth", "mixture")
 SUPPORT_LEFT_HALF = "left-half"
+# the keys ExperimentConfig.to_json writes, per section
+_CONFIG_KEYS = (
+    "seed", "n", "p", "operators", "s_sweep", "corpus", "dilation_factor", "dual", "support", "cz_trials",
+    "probe_trials",
+)
+_SWEEP_KEYS = ("min", "max", "count", "log")
+_DUAL_KEYS = ("s_values", "operators", "per_family", "tol")
 
 
 class ConfigError(ValueError):
     """Raised for malformed experiment configurations."""
+
+
+def _reject_unknown(obj, known: tuple[str, ...], where: str) -> None:
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {type(obj).__name__}")
+    unknown = sorted(set(obj) - set(known))
+    if unknown:
+        raise ConfigError(f"unknown key(s) in {where}: {', '.join(unknown)}")
 
 
 @dataclass(frozen=True)
@@ -136,6 +151,10 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
         obj = json.loads(text)
+        _reject_unknown(obj, _CONFIG_KEYS, "config")
+        for section, known in (("s_sweep", _SWEEP_KEYS), ("corpus", FAMILIES), ("dual", _DUAL_KEYS)):
+            if section in obj:
+                _reject_unknown(obj[section], known, section)
         kwargs = {}
         for key in ("seed", "n", "p", "dilation_factor", "support", "cz_trials", "probe_trials"):
             if key in obj:

@@ -19,7 +19,7 @@ taking adjoints moves the mask to the input side.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -32,6 +32,7 @@ __all__ = [
     "haar_transform",
     "identity_minus_mean",
     "apply",
+    "apply_values",
     "adjoint",
     "as_matrix",
     "long_range_ratio",
@@ -57,6 +58,8 @@ class LinearOperatorSpec:
     restriction: GridSet | None = None
     restriction_side: str = "output"
     negate: bool = False
+    # haar_transform signs per level as float arrays, level l holding 2^l of them
+    level_signs: tuple[np.ndarray, ...] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -69,6 +72,10 @@ class LinearOperatorSpec:
                 object.__setattr__(self, "signs", (1,) * want)
             elif len(self.signs) != want or any(s not in (-1, 1) for s in self.signs):
                 raise ValueError(f"haar_transform needs {want} signs in {{-1, +1}}")
+            flat = np.asarray(self.signs, dtype=float)
+            flat.flags.writeable = False
+            levels = tuple(flat[(1 << lev) - 1 : (2 << lev) - 1] for lev in range(self.n.bit_length() - 1))
+            object.__setattr__(self, "level_signs", levels)
         elif self.signs is not None:
             raise ValueError(f"{self.kind} takes no signs")
         if self.restriction is not None and self.restriction.n != self.n:
@@ -141,7 +148,7 @@ def _apply_hilbert(values: np.ndarray) -> np.ndarray:
     return np.fft.irfft(spec * mult, n)
 
 
-def _apply_haar(values: np.ndarray, signs: tuple[int, ...]) -> np.ndarray:
+def _apply_haar(values: np.ndarray, level_signs: tuple[np.ndarray, ...]) -> np.ndarray:
     """Pyramid evaluation of sum_Q eps_Q <f, h_Q> h_Q in O(n) per level."""
     n = values.size
     k = n.bit_length() - 1
@@ -152,12 +159,9 @@ def _apply_haar(values: np.ndarray, signs: tuple[int, ...]) -> np.ndarray:
         means.append(0.5 * (prev[0::2] + prev[1::2]))
     means.reverse()
     out = np.zeros(1)
-    pos = 0
-    for lev in range(k):
+    for lev, eps in enumerate(level_signs):
         fine = means[lev + 1]
         half_diff = 0.5 * (fine[0::2] - fine[1::2])
-        eps = np.asarray(signs[pos : pos + (1 << lev)], dtype=float)
-        pos += 1 << lev
         expanded = np.empty(2 << lev)
         expanded[0::2] = out + eps * half_diff
         expanded[1::2] = out - eps * half_diff
@@ -169,20 +173,24 @@ def apply(T: LinearOperatorSpec, f: GridFunction) -> GridFunction:
     """Evaluate T f; the restriction mask is applied on its recorded side."""
     if T.n != f.n:
         raise DimensionError(f"operator on n={T.n} applied to f with n={f.n}")
-    values = f.values
+    return GridFunction(apply_values(T, f.values))
+
+
+def apply_values(T: LinearOperatorSpec, values: np.ndarray) -> np.ndarray:
+    """The arithmetic of ``apply`` on a raw array of length T.n, unchecked."""
     if T.restriction is not None and T.restriction_side == "input":
         values = np.where(T.restriction.membership, values, 0.0)
     if T.kind == "hilbert":
         out = _apply_hilbert(values)
     elif T.kind == "haar_transform":
-        out = _apply_haar(values, T.signs)
+        out = _apply_haar(values, T.level_signs)
     else:
         out = values - values.mean()
     if T.negate:
         out = -out
     if T.restriction is not None and T.restriction_side == "output":
         out = np.where(T.restriction.membership, out, 0.0)
-    return GridFunction(out)
+    return out
 
 
 def adjoint(T: LinearOperatorSpec) -> LinearOperatorSpec:

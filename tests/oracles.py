@@ -12,12 +12,13 @@ import numpy as np
 from scipy.optimize import minimize
 
 from stablab.dual_search import DualInstance
+from stablab.operators import as_matrix
 
 
 def penalty_feasible(inst: DualInstance, c: float, tol: float = 1e-6) -> bool:
     """Verdict on whether the three constraint sets intersect at constant c."""
     fv = inst.f.values
-    M = inst.matrix()
+    M = as_matrix(inst.Tstar)
     tsf = inst.Tstar_f.values
     n = fv.size
     if inst.support is not None:

@@ -17,8 +17,9 @@ from stablab import (
     norm,
     project_lp_ball,
 )
-from stablab.dual_search import SupportError, certified
+from stablab.dual_search import DENSE_MAX_N, SupportError, certified
 from stablab.harness import make_operator
+from stablab.operators import adjoint, as_matrix, hilbert
 
 
 def test_make_instance_inside_ball_gives_zero_gaps():
@@ -43,6 +44,39 @@ def test_make_instance_support_check():
     bad = GridFunction([1.0, 2.0, 0.5, 1.0, 0, 0, 0.1, 0])
     with pytest.raises(SupportError):
         make_instance(bad, make_operator("hilbert", 8), 1.0, 2, E)
+
+
+def test_make_instance_rejects_restricted_operator():
+    E = GridSet.from_interval(DyadicInterval(1, 0), 8)
+    f = GridFunction.constant(2.0, 8)
+    with pytest.raises(ValueError, match="unrestricted"):
+        make_instance(f, hilbert(8, restriction=E), 1.0, 2)
+
+
+GRAPH_OPERATORS = {
+    "hilbert": lambda n: make_operator("hilbert", n),
+    "hilbert_negated": lambda n: adjoint(make_operator("hilbert", n)),
+    "haar_transform": lambda n: make_operator("haar_transform", n, seed=11),
+    "identity_minus_mean": lambda n: make_operator("identity_minus_mean", n),
+}
+
+
+@pytest.mark.parametrize("n", [2, 8, DENSE_MAX_N, 2 * DENSE_MAX_N, 4 * DENSE_MAX_N])
+@pytest.mark.parametrize("name", sorted(GRAPH_OPERATORS))
+def test_graph_step_matches_dense_inverse(name, n):
+    rng = np.random.default_rng(n)
+    f = GridFunction(rng.standard_normal(n))
+    inst = make_instance(f, GRAPH_OPERATORS[name](n), 0.5, 2)
+    M = as_matrix(inst.Tstar)
+    K = np.linalg.inv(np.eye(n) + M.T @ M)
+    T, Ts = inst.appliers()
+    v, w, x = (rng.standard_normal(n) for _ in range(3))
+    np.testing.assert_allclose(T(x), M.T @ x, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(Ts(x), M @ x, rtol=0, atol=1e-12)
+    vg, wg = inst.graph_step(v, w)
+    vg_ref = K @ (v + M.T @ w)
+    np.testing.assert_allclose(vg, vg_ref, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(wg, M @ vg_ref, rtol=0, atol=1e-12)
 
 
 def test_feasible_rejects_nonpositive_constant():

@@ -36,6 +36,21 @@ def test_norm_two_cell_examples():
     assert norm(f, 2) == pytest.approx((sum(v * v for v in f.values) / f.n) ** 0.5)
 
 
+def test_norm_survives_overflow_of_the_power_mean():
+    # 1e400 overflows; the rescaled mean gives 1e10 * (1/2)^(1/40)
+    out = norm(GridFunction([1e10, 1.0]), 40)
+    assert out == pytest.approx(1e10 * 0.5 ** (1 / 40), rel=1e-12)
+    assert out == pytest.approx(9.8282e9, rel=1e-4)
+    assert norm(GridFunction([1e200, 0.0]), 2) == pytest.approx(1e200 / math.sqrt(2.0), rel=1e-12)
+
+
+def test_norm_survives_underflow_of_the_power_mean():
+    out = norm(GridFunction([1e-200, 0.0]), 3)
+    assert out > 0.0
+    assert out == pytest.approx(1e-200 * 0.5 ** (1 / 3), rel=1e-12)
+    assert norm(GridFunction([1e-200, 0.0]), 2) == pytest.approx(1e-200 / math.sqrt(2.0), rel=1e-12)
+
+
 def test_norm_zero_iff_zero(rng):
     assert norm(GridFunction.zeros(16), 3) == 0.0
     f = GridFunction(rng.standard_normal(16))

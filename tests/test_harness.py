@@ -40,6 +40,20 @@ def test_default_config_round_trip():
     assert ExperimentConfig.from_json(cfg.to_json()) == cfg
 
 
+def test_config_rejects_unknown_keys():
+    for text in (
+        '{"sead": 3}',
+        '{"s_sweep": {"min": 1.0, "mx": 4.0}}',
+        '{"dual": {"tols": 0.1}}',
+        '{"corpus": {"spike": 2}}',
+    ):
+        with pytest.raises(ConfigError, match="unknown key"):
+            ExperimentConfig.from_json(text)
+    for text in ('[7]', '{"dual": 0.5}'):
+        with pytest.raises(ConfigError, match="JSON object"):
+            ExperimentConfig.from_json(text)
+
+
 def test_config_rejects_bad_values():
     with pytest.raises(ConfigError):
         default_config(n=100)
