@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -33,6 +34,20 @@ from .harness import (
 from .operators import apply
 from .stability import bourgain_construct, kclosed_redecompose
 
+
+class InputError(Exception):
+    """A config or input file that cannot be read or is not valid."""
+
+
+@contextmanager
+def _reading_input():
+    # ConfigError is a ValueError; OSError covers missing and unreadable files
+    try:
+        yield
+    except (OSError, ValueError) as exc:
+        raise InputError(str(exc)) from exc
+
+
 def _common_flags(sub: argparse.ArgumentParser):
     sub.add_argument("--config", help="path to a JSON experiment config")
     sub.add_argument("--seed", type=int, help="override the config seed")
@@ -51,7 +66,7 @@ def _common_flags(sub: argparse.ArgumentParser):
 
 def _load_config(args) -> ExperimentConfig:
     if args.config:
-        with open(args.config) as fh:
+        with _reading_input(), open(args.config) as fh:
             cfg = ExperimentConfig.from_json(fh.read())
     else:
         cfg = default_config()
@@ -65,13 +80,14 @@ def _load_config(args) -> ExperimentConfig:
     if overrides:
         from dataclasses import replace
 
-        cfg = replace(cfg, **overrides)
+        with _reading_input():
+            cfg = replace(cfg, **overrides)
     return cfg
 
 
 def _load_function(args, cfg: ExperimentConfig, support: GridSet | None = None) -> GridFunction:
     if args.input:
-        with open(args.input) as fh:
+        with _reading_input(), open(args.input) as fh:
             return GridFunction.from_json(fh.read())
     return generate_corpus(cfg, support)[0][1]
 
@@ -81,7 +97,7 @@ def _load_support(args, cfg: ExperimentConfig) -> GridSet | None:
         return None
     if args.support == SUPPORT_LEFT_HALF:
         return GridSet.from_interval(DyadicInterval(1, 0), cfg.n)
-    with open(args.support) as fh:
+    with _reading_input(), open(args.support) as fh:
         return GridSet.from_json(fh.read())
 
 
@@ -131,14 +147,7 @@ def _cmd_redecompose(args) -> int:
     Tf = apply(T, f)
     v1 = dist_l1_to_lp_ball(Tf, s, cfg.p).minimizer
     _, _, report = kclosed_redecompose(f, T, (f - u1, Tf - v1, u1, v1), cfg.p)
-    payload = {
-        "a": report.a, "b": report.b, "c": report.c, "lam": report.lam,
-        "ratio_h": report.ratio_h, "ratio_w_p": report.ratio_w_p,
-        "ratio_Tw_p": report.ratio_Tw_p, "ratio_Th": report.ratio_Th,
-        "holder_lhs": report.holder_lhs, "holder_rhs": report.holder_rhs,
-        "degenerate": report.degenerate,
-    }
-    _emit(args, json.dumps(payload, sort_keys=True))
+    _emit(args, report.to_json())
     return 0
 
 
@@ -236,7 +245,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except InputError as exc:
+        print(f"stablab: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -21,6 +21,9 @@ projection of (v, w) is then (u + Pi u) / 2 with partner T* u / 2, where
 u = v + T w.  T and T* are applied as dense matvecs up to n = DENSE_MAX_N
 and by the operators' own transforms above it.  A restricted operator
 chi_E T is not a partial isometry, so ``make_instance`` rejects it.
+The iteration is allocation-light (sums for means, box bounds computed once
+per call, clamps and averages in place) and keeps the arithmetic of its
+plain form bit for bit: the same operations in the same order.
 
 Every reported witness is re-checked against the constraints by direct
 norm evaluation; the solver is never trusted for the final verdict.
@@ -37,7 +40,7 @@ from typing import Callable
 import numpy as np
 
 from .distance import dist_linf_to_lp_ball
-from .grid import DimensionError, GridFunction, GridSet, inner, norm
+from .grid import DimensionError, GridFunction, GridSet, _rescaled_norm, inner, norm
 from .operators import LinearOperatorSpec, adjoint, apply, apply_values, as_matrix
 
 __all__ = [
@@ -107,13 +110,20 @@ class DualInstance:
         """Exact projection of (v, w) onto the graph {(x, T*x)}, in closed form."""
         T, Ts = self.appliers()
         u = v + T(w)
-        # kernel part of u: its mean, plus its alternating top mode for hilbert
-        ker = np.full(u.size, u.mean())
+        # add the kernel part of u: its mean, plus its alternating top mode for hilbert
+        m = u.sum() / u.size
         if self.Tstar.kind == "hilbert":
-            top = 0.5 * (u[0::2].mean() - u[1::2].mean())
-            ker[0::2] += top
-            ker[1::2] -= top
-        return 0.5 * (u + ker), 0.5 * Ts(u)
+            even, odd = u[0::2], u[1::2]
+            top = 0.5 * (even.sum() / even.size - odd.sum() / odd.size)
+            vg = np.empty_like(u)
+            np.add(even, m + top, out=vg[0::2])
+            np.add(odd, m - top, out=vg[1::2])
+        else:
+            vg = u + m
+        vg *= 0.5
+        wg = Ts(u)
+        wg *= 0.5
+        return vg, wg
 
 
 @dataclass(frozen=True)
@@ -190,15 +200,17 @@ def make_instance(
 def project_lp_ball(values: np.ndarray, radius: float, p: float) -> np.ndarray:
     """Euclidean projection onto {v : norm(v, p) <= radius} (normalized norm).
 
-    p = 2 is the radial scaling; other p solve the KKT system by a bisection
-    on the multiplier with a vectorized inner bisection per coordinate.
+    p = 2 is the radial scaling, with the size rescaled by max |v_i| when
+    the direct mean square overflows or underflows; other p solve the KKT
+    system by a bisection on the multiplier with a vectorized inner bisection
+    per coordinate.
     """
     n = values.size
     if radius <= 0.0:
         return np.zeros(n)
     p = float(p)
     if p == 2.0:
-        size = math.sqrt(float(np.mean(values * values)))
+        size = _rescaled_norm(math.sqrt(float((values * values).sum() / n)), values, 2.0)
         if size <= radius:
             return values.copy()
         return values * (radius / size)
@@ -236,10 +248,6 @@ def project_lp_ball(values: np.ndarray, radius: float, p: float) -> np.ndarray:
     return np.sign(values) * y
 
 
-def _clamp_box(values: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:
-    return np.clip(values, center - radius, center + radius)
-
-
 # ---------------------------------------------------------------------------
 # feasibility for a fixed constant
 # ---------------------------------------------------------------------------
@@ -251,7 +259,8 @@ def _certify(inst: DualInstance, c: float, v_values: np.ndarray, Tsv: np.ndarray
     dust = _ABS_DUST * scale
     viol = []
     bound_p = c * inst.s
-    viol.append((float(np.mean(np.abs(v_values) ** inst.p)) ** (1.0 / inst.p) - bound_p - dust) / max(bound_p, dust))
+    size = _rescaled_norm(float(np.mean(np.abs(v_values) ** inst.p)) ** (1.0 / inst.p), v_values, inst.p)
+    viol.append((size - bound_p - dust) / max(bound_p, dust))
     bound_f = c * inst.r
     viol.append((float(np.abs(inst.f.values - v_values).max()) - bound_f - dust) / max(bound_f, dust))
     bound_T = c * (inst.t + inst.r)
@@ -299,6 +308,11 @@ def feasible(
     bound_p = c * inst.s
     bound_f = c * inst.r
     bound_T = c * (inst.t + inst.r)
+    tsf = inst.Tstar_f.values
+    # the two sup-norm boxes, and scratch for their clamps (np.clip's arithmetic on finite input)
+    lo_f, hi_f = fv - bound_f, fv + bound_f
+    lo_T, hi_T = tsf - bound_T, tsf + bound_T
+    p2, p3 = np.empty_like(fv), np.empty_like(tsf)
     Ts = inst.apply_tstar
 
     if x0 is None:
@@ -325,12 +339,23 @@ def feasible(
             elif k - best_iter > 300 and k > 400:
                 return FeasibilityOutcome("infeasible", None, k, best_res)
 
-        p1 = project_lp_ball(v if sup_mask is None else np.where(sup_mask, v, 0.0), bound_p, inst.p)
-        p2 = _clamp_box(v, fv, bound_f)
-        p3 = _clamp_box(w, inst.Tstar_f.values, bound_T)
-        v_new = (p1 + p2 + v + vg) * 0.25
-        w_new = (w + w + p3 + wg) * 0.25
-        move = max(float(np.abs(v_new - v).max()), float(np.abs(w_new - w).max()))
+        np.minimum(np.maximum(v, lo_f, out=p2), hi_f, out=p2)
+        np.minimum(np.maximum(w, lo_T, out=p3), hi_T, out=p3)
+        # v_new = (p1 + p2 + v + vg) / 4 and w_new = (w + w + p3 + wg) / 4, summed left to right;
+        # p1 is a fresh array, so it becomes v_new
+        v_new = project_lp_ball(v if sup_mask is None else np.where(sup_mask, v, 0.0), bound_p, inst.p)
+        v_new += p2
+        v_new += v
+        v_new += vg
+        v_new *= 0.25
+        w_new = w + w
+        w_new += p3
+        w_new += wg
+        w_new *= 0.25
+        # p2 and p3 are free again: take the step sizes in them
+        move_v = np.abs(np.subtract(v_new, v, out=p2), out=p2).max()
+        move_w = np.abs(np.subtract(w_new, w, out=p3), out=p3).max()
+        move = float(max(move_v, move_w))
         v, w = v_new, w_new
         if move <= 1e-13 * scale:
             return FeasibilityOutcome("infeasible", None, k, best_res)

@@ -282,11 +282,20 @@ def norm(f: GridFunction, p) -> float:
             out = float(math.sqrt(np.mean(a * a)))
         else:
             out = float(np.mean(a**p) ** (1.0 / p))
-    if math.isinf(out) or out == 0.0:
+    return _rescaled_norm(out, a, p)
+
+
+def _rescaled_norm(direct: float, values: np.ndarray, p: float) -> float:
+    """``direct``, the power mean (mean |x_i|^p)^(1/p) as computed directly,
+    unless it overflowed or underflowed to 0 for a non-zero x: then it is
+    recomputed as m * (mean (|x_i|/m)^p)^(1/p) with m = max |x_i|.
+    """
+    if math.isinf(direct) or direct == 0.0:
+        a = np.abs(values)
         m = float(a.max())
         if m > 0.0:
-            out = m * float(np.mean((a / m) ** p) ** (1.0 / p))
-    return out
+            return m * float(np.mean((a / m) ** p) ** (1.0 / p))
+    return direct
 
 
 def inner(f: GridFunction, g: GridFunction) -> float:

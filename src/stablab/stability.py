@@ -88,6 +88,9 @@ class RedecompositionReport:
     holder_rhs: float  # c + measure(omega)^(1/p') * (norm(v1, p) + norm(Tw, p))
     degenerate: bool
 
+    def to_json(self) -> str:
+        return json.dumps(asdict(self), sort_keys=True)
+
 
 def _guarded_ratio(numer: float, denom: float) -> tuple[float, bool]:
     if denom > DEGENERATE_TOL:

@@ -152,6 +152,7 @@ def test_criterion_4_theorem1_exact_bounds_and_frozen_constant(theorem1_campaign
         assert np.isfinite(rep.ratio_T), (label, kind, s)
         worst_T = max(worst_T, rep.ratio_T)
     frozen, created = freeze_or_check("theorem1_max_ratio_T", worst_T)
+    assert not created, "the theorem1_max_ratio_T golden is missing"
     assert worst_T <= frozen * (1 + 1e-9) + 1e-15
     elapsed = time.time() - start
     assert elapsed < 300.0
@@ -182,7 +183,8 @@ def test_criterion_6_theorem2_certified_and_oracle_checked(theorem2_campaign):
         assert res.status == "certified", (label, kind, s)
         assert certified(inst, res.c_star, res.v), (label, kind, s)
         worst_c = max(worst_c, res.c_star)
-    frozen_c, _ = freeze_or_check("theorem2_max_c_star", worst_c)
+    frozen_c, created = freeze_or_check("theorem2_max_c_star", worst_c)
+    assert not created, "the theorem2_max_c_star golden is missing"
     assert worst_c <= frozen_c * (1 + 1e-9) + 1e-15
 
     # the worked instance: constant 2, radius 1
@@ -275,7 +277,8 @@ def test_criterion_9_graph_sequence_saturation_and_monotonicity():
                     worst_factor = max(worst_factor, nxt / prev)
                 else:
                     assert nxt <= 1e-12
-    frozen, _ = freeze_or_check("graph_monotonicity_factor", worst_factor)
+    frozen, created = freeze_or_check("graph_monotonicity_factor", worst_factor)
+    assert not created, "the graph_monotonicity_factor golden is missing"
     assert worst_factor <= frozen * (1 + 1e-9) + 1e-15
     print(
         f"\nACCEPTANCE 9 PASS: saturation exact, residual growth factor "

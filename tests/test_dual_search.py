@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from oracles import penalty_feasible
+from oracles import penalty_feasible, reference_feasible
 from stablab import (
     DyadicInterval,
     GridFunction,
@@ -17,8 +17,8 @@ from stablab import (
     norm,
     project_lp_ball,
 )
-from stablab.dual_search import DENSE_MAX_N, SupportError, certified
-from stablab.harness import make_operator
+from stablab.dual_search import DENSE_MAX_N, MAX_ITER, SupportError, _certify, certified
+from stablab.harness import default_config, generate_corpus, make_operator
 from stablab.operators import adjoint, as_matrix, hilbert
 
 
@@ -77,6 +77,50 @@ def test_graph_step_matches_dense_inverse(name, n):
     vg_ref = K @ (v + M.T @ w)
     np.testing.assert_allclose(vg, vg_ref, rtol=0, atol=1e-12)
     np.testing.assert_allclose(wg, M @ vg_ref, rtol=0, atol=1e-12)
+
+
+def _mixture_instance(kind, n, with_support, p=2):
+    E = GridSet.from_interval(DyadicInterval(1, 0), n) if with_support else None
+    f = generate_corpus(default_config(n=n, corpus_counts=(("mixture", 1),)), E)[0][1]
+    return make_instance(f, make_operator(kind, n, seed=7), 1.0, p, E)
+
+
+def _same_outcome(a, b):
+    assert (a.status, a.iterations, a.residual) == (b.status, b.iterations, b.residual)
+    assert (a.v is None) == (b.v is None)
+    if a.v is not None:
+        assert a.v.values.tobytes() == b.v.values.tobytes()
+
+
+@pytest.mark.parametrize("with_support", [False, True])
+@pytest.mark.parametrize("n", [8, DENSE_MAX_N, 2 * DENSE_MAX_N])
+@pytest.mark.parametrize("kind", ["hilbert", "haar_transform"])
+def test_feasible_matches_reference_loop_bit_for_bit(kind, n, with_support, monkeypatch):
+    inst = _mixture_instance(kind, n, with_support)
+    res = min_constant(inst, tol=0.1)
+    # the whole bisection with the reference loop swapped in: covers the warm starts
+    with monkeypatch.context() as patch:
+        patch.setattr("stablab.dual_search.feasible", reference_feasible)
+        ref = min_constant(inst, tol=0.1)
+    assert (res.c_star, res.iterations, res.flagged) == (ref.c_star, ref.iterations, ref.flagged)
+    assert res.v.values.tobytes() == ref.v.values.tobytes()
+    cases = (
+        (1.05 * res.c_star, MAX_ITER, "feasible"),
+        (1e-3 * norm(inst.f, 2) / inst.s, MAX_ITER, "infeasible"),
+        (0.9 * res.c_star, 25, "inconclusive"),
+    )
+    for c, max_iter, status in cases:
+        out = feasible(inst, c, max_iter=max_iter)
+        assert out.status == status and out.iterations > 1
+        _same_outcome(out, reference_feasible(inst, c, max_iter=max_iter))
+
+
+def test_feasible_matches_reference_loop_at_p3():
+    inst = _mixture_instance("hilbert", 8, False, p=3)
+    c = 0.2 * norm(inst.f, 3) / inst.s
+    out = feasible(inst, c, max_iter=40)
+    assert out.status == "inconclusive"
+    _same_outcome(out, reference_feasible(inst, c, max_iter=40))
 
 
 def test_feasible_rejects_nonpositive_constant():
@@ -240,6 +284,34 @@ def test_project_lp_ball_general_p(rng):
             # projection moves no farther than any feasible competitor
             z = project_lp_ball(rng.standard_normal(16), radius, p)
             assert np.linalg.norm(x - y) <= np.linalg.norm(x - z) + 1e-9
+
+
+def test_project_lp_ball_p2_extreme_magnitudes():
+    with np.errstate(over="ignore"):
+        big = project_lp_ball(np.array([1e200, 1e200]), 1.0, 2)
+    np.testing.assert_allclose(big, [1.0, 1.0], rtol=1e-12)
+    tiny = project_lp_ball(np.array([1e-200, 0.0]), 1e-205, 2)
+    np.testing.assert_allclose(tiny, [np.sqrt(2.0) * 1e-205, 0.0], rtol=1e-12)
+    # normal magnitudes keep the direct arithmetic
+    x = np.array([3.0, -4.0, 0.5, 2.0])
+    assert project_lp_ball(x, 1.0, 2).tobytes() == (x * (1.0 / np.sqrt(np.mean(x * x)))).tobytes()
+
+
+def test_certify_p_term_survives_overflow():
+    inst = _mixture_instance("hilbert", 8, False, p=3)
+    v = inst.f.values * 1e110  # |v|^3 overflows
+    Tsv = inst.apply_tstar(v)
+    dust = 1e-12 * max(1.0, norm(inst.f, np.inf))
+    sizes_and_bounds = (
+        (norm(GridFunction(v), 3), inst.s),
+        (norm(inst.f - GridFunction(v), np.inf), inst.r),
+        (norm(inst.Tstar_f - GridFunction(Tsv), np.inf), inst.t + inst.r),
+    )
+    expect = max((size - bound - dust) / max(bound, dust) for size, bound in sizes_and_bounds)
+    with np.errstate(over="ignore"):
+        got = _certify(inst, 1.0, v, Tsv)
+    assert np.isfinite(got)
+    assert got == pytest.approx(expect, rel=1e-12)
 
 
 def test_result_serialization():

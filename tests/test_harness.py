@@ -239,3 +239,36 @@ def test_cli_dual_support_mode(tmp_path):
     assert out.returncode == 0
     payload = json.loads(out.stdout)
     assert payload["status"] == "certified"
+
+
+@pytest.mark.parametrize(
+    "command, flag, text, message",
+    [
+        ("verify", "--config", '{"sead": 3}', "unknown key(s) in config: sead"),
+        ("distance", "--input", "[1.0, 2.0, 3.0]", "power of two"),
+        ("distance", "--input", "[1.0, NaN]", "finite"),
+        ("distance", "--input", None, "No such file"),
+    ],
+    ids=["unknown-config-key", "three-values", "nan", "missing-file"],
+)
+def test_cli_bad_input_is_a_one_line_error(tmp_path, command, flag, text, message):
+    path = tmp_path / "given.json"
+    if text is not None:
+        path.write_text(text)
+    out = run_cli(command, flag, str(path))
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr.startswith("stablab: error: ") and out.stderr.count("\n") == 1
+    assert message in out.stderr
+
+
+def test_cli_redecompose_bytes():
+    # the default config's output, as printed before RedecompositionReport.to_json existed
+    out = run_cli("redecompose")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == (
+        '{"a": 2.2563096986333875, "b": 0.9999999999999717, "c": 2.2563096986333875, '
+        '"degenerate": false, "holder_lhs": 2.7607041115016413, "holder_rhs": 4.255006766483823, '
+        '"lam": 0.4432015696274444, "ratio_Th": 0.611774197747268, "ratio_Tw_p": 0.9986970678505737, '
+        '"ratio_h": 0.667889096552841, "ratio_w_p": 1.1982104390802242}\n'
+    )
