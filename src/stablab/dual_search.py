@@ -27,6 +27,18 @@ plain form bit for bit: the same operations in the same order.
 
 Every reported witness is re-checked against the constraints by direct
 norm evaluation; the solver is never trusted for the final verdict.
+
+"Infeasible" is certified by weak duality when the iterate yields the
+proof: for any pair (a, b) and z = a + T b,
+
+    c* >= |<z, f>| / (r |a|_1 + (t+r) |b|_1 + s |chi_E z|_p'),
+
+and ``feasible`` evaluates this at the two box normals of its iterate on
+every check iteration.  A bound above the largest constant at which the
+direct check could still accept a candidate ends the call.  When no such
+bound turns up, a run that stops improving is still called "infeasible"
+(the stagnation rule, a heuristic kept as the fallback), and a run that
+neither finds a witness, nor a bound, nor stagnates ends "inconclusive".
 """
 
 from __future__ import annotations
@@ -84,6 +96,10 @@ class DualInstance:
     Tstar_f: GridFunction
     support: GridSet | None = None
     _appliers: tuple[Callable, Callable] | None = field(default=None, repr=False)
+    scale: float = field(init=False, repr=False)  # max(1, norm(f, inf)): the size the tolerances scale with
+
+    def __post_init__(self):
+        self.scale = max(1.0, norm(self.f, np.inf))
 
     @property
     def n(self) -> int:
@@ -203,7 +219,9 @@ def project_lp_ball(values: np.ndarray, radius: float, p: float) -> np.ndarray:
     p = 2 is the radial scaling, with the size rescaled by max |v_i| when
     the direct mean square overflows or underflows; other p solve the KKT
     system by a bisection on the multiplier with a vectorized inner bisection
-    per coordinate.
+    per coordinate.  When sum |v_i|^p overflows or underflows, or the
+    multiplier lies outside the range that bisection resolves, the system
+    is solved in units of the radius instead.
     """
     n = values.size
     if radius <= 0.0:
@@ -214,26 +232,25 @@ def project_lp_ball(values: np.ndarray, radius: float, p: float) -> np.ndarray:
         if size <= radius:
             return values.copy()
         return values * (radius / size)
-    cap = n * radius**p
     av = np.abs(values)
-    if float(np.sum(av**p)) <= cap:
+    with np.errstate(over="ignore"):
+        total = float(np.sum(av**p))
+    if math.isinf(total) or (total == 0.0 and av.max() > 0.0):
+        return _project_lp_ball_rescaled(values, radius, p)
+    cap = n * radius**p
+    if total <= cap:
         return values.copy()
 
     def shrunk(mu: float) -> np.ndarray:
-        lo = np.zeros(n)
-        hi = av.copy()
-        for _ in range(60):
-            midv = 0.5 * (lo + hi)
-            too_big = midv + mu * p * midv ** (p - 1.0) > av
-            hi = np.where(too_big, midv, hi)
-            lo = np.where(too_big, lo, midv)
-        return 0.5 * (lo + hi)
+        return _kkt_root(av, av, mu * p, p)
 
     mu_hi = 1.0
     for _ in range(200):
         if float(np.sum(shrunk(mu_hi) ** p)) <= cap:
             break
         mu_hi *= 2.0
+    else:  # the multiplier is above 2^200
+        return _project_lp_ball_rescaled(values, radius, p)
     mu_lo = 0.0
     for _ in range(80):
         mu = 0.5 * (mu_lo + mu_hi)
@@ -241,11 +258,54 @@ def project_lp_ball(values: np.ndarray, radius: float, p: float) -> np.ndarray:
             mu_hi = mu
         else:
             mu_lo = mu
+    if mu_lo == 0.0:  # the multiplier is below the bisection's resolution
+        return _project_lp_ball_rescaled(values, radius, p)
     y = shrunk(mu_hi)
     total = float(np.sum(y**p))
     if total > cap and total > 0:
         y *= (cap / total) ** (1.0 / p)  # land exactly inside
     return np.sign(values) * y
+
+
+def _kkt_root(b: np.ndarray, top: np.ndarray, coef: float, p: float) -> np.ndarray:
+    """Per coordinate, the root y in [0, top] of y + coef * y^(p-1) = b, by bisection."""
+    lo = np.zeros(b.size)
+    hi = top.copy()
+    for _ in range(60):
+        midv = 0.5 * (lo + hi)
+        too_big = midv + coef * midv ** (p - 1.0) > b
+        hi = np.where(too_big, midv, hi)
+        lo = np.where(too_big, lo, midv)
+    return 0.5 * (lo + hi)
+
+
+def _project_lp_ball_rescaled(values: np.ndarray, radius: float, p: float) -> np.ndarray:
+    """``project_lp_ball`` for p != 2 when sum |v_i|^p overflows or underflows.
+
+    In units of the radius the projection is x = radius * y with
+    y_i + nu y_i^(p-1) = b_i = |v_i| / radius and sum y^p = n, so every
+    y_i <= n^(1/p) and no power of an input size is formed; the multiplier
+    nu is bisected on a log scale.
+    """
+    n = values.size
+    av = np.abs(values)
+    m = float(av.max())
+    if m * float(np.mean((av / m) ** p)) ** (1.0 / p) <= radius:
+        return values.copy()
+    b = av / radius
+    top = np.minimum(b, n ** (1.0 / p))
+    e_lo, e_hi = -1000.0, 1000.0
+    for _ in range(80):
+        e = 0.5 * (e_lo + e_hi)
+        if float(np.sum(_kkt_root(b, top, 2.0**e, p) ** p)) <= n:
+            e_hi = e
+        else:
+            e_lo = e
+    y = _kkt_root(b, top, 2.0**e_hi, p)
+    total = float(np.sum(y**p))
+    if total > n:
+        y *= (n / total) ** (1.0 / p)
+    return np.sign(values) * y * radius
 
 
 # ---------------------------------------------------------------------------
@@ -255,8 +315,7 @@ def project_lp_ball(values: np.ndarray, radius: float, p: float) -> np.ndarray:
 
 def _certify(inst: DualInstance, c: float, v_values: np.ndarray, Tsv: np.ndarray) -> float:
     """Maximum relative constraint violation of v at constant c (<= 0 is feasible)."""
-    scale = max(1.0, norm(inst.f, np.inf))
-    dust = _ABS_DUST * scale
+    dust = _ABS_DUST * inst.scale
     viol = []
     bound_p = c * inst.s
     size = _rescaled_norm(float(np.mean(np.abs(v_values) ** inst.p)) ** (1.0 / inst.p), v_values, inst.p)
@@ -277,6 +336,33 @@ def certified(inst: DualInstance, c: float, v: GridFunction, tol: float = FEAS_T
     return _certify(inst, c * (1.0 + tol), v.values, Tsv) <= 0.0
 
 
+def _dual_bound(inst: DualInstance, a: np.ndarray, b: np.ndarray) -> float:
+    """Weak-duality lower bound on the constants at which the constraints meet.
+
+    For any pair (a, b) and z = a + T b, a v meeting the three constraints
+    at c (and vanishing off E) has, by Hoelder in each term,
+
+        <z, f> = <a, f - v> + <b, T*f - T*v> + <z, v>
+              <= c (r |a|_1 + (t + r) |b|_1 + s |chi_E z|_p'),
+
+    so c >= |<z, f>| / (r |a|_1 + (t + r) |b|_1 + s |chi_E z|_p').
+    """
+    n = a.size
+    z = a + inst.appliers()[0](b)
+    pairing = abs(float(z @ inst.f.values)) / n
+    if inst.support is not None:
+        z[~inst.support.membership] = 0.0
+    az = np.abs(z)
+    if inst.p == 1.0:
+        size = float(az.max())
+    else:
+        q = inst.p / (inst.p - 1.0)
+        with np.errstate(over="ignore"):
+            size = _rescaled_norm(float((az**q).sum() / n) ** (1.0 / q), az, q)
+    denom = inst.r * float(np.abs(a).sum()) / n + (inst.t + inst.r) * float(np.abs(b).sum()) / n + inst.s * size
+    return pairing / denom if denom > 0.0 else 0.0
+
+
 def feasible(
     inst: DualInstance,
     c: float,
@@ -289,9 +375,12 @@ def feasible(
     Averaged projections over four convex sets (p-ball with support mask,
     the two sup-norm boxes, and the graph of T*).  Candidates are read off
     the graph projection and accepted only after the direct check, so a
-    "feasible" outcome is always certified.  A run that stops improving
-    while still violated reports "infeasible" (at tolerance); an exhausted
-    iteration budget reports "inconclusive".
+    "feasible" outcome is always certified.  A rejected candidate is
+    followed by the weak-duality bound of the two box normals; a bound above
+    every constant the direct check could accept reports a certified
+    "infeasible".  Without one, a run that stops improving while still
+    violated reports "infeasible" (at tolerance), and an iteration budget
+    exhausted by both rules reports "inconclusive".
     """
     c = float(c)
     if c <= 0:
@@ -323,11 +412,17 @@ def feasible(
     else:
         v, w = x0[0].copy(), x0[1].copy()
 
+    # _certify accepts v at c only if v meets all three constraints at c_accept, so a
+    # weak-duality bound above c_accept (with a rounding margin) rules out any later candidate
+    c_accept = (1.0 + tol) * (c + _ABS_DUST * inst.scale / min(inst.s, inst.r, inst.t + inst.r))
+    c_accept *= 1.0 + 1e-9
+
     best_res = math.inf
     best_iter = 0
-    scale = max(1.0, float(np.abs(fv).max()))
     for k in range(1, max_iter + 1):
         vg, wg = inst.graph_step(v, w)
+        np.minimum(np.maximum(v, lo_f, out=p2), hi_f, out=p2)
+        np.minimum(np.maximum(w, lo_T, out=p3), hi_T, out=p3)
         if k % 5 == 1:
             cand = vg if sup_mask is None else np.where(sup_mask, vg, 0.0)
             res = _certify(inst, c, cand, Ts(cand))
@@ -338,9 +433,10 @@ def feasible(
                 best_iter = k
             elif k - best_iter > 300 and k > 400:
                 return FeasibilityOutcome("infeasible", None, k, best_res)
+            # the box normals of the current iterate as the dual pair
+            if _dual_bound(inst, p2 - v, p3 - w) > c_accept:
+                return FeasibilityOutcome("infeasible", None, k, best_res)
 
-        np.minimum(np.maximum(v, lo_f, out=p2), hi_f, out=p2)
-        np.minimum(np.maximum(w, lo_T, out=p3), hi_T, out=p3)
         # v_new = (p1 + p2 + v + vg) / 4 and w_new = (w + w + p3 + wg) / 4, summed left to right;
         # p1 is a fresh array, so it becomes v_new
         v_new = project_lp_ball(v if sup_mask is None else np.where(sup_mask, v, 0.0), bound_p, inst.p)
@@ -357,7 +453,7 @@ def feasible(
         move_w = np.abs(np.subtract(w_new, w, out=p3), out=p3).max()
         move = float(max(move_v, move_w))
         v, w = v_new, w_new
-        if move <= 1e-13 * scale:
+        if move <= 1e-13 * inst.scale:
             return FeasibilityOutcome("infeasible", None, k, best_res)
     return FeasibilityOutcome("inconclusive", None, max_iter, best_res)
 

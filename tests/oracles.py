@@ -7,8 +7,11 @@ with the projection-based solver it is used to cross-examine.
 
 ``reference_feasible`` is the averaged-projection loop of ``feasible`` in
 its earlier, allocation-heavy form (``np.mean``, ``np.full``, ``np.clip``,
-fresh arrays for every sum).  The library's loop must reproduce it bit for
-bit.
+fresh arrays for every sum), with no dual bound: it says "infeasible" only
+when the iteration stagnates.  The library's loop must reproduce every
+"feasible" outcome of it bit for bit, and may end a call that is not
+feasible earlier.  ``reference_project_lp_ball`` is the projection before
+its scale-safe fallbacks.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from stablab.distance import dist_linf_to_lp_ball
-from stablab.dual_search import MAX_ITER, FEAS_TOL, DualInstance, FeasibilityOutcome, _certify, project_lp_ball
+from stablab.dual_search import MAX_ITER, FEAS_TOL, DualInstance, FeasibilityOutcome, _certify
 from stablab.grid import GridFunction
 from stablab.operators import as_matrix
 
@@ -83,12 +86,47 @@ def reference_graph_step(inst: DualInstance, v: np.ndarray, w: np.ndarray) -> tu
 
 
 def reference_project_lp_ball(values: np.ndarray, radius: float, p: float) -> np.ndarray:
-    if radius > 0.0 and float(p) == 2.0:
+    n = values.size
+    if radius <= 0.0:
+        return np.zeros(n)
+    p = float(p)
+    if p == 2.0:
         size = math.sqrt(float(np.mean(values * values)))
         if size <= radius:
             return values.copy()
         return values * (radius / size)
-    return project_lp_ball(values, radius, p)
+    cap = n * radius**p
+    av = np.abs(values)
+    if float(np.sum(av**p)) <= cap:
+        return values.copy()
+
+    def shrunk(mu: float) -> np.ndarray:
+        lo = np.zeros(n)
+        hi = av.copy()
+        for _ in range(60):
+            midv = 0.5 * (lo + hi)
+            too_big = midv + mu * p * midv ** (p - 1.0) > av
+            hi = np.where(too_big, midv, hi)
+            lo = np.where(too_big, lo, midv)
+        return 0.5 * (lo + hi)
+
+    mu_hi = 1.0
+    for _ in range(200):
+        if float(np.sum(shrunk(mu_hi) ** p)) <= cap:
+            break
+        mu_hi *= 2.0
+    mu_lo = 0.0
+    for _ in range(80):
+        mu = 0.5 * (mu_lo + mu_hi)
+        if float(np.sum(shrunk(mu) ** p)) <= cap:
+            mu_hi = mu
+        else:
+            mu_lo = mu
+    y = shrunk(mu_hi)
+    total = float(np.sum(y**p))
+    if total > cap and total > 0:
+        y *= (cap / total) ** (1.0 / p)  # land exactly inside
+    return np.sign(values) * y
 
 
 def _clamp_box(values: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:

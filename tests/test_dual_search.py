@@ -1,23 +1,30 @@
+import functools
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import penalty_feasible, reference_feasible
+from oracles import penalty_feasible, reference_feasible, reference_project_lp_ball
 from stablab import (
     DyadicInterval,
     GridFunction,
     GridSet,
     annihilator_pair,
     apply,
+    dist_linf_to_lp_ball,
     duality_pairing,
     feasible,
+    inner,
     make_instance,
+    mask,
     min_constant,
     norm,
     project_lp_ball,
 )
-from stablab.dual_search import DENSE_MAX_N, MAX_ITER, SupportError, _certify, certified
+from stablab.dual_search import DENSE_MAX_N, FEAS_TOL, MAX_ITER, SupportError, _certify, _dual_bound, certified
 from stablab.harness import default_config, generate_corpus, make_operator
 from stablab.operators import adjoint, as_matrix, hilbert
 
@@ -92,6 +99,16 @@ def _same_outcome(a, b):
         assert a.v.values.tobytes() == b.v.values.tobytes()
 
 
+def _agrees_with_reference(out, ref):
+    """A feasible outcome is the reference's to the bit; any other is not
+    feasible on either side, and the library's loop ends no later."""
+    assert out.is_feasible == ref.is_feasible
+    if out.is_feasible:
+        _same_outcome(out, ref)
+    else:
+        assert out.iterations <= ref.iterations
+
+
 @pytest.mark.parametrize("with_support", [False, True])
 @pytest.mark.parametrize("n", [8, DENSE_MAX_N, 2 * DENSE_MAX_N])
 @pytest.mark.parametrize("kind", ["hilbert", "haar_transform"])
@@ -102,25 +119,127 @@ def test_feasible_matches_reference_loop_bit_for_bit(kind, n, with_support, monk
     with monkeypatch.context() as patch:
         patch.setattr("stablab.dual_search.feasible", reference_feasible)
         ref = min_constant(inst, tol=0.1)
-    assert (res.c_star, res.iterations, res.flagged) == (ref.c_star, ref.iterations, ref.flagged)
+    assert (res.c_star, res.res_p, res.res_inf, res.res_Tinf, res.status) == (
+        ref.c_star, ref.res_p, ref.res_inf, ref.res_Tinf, ref.status
+    )
     assert res.v.values.tobytes() == ref.v.values.tobytes()
+    assert res.iterations <= ref.iterations and res.flagged <= ref.flagged
+    tiny = 1e-3 * norm(inst.f, 2) / inst.s
     cases = (
         (1.05 * res.c_star, MAX_ITER, "feasible"),
-        (1e-3 * norm(inst.f, 2) / inst.s, MAX_ITER, "infeasible"),
+        (tiny, MAX_ITER, "infeasible"),
         (0.9 * res.c_star, 25, "inconclusive"),
     )
-    for c, max_iter, status in cases:
+    for c, max_iter, ref_status in cases:
         out = feasible(inst, c, max_iter=max_iter)
-        assert out.status == status and out.iterations > 1
-        _same_outcome(out, reference_feasible(inst, c, max_iter=max_iter))
+        ref_out = reference_feasible(inst, c, max_iter=max_iter)
+        assert ref_out.status == ref_status and ref_out.iterations > 1
+        _agrees_with_reference(out, ref_out)
+    # far below c*, the dual bound certifies "infeasible" on the first check
+    assert feasible(inst, tiny).iterations == 1
 
 
 def test_feasible_matches_reference_loop_at_p3():
     inst = _mixture_instance("hilbert", 8, False, p=3)
     c = 0.2 * norm(inst.f, 3) / inst.s
     out = feasible(inst, c, max_iter=40)
-    assert out.status == "inconclusive"
-    _same_outcome(out, reference_feasible(inst, c, max_iter=40))
+    ref = reference_feasible(inst, c, max_iter=40)
+    assert ref.status == "inconclusive"
+    _agrees_with_reference(out, ref)
+
+
+def _bound_by_hand(inst, a, b):
+    """The weak-duality bound from (a, b), through the public grid algebra."""
+    f = inst.f
+    a, b = GridFunction(a), GridFunction(b)
+    z = a + apply(adjoint(inst.Tstar), b)
+    zE = z if inst.support is None else mask(z, inst.support)
+    q = inst.p / (inst.p - 1.0)
+    denom = inst.r * norm(a, 1) + (inst.t + inst.r) * norm(b, 1) + inst.s * norm(zE, q)
+    return abs(inner(z, f)) / denom
+
+
+def _certified_upper(inst):
+    """A directly certified constant: c* from the bisection at p = 2, the best
+    of the witnesses lam f and the sup-distance minimizer otherwise."""
+    if inst.p == 2.0:
+        res = min_constant(inst, tol=0.05)
+        assert res.status == "certified"
+        return res.c_star
+    v0 = dist_linf_to_lp_ball(inst.f, inst.s, inst.p).minimizer
+    if inst.support is not None:
+        v0 = mask(v0, inst.support)
+    best = math.inf
+    for v in [inst.f * lam for lam in np.linspace(0.0, 1.0, 21)] + [v0]:
+        c = max(
+            norm(v, inst.p) / inst.s,
+            norm(inst.f - v, np.inf) / inst.r,
+            norm(inst.Tstar_f - apply(inst.Tstar, v), np.inf) / (inst.t + inst.r),
+        )
+        assert certified(inst, c, v)
+        best = min(best, c)
+    return best
+
+
+@functools.lru_cache(maxsize=None)
+def _instance_and_upper(kind, n, with_support, p):
+    inst = _mixture_instance(kind, n, with_support, p)
+    return inst, _certified_upper(inst)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("with_support", [False, True])
+@pytest.mark.parametrize("n", [8, DENSE_MAX_N, 2 * DENSE_MAX_N])
+@pytest.mark.parametrize("kind", ["hilbert", "haar_transform"])
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    scales=st.tuples(*[st.sampled_from([0.0, 1e-3, 1.0, 1e3])] * 2).filter(any),
+    pulls=st.tuples(*[st.sampled_from([0.0, 1.0, 10.0])] * 2),
+)
+def test_dual_bound_never_exceeds_a_certified_constant(kind, n, with_support, p, seed, scales, pulls):
+    inst, upper = _instance_and_upper(kind, n, with_support, p)
+    rng = np.random.default_rng(seed)
+    # random pairs, pulled towards the signs of f and T*f to make the bound bite
+    a = scales[0] * (rng.standard_normal(n) + pulls[0] * np.sign(inst.f.values))
+    b = scales[1] * (rng.standard_normal(n) + pulls[1] * np.sign(inst.Tstar_f.values))
+    bound = _dual_bound(inst, a, b)
+    assert bound == pytest.approx(_bound_by_hand(inst, a, b), rel=1e-9)
+    assert bound <= upper * (1 + 1e-9)
+
+
+@pytest.mark.parametrize("with_support", [False, True])
+@pytest.mark.parametrize("n", [8, DENSE_MAX_N, 2 * DENSE_MAX_N])
+@pytest.mark.parametrize("kind", ["hilbert", "haar_transform"])
+def test_every_early_exit_carries_a_bound_above_the_accepting_constant(kind, n, with_support, monkeypatch):
+    inst = _mixture_instance(kind, n, with_support)
+    bounds = []
+
+    def recording(inst_, a, b):
+        bounds.append((a.copy(), b.copy(), _dual_bound(inst_, a, b)))
+        return bounds[-1][2]
+
+    monkeypatch.setattr("stablab.dual_search._dual_bound", recording)
+    res = min_constant(inst, tol=0.05)
+    assert res.status == "certified"
+    dust = 1e-12 * max(1.0, norm(inst.f, np.inf))
+    early = 0
+    for c in np.geomspace(1e-3, 0.98, 12) * res.c_star:
+        bounds.clear()
+        out = feasible(inst, c)
+        ref = reference_feasible(inst, c)
+        _agrees_with_reference(out, ref)
+        if out.iterations < ref.iterations:
+            # the exit rests on the last bound, taken at the exit's own iteration
+            early += 1
+            a, b, bound = bounds[-1]
+            assert len(bounds) == (out.iterations + 4) // 5
+            c_accept = (1 + FEAS_TOL) * (c + dust / min(inst.s, inst.r, inst.t + inst.r))
+            assert bound > c_accept
+            assert bound == pytest.approx(_bound_by_hand(inst, a, b), rel=1e-9)
+            # weak duality: no bound passes the certified upper end
+            assert bound <= res.c_star * (1 + 1e-9)
+    assert early >= 6
 
 
 def test_feasible_rejects_nonpositive_constant():
@@ -295,6 +414,29 @@ def test_project_lp_ball_p2_extreme_magnitudes():
     # normal magnitudes keep the direct arithmetic
     x = np.array([3.0, -4.0, 0.5, 2.0])
     assert project_lp_ball(x, 1.0, 2).tobytes() == (x * (1.0 / np.sqrt(np.mean(x * x)))).tobytes()
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0, 7.0])
+def test_project_lp_ball_general_p_extreme_magnitudes(p, rng):
+    with np.errstate(over="raise", under="ignore"):
+        np.testing.assert_allclose(project_lp_ball(np.array([1e200, 1e200]), 1.0, p), [1.0, 1.0], rtol=1e-12)
+        tiny = project_lp_ball(np.array([1e-200, 0.0]), 1e-205, p)
+        np.testing.assert_allclose(tiny, [2.0 ** (1 / p) * 1e-205, 0.0], rtol=1e-12)
+        x = rng.standard_normal(16) * 2.0
+        assert project_lp_ball(x * 1e200, 1e201 * np.abs(x).max(), p).tobytes() == (x * 1e200).tobytes()
+        # the projection commutes with scaling: 1e+-200 inputs give the normal-scale answer
+        for radius in (0.1, 0.5):
+            y = project_lp_ball(x, radius, p)
+            for scale in (1e200, 1e-200):
+                np.testing.assert_allclose(project_lp_ball(x * scale, radius * scale, p) / scale, y, rtol=1e-9, atol=1e-12)
+
+
+def test_project_lp_ball_keeps_the_direct_bits(rng):
+    for p in (1.5, 3.0):
+        for _ in range(5):
+            x = rng.standard_normal(16) * 2.0
+            radius = float(rng.uniform(0.1, 1.0))
+            assert project_lp_ball(x, radius, p).tobytes() == reference_project_lp_ball(x, radius, p).tobytes()
 
 
 def test_certify_p_term_survives_overflow():

@@ -156,7 +156,8 @@ def test_long_range_spec_dipole_big_cube():
     assert [(q.level, q.index) for q in d.cubes] == [(2, 0)]
     ratio = long_range_ratio(hilbert(n), d)
     assert ratio <= 1.0
-    freeze_or_check("long_range_hilbert_big_cube", ratio)
+    _, created = freeze_or_check("long_range_hilbert_big_cube", ratio)
+    assert not created, "the long_range_hilbert_big_cube golden is missing"
 
 
 def test_long_range_small_cube_frozen():
@@ -175,7 +176,8 @@ def test_long_range_small_cube_frozen():
     assert got["identity_minus_mean"] == 0.0
     assert got["hilbert"] <= 1.0
     for kind, val in got.items():
-        freeze_or_check(f"long_range_small_cube_{kind}", val)
+        _, created = freeze_or_check(f"long_range_small_cube_{kind}", val)
+        assert not created, f"the long_range_small_cube_{kind} golden is missing"
 
 
 def test_long_range_campaign_frozen(rng):
@@ -192,7 +194,8 @@ def test_long_range_campaign_frozen(rng):
             worst[kind] = max(worst[kind], long_range_ratio(T, d))
     for kind, val in worst.items():
         assert np.isfinite(val)
-        freeze_or_check(f"long_range_campaign_{kind}", val)
+        _, created = freeze_or_check(f"long_range_campaign_{kind}", val)
+        assert not created, f"the long_range_campaign_{kind} golden is missing"
 
 
 def test_dimension_mismatch_rejected():

@@ -166,7 +166,8 @@ def test_kclosed_random_split_campaign_frozen(rng):
             for val in (rep.ratio_h, rep.ratio_w_p, rep.ratio_Tw_p, rep.ratio_Th):
                 assert np.isfinite(val)
                 worst = max(worst, val)
-    freeze_or_check("kclosed_max_ratio", worst)
+    _, created = freeze_or_check("kclosed_max_ratio", worst)
+    assert not created, "the kclosed_max_ratio golden is missing"
 
 
 def test_graph_sequence_saturates():
@@ -207,7 +208,8 @@ def test_graph_sequence_residuals_controlled(rng):
                     assert nxt <= 1e-12
         if s_list[-1] >= norm(f, cfg.p):
             assert resid[-1] == 0.0 and resid_T[-1] == 0.0
-    freeze_or_check("graph_monotonicity_factor", worst_factor)
+    _, created = freeze_or_check("graph_monotonicity_factor", worst_factor)
+    assert not created, "the graph_monotonicity_factor golden is missing"
 
 
 def test_report_serialization():
