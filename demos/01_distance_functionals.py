@@ -2,15 +2,14 @@
 
 Walks through the two distance functionals on a small grid: the L^1
 distance (attained by clipping at a uniform level) and the sup-norm
-distance (attained by soft thresholding), then cross-checks both against
-the generic brute-force solver.
+distance (attained by soft thresholding).  The test suite cross-checks
+both against a structure-blind brute-force solver (tests/oracles.py).
 """
 
 import numpy as np
 
 from stablab import (
     GridFunction,
-    brute_force_distance,
     dist_l1_to_lp_ball,
     dist_linf_to_lp_ball,
     norm,
@@ -33,9 +32,3 @@ print("sup-norm distance shrinks every cell toward zero instead:")
 resi = dist_linf_to_lp_ball(f, 0.5, 2)
 print("  value", round(resi.value, 6), " minimizer", np.round(resi.minimizer.values, 6))
 
-print()
-print("cross-check against the structure-blind solver (tolerance 1e-5):")
-for s in (0.25, 0.75):
-    a = dist_l1_to_lp_ball(f, s, 2).value
-    b = brute_force_distance(f, s, 2, 1.0)
-    print(f"  s = {s}: closed form {a:.8f}  brute force {b:.8f}  gap {abs(a - b):.2e}")

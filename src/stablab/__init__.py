@@ -5,7 +5,6 @@ periodic grids."""
 from .cz import CheckResult, CzDecomposition, cz_decompose, verify_cz
 from .distance import (
     DistanceResult,
-    brute_force_distance,
     dist_l1_to_lp_ball,
     dist_linf_to_lp_ball,
     near_minimizer,

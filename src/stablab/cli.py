@@ -36,12 +36,13 @@ from .stability import bourgain_construct, kclosed_redecompose
 
 
 class InputError(Exception):
-    """A config or input file that cannot be read or is not valid."""
+    """A config, input file or numeric flag that cannot be read or is not valid."""
 
 
 @contextmanager
-def _reading_input():
-    # ConfigError is a ValueError; OSError covers missing and unreadable files
+def _input_errors():
+    # ConfigError and the library's domain checks on radii, levels and
+    # tolerances are ValueErrors; OSError covers missing and unreadable files
     try:
         yield
     except (OSError, ValueError) as exc:
@@ -66,7 +67,7 @@ def _common_flags(sub: argparse.ArgumentParser):
 
 def _load_config(args) -> ExperimentConfig:
     if args.config:
-        with _reading_input(), open(args.config) as fh:
+        with _input_errors(), open(args.config) as fh:
             cfg = ExperimentConfig.from_json(fh.read())
     else:
         cfg = default_config()
@@ -80,14 +81,14 @@ def _load_config(args) -> ExperimentConfig:
     if overrides:
         from dataclasses import replace
 
-        with _reading_input():
+        with _input_errors():
             cfg = replace(cfg, **overrides)
     return cfg
 
 
 def _load_function(args, cfg: ExperimentConfig, support: GridSet | None = None) -> GridFunction:
     if args.input:
-        with _reading_input(), open(args.input) as fh:
+        with _input_errors(), open(args.input) as fh:
             return GridFunction.from_json(fh.read())
     return generate_corpus(cfg, support)[0][1]
 
@@ -97,7 +98,7 @@ def _load_support(args, cfg: ExperimentConfig) -> GridSet | None:
         return None
     if args.support == SUPPORT_LEFT_HALF:
         return GridSet.from_interval(DyadicInterval(1, 0), cfg.n)
-    with _reading_input(), open(args.support) as fh:
+    with _input_errors(), open(args.support) as fh:
         return GridSet.from_json(fh.read())
 
 
@@ -116,7 +117,9 @@ def _cmd_distance(args) -> int:
     f = _load_function(args, cfg)
     s = args.s if args.s is not None else 1.0
     solver = dist_linf_to_lp_ball if args.ambient == "inf" else dist_l1_to_lp_ball
-    _emit(args, solver(f, s, cfg.p).to_json())
+    with _input_errors():
+        result = solver(f, s, cfg.p)
+    _emit(args, result.to_json())
     return 0
 
 
@@ -124,7 +127,9 @@ def _cmd_cz(args) -> int:
     cfg = _load_config(args)
     f = _load_function(args, cfg)
     level = args.level if args.level is not None else (args.s if args.s is not None else 1.0)
-    _emit(args, cz_decompose(f, level, args.dilation).to_json())
+    with _input_errors():
+        d = cz_decompose(f, level, args.dilation)
+    _emit(args, d.to_json())
     return 0
 
 
@@ -133,7 +138,8 @@ def _cmd_construct(args) -> int:
     f = _load_function(args, cfg)
     T = make_operator(args.operator or cfg.operators[0], cfg.n, cfg.seed)
     s = args.s if args.s is not None else 1.0
-    _, report = bourgain_construct(f, T, s, cfg.p)
+    with _input_errors():
+        _, report = bourgain_construct(f, T, s, cfg.p)
     _emit(args, report.to_json())
     return 0
 
@@ -143,10 +149,11 @@ def _cmd_redecompose(args) -> int:
     f = _load_function(args, cfg)
     T = make_operator(args.operator or cfg.operators[0], cfg.n, cfg.seed)
     s = args.s if args.s is not None else 1.0
-    u1 = dist_l1_to_lp_ball(f, s, cfg.p).minimizer
     Tf = apply(T, f)
-    v1 = dist_l1_to_lp_ball(Tf, s, cfg.p).minimizer
-    _, _, report = kclosed_redecompose(f, T, (f - u1, Tf - v1, u1, v1), cfg.p)
+    with _input_errors():
+        u1 = dist_l1_to_lp_ball(f, s, cfg.p).minimizer
+        v1 = dist_l1_to_lp_ball(Tf, s, cfg.p).minimizer
+        _, _, report = kclosed_redecompose(f, T, (f - u1, Tf - v1, u1, v1), cfg.p)
     _emit(args, report.to_json())
     return 0
 
@@ -162,8 +169,10 @@ def _cmd_dual(args) -> int:
         f = GridFunction(masked / total if total > 0 else masked)
     T = make_operator(args.operator or cfg.dual_operators[0], cfg.n, cfg.seed)
     s = args.s if args.s is not None else 1.0
-    inst = make_instance(f, T, s, cfg.p, support)
-    _emit(args, min_constant(inst, tol=args.tol).to_json())
+    with _input_errors():
+        inst = make_instance(f, T, s, cfg.p, support)
+        result = min_constant(inst, tol=args.tol)
+    _emit(args, result.to_json())
     return 0
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import DimensionError, DyadicInterval, GridFunction, GridSet, dilate_interval, norm
+from .grid import DimensionError, DyadicInterval, GridFunction, GridSet, dilate_interval, dyadic_means, norm
 
 __all__ = ["CzDecomposition", "CheckResult", "cz_decompose", "verify_cz", "ConsistencyError"]
 
@@ -71,16 +71,6 @@ class CzDecomposition:
         return _assemble(f, float(obj["lambda"]), cubes, float(obj["dilation_factor"]))
 
 
-def _dyadic_averages(values: np.ndarray) -> list[np.ndarray]:
-    """averages[l][j] = mean of values over the dyadic interval (l, j)."""
-    levels = [values.astype(float)]
-    while levels[-1].size > 1:
-        prev = levels[-1]
-        levels.append(0.5 * (prev[0::2] + prev[1::2]))
-    levels.reverse()
-    return levels
-
-
 def _assemble(
     f: GridFunction,
     level: float,
@@ -106,9 +96,12 @@ def cz_decompose(f: GridFunction, level: float, dilation_factor: float = 10.0) -
     part vanishes identically.
     """
     level = float(level)
-    if level <= 0:
+    if not level > 0:
         raise ValueError(f"decomposition level must be positive, got {level}")
-    abs_means = _dyadic_averages(np.abs(f.values))
+    dilation_factor = float(dilation_factor)
+    if not dilation_factor >= 1.0:
+        raise ValueError(f"dilation factor must be >= 1, got {dilation_factor}")
+    abs_means = dyadic_means(np.abs(f.values))
     max_level = len(abs_means) - 1
     cubes: list[DyadicInterval] = []
     stack = [(0, 0)]
@@ -120,7 +113,7 @@ def cz_decompose(f: GridFunction, level: float, dilation_factor: float = 10.0) -
             # right child pushed first so cubes come out left to right
             stack.append((lev + 1, 2 * idx + 1))
             stack.append((lev + 1, 2 * idx))
-    return _assemble(f, level, tuple(cubes), float(dilation_factor))
+    return _assemble(f, level, tuple(cubes), dilation_factor)
 
 
 def verify_cz(d: CzDecomposition, f: GridFunction, ps=(1.5, 2.0, 3.0, 4.0)) -> list[CheckResult]:

@@ -11,8 +11,9 @@ Two functionals are computed, both by bisection on a scalar threshold:
   g_i = sign(f_i) (|f_i| - eps)_+, so the distance is the smallest feasible
   eps.
 
-Both characterizations are cross-validated against brute_force_distance,
-a generic convex solver that knows nothing about thresholds.
+Both characterizations are cross-validated in the tests against a generic
+convex solver that knows nothing about thresholds (``brute_force_distance``
+in tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -23,24 +24,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridFunction, norm
+from .grid import GridFunction, _rescaled_norm, norm
 
 __all__ = [
     "DistanceResult",
     "dist_l1_to_lp_ball",
     "dist_linf_to_lp_ball",
-    "brute_force_distance",
     "near_minimizer",
-    "ScaleError",
 ]
 
 BISECTION_TOL = 1e-12
-BISECTION_MAX_ITER = 200
 FEAS_TOL = 1e-9
-
-
-class ScaleError(ValueError):
-    """Raised when the brute-force oracle is asked for a grid it cannot afford."""
 
 
 @dataclass(frozen=True)
@@ -83,7 +77,7 @@ def _soft_threshold(values: np.ndarray, eps: float) -> np.ndarray:
 
 def _check_s(s: float) -> float:
     s = float(s)
-    if s < 0:
+    if not s >= 0:
         raise ValueError(f"ball radius must be nonnegative, got {s}")
     return s
 
@@ -93,6 +87,35 @@ def _check_finite_p(p) -> float:
     if not (1.0 < p < math.inf):
         raise ValueError(f"ball exponent must be finite and > 1, got {p}")
     return p
+
+
+def _power_mean(x: np.ndarray, p: float) -> float:
+    """(mean x_i^p)^(1/p) for x >= 0, recomputed in units of max x when the
+    powers overflow or underflow to 0 (the rule of grid.norm)."""
+    return _rescaled_norm(float(np.mean(x**p)) ** (1.0 / p), x, p)
+
+
+def _bisect(low_side, av: np.ndarray, s: float) -> tuple[float, float]:
+    """Bracket [lo, hi] of [0, max av] around the threshold t at which the
+    monotone test ``low_side(values, radius, t)`` turns from True to False.
+
+    The search runs in units of min(1, max av), so its stopping width
+    BISECTION_TOL is absolute above unit scale and relative below it; it
+    also stops when lo and hi are adjacent floats.
+    """
+    unit = min(1.0, float(av.max()))
+    au, su = av / unit, s / unit
+    lo, hi = 0.0, float(au.max())
+    with np.errstate(over="ignore"):
+        while hi - lo > BISECTION_TOL:
+            mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:
+                break
+            if low_side(au, su, mid):
+                lo = mid
+            else:
+                hi = mid
+    return lo * unit, hi * unit
 
 
 def dist_l1_to_lp_ball(f: GridFunction, s: float, p) -> DistanceResult:
@@ -111,16 +134,7 @@ def dist_l1_to_lp_ball(f: GridFunction, s: float, p) -> DistanceResult:
         return DistanceResult(norm(f, 1), g, s, p, 1.0, 0.0)
     if norm(f, p) <= s:
         return DistanceResult(0.0, f, s, p, 1.0, sup)
-    lo, hi = 0.0, sup
-    for _ in range(BISECTION_MAX_ITER):
-        if hi - lo <= BISECTION_TOL:
-            break
-        mid = 0.5 * (lo + hi)
-        if float(np.mean(np.minimum(av, mid) ** p)) ** (1.0 / p) <= s:
-            lo = mid
-        else:
-            hi = mid
-    tau = lo
+    tau, _ = _bisect(lambda a, r, t: _power_mean(np.minimum(a, t), p) <= r, av, s)
     g = GridFunction(_hard_clip(f.values, tau))
     value = float(np.mean(np.maximum(av - tau, 0.0)))
     return DistanceResult(value, g, s, p, 1.0, tau)
@@ -135,19 +149,9 @@ def dist_linf_to_lp_ball(f: GridFunction, s: float, p) -> DistanceResult:
     s = _check_s(s)
     p = _check_finite_p(p)
     av = np.abs(f.values)
-    sup = float(av.max())
     if norm(f, p) <= s:
         return DistanceResult(0.0, f, s, p, math.inf, 0.0)
-    lo, hi = 0.0, sup
-    for _ in range(BISECTION_MAX_ITER):
-        if hi - lo <= BISECTION_TOL:
-            break
-        mid = 0.5 * (lo + hi)
-        if float(np.mean(np.maximum(av - mid, 0.0) ** p)) ** (1.0 / p) <= s:
-            hi = mid
-        else:
-            lo = mid
-    eps = hi
+    _, eps = _bisect(lambda a, r, t: _power_mean(np.maximum(a - t, 0.0), p) > r, av, s)
     g = GridFunction(_soft_threshold(f.values, eps))
     return DistanceResult(eps, g, s, p, math.inf, eps)
 
@@ -164,171 +168,3 @@ def near_minimizer(f: GridFunction, s: float, p, ambient) -> GridFunction:
     if math.isinf(ambient):
         return dist_linf_to_lp_ball(f, s, p).minimizer
     raise ValueError(f"ambient exponent must be 1 or inf, got {ambient}")
-
-
-# ---------------------------------------------------------------------------
-# Brute-force oracle.  Deliberately ignorant of the threshold structure:
-# a dense zooming lattice for n <= 3, a generic convex program otherwise.
-# Used only by tests to certify the closed-form solvers.
-# ---------------------------------------------------------------------------
-
-ORACLE_MAX_N = 8
-
-
-def brute_force_distance(f: GridFunction, s: float, p, ambient) -> float:
-    s = _check_s(s)
-    p = _check_finite_p(p)
-    ambient = float(ambient)
-    if f.n > ORACLE_MAX_N:
-        raise ScaleError(f"oracle supports n <= {ORACLE_MAX_N}, got {f.n}")
-    if ambient not in (1.0,) and not math.isinf(ambient):
-        raise ValueError(f"ambient exponent must be 1 or inf, got {ambient}")
-    if s == 0.0:
-        return norm(f, ambient)
-    if norm(f, p) <= s:
-        return 0.0
-    best = _nlp_distance(f.values, s, p, ambient)
-    if f.n <= 3:
-        # both paths report objective values at feasible points, so each is
-        # an upper estimate and the smaller one is the sharper oracle
-        best = min(best, _lattice_distance(f.values, s, p, ambient))
-    return best
-
-
-def _ambient_norm(diff: np.ndarray, ambient: float) -> float:
-    if math.isinf(ambient):
-        return float(np.abs(diff).max())
-    return float(np.abs(diff).mean())
-
-
-def _lattice_distance(fv: np.ndarray, s: float, p: float, ambient: float) -> float:
-    """Dense search over minimizer coordinates with an edge-aware zoom.
-
-    The window recenters on the best feasible lattice point each round and
-    shrinks only while that point stays interior, so the search can track an
-    optimum sitting on the ball boundary instead of collapsing early.
-    """
-    n = fv.size
-    radius = s * n ** (1.0 / p)  # |g_i| can never usefully exceed this
-    centers = np.zeros(n)
-    width = max(radius, float(np.abs(fv).max()))
-    best = _ambient_norm(fv, ambient)
-    points_per_axis = 17
-    for _ in range(80):
-        axes = [np.linspace(c - width, c + width, points_per_axis) for c in centers]
-        grids = np.meshgrid(*axes, indexing="ij")
-        cand = np.stack([g.ravel() for g in grids], axis=-1)
-        feas = np.mean(np.abs(cand) ** p, axis=1) ** (1.0 / p) <= s
-        cand = cand[feas]  # the window always contains its feasible center
-        if math.isinf(ambient):
-            vals = np.abs(cand - fv).max(axis=1)
-        else:
-            vals = np.abs(cand - fv).mean(axis=1)
-        k = int(np.argmin(vals))
-        best = min(best, float(vals[k]))
-        on_edge = np.any(np.abs(np.abs(cand[k] - centers) - width) < width / points_per_axis)
-        centers = cand[k]
-        if not on_edge:
-            width *= 0.45
-        if width < 1e-9 * max(1.0, radius):
-            break
-    return best
-
-
-def _nlp_distance(fv: np.ndarray, s: float, p: float, ambient: float) -> float:
-    """Generic convex descent (SLSQP on an epigraph form) with restarts."""
-    from scipy.optimize import minimize
-
-    n = fv.size
-    ball = {
-        "type": "ineq",
-        "fun": lambda x: s**p - np.mean(np.abs(x[:n]) ** p),
-        "jac": lambda x: np.concatenate(
-            [-(p / n) * np.abs(x[:n]) ** (p - 1) * np.sign(x[:n]), np.zeros(x.size - n)]
-        ),
-    }
-    if math.isinf(ambient):
-        # minimize z subject to |f_i - g_i| <= z
-        def objective(x):
-            return x[n]
-
-        def objective_jac(x):
-            grad = np.zeros(n + 1)
-            grad[n] = 1.0
-            return grad
-
-        cons = [ball]
-        for i in range(n):
-            cons.append(
-                {
-                    "type": "ineq",
-                    "fun": (lambda x, i=i: x[n] - (fv[i] - x[i])),
-                    "jac": (lambda x, i=i: _e(n + 1, i, 1.0, n)),
-                }
-            )
-            cons.append(
-                {
-                    "type": "ineq",
-                    "fun": (lambda x, i=i: x[n] + (fv[i] - x[i])),
-                    "jac": (lambda x, i=i: _e(n + 1, i, -1.0, n)),
-                }
-            )
-        dim = n + 1
-    else:
-        # minimize mean(t) subject to |f_i - g_i| <= t_i
-        def objective(x):
-            return np.mean(x[n:])
-
-        def objective_jac(x):
-            grad = np.zeros(2 * n)
-            grad[n:] = 1.0 / n
-            return grad
-
-        cons = [ball]
-        for i in range(n):
-            cons.append(
-                {
-                    "type": "ineq",
-                    "fun": (lambda x, i=i: x[n + i] - (fv[i] - x[i])),
-                    "jac": (lambda x, i=i: _e(2 * n, i, 1.0, n + i)),
-                }
-            )
-            cons.append(
-                {
-                    "type": "ineq",
-                    "fun": (lambda x, i=i: x[n + i] + (fv[i] - x[i])),
-                    "jac": (lambda x, i=i: _e(2 * n, i, -1.0, n + i)),
-                }
-            )
-        dim = 2 * n
-
-    rng = np.random.default_rng(1234)
-    shrink = min(1.0, s / max(np.mean(np.abs(fv) ** p) ** (1.0 / p), 1e-30))
-    starts = [np.zeros(n), 0.99 * shrink * fv, 0.5 * shrink * fv]
-    starts += [rng.normal(scale=max(s, 1e-3), size=n) for _ in range(3)]
-    best = _ambient_norm(fv, ambient)
-    for g0 in starts:
-        gp = np.mean(np.abs(g0) ** p) ** (1.0 / p)
-        if gp > s:
-            g0 = g0 * (0.999 * s / gp)
-        slack = np.abs(fv - g0)
-        x0 = np.concatenate([g0, [slack.max()]]) if dim == n + 1 else np.concatenate([g0, slack])
-        res = minimize(
-            objective,
-            x0,
-            jac=objective_jac,
-            constraints=cons,
-            method="SLSQP",
-            options={"maxiter": 400, "ftol": 1e-14},
-        )
-        g = res.x[:n]
-        if np.mean(np.abs(g) ** p) ** (1.0 / p) <= s * (1 + 1e-9):
-            best = min(best, _ambient_norm(fv - g, ambient))
-    return best
-
-
-def _e(size: int, i: int, sign: float, j: int) -> np.ndarray:
-    grad = np.zeros(size)
-    grad[i] = sign
-    grad[j] = 1.0
-    return grad

@@ -191,7 +191,7 @@ def make_instance(
 ) -> DualInstance:
     """Assemble a search instance; computes T*, T*f and the two sup distances."""
     s = float(s)
-    if s <= 0:
+    if not s > 0:
         raise ValueError(f"ball radius must be positive, got {s}")
     if T.restriction is not None:
         raise ValueError("the dual search needs an unrestricted operator: chi_E T has no closed-form graph projection")
@@ -383,7 +383,7 @@ def feasible(
     exhausted by both rules reports "inconclusive".
     """
     c = float(c)
-    if c <= 0:
+    if not c > 0:
         raise ValueError(f"constant must be positive, got {c}")
     fv = inst.f.values
     sup_mask = None if inst.support is None else inst.support.membership
@@ -470,7 +470,7 @@ def min_constant(inst: DualInstance, tol: float = 1e-2, max_iter: int = MAX_ITER
     geometric growth phase is never needed.  Inconclusive solver verdicts
     are treated as infeasible for upper-bounding only and flag the result.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     fv_norm_p = norm(inst.f, inst.p)
 

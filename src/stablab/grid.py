@@ -25,6 +25,7 @@ __all__ = [
     "inner",
     "mask",
     "dilate_interval",
+    "dyadic_means",
 ]
 
 
@@ -320,7 +321,7 @@ def dilate_interval(Q: DyadicInterval, factor: float, n: int) -> GridSet:
     the cells of Q.
     """
     factor = float(factor)
-    if factor < 1.0:
+    if not factor >= 1.0:
         raise ValueError(f"dilation factor must be >= 1, got {factor}")
     length = factor * Q.length
     if length >= 1.0:
@@ -334,3 +335,13 @@ def dilate_interval(Q: DyadicInterval, factor: float, n: int) -> GridSet:
         # cell [a, b) meets open (lo, hi) iff lo < b and a < hi, strictly
         member |= (lo + shift < stops) & (starts < hi + shift)
     return GridSet(member)
+
+
+def dyadic_means(values: np.ndarray) -> list[np.ndarray]:
+    """means[l][j] = mean of values over the dyadic interval (l, j), built from the cells up."""
+    levels = [values.astype(float)]
+    while levels[-1].size > 1:
+        prev = levels[-1]
+        levels.append(0.5 * (prev[0::2] + prev[1::2]))
+    levels.reverse()
+    return levels

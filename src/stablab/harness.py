@@ -51,16 +51,23 @@ __all__ = [
 ]
 
 GOLDEN_ENV = "STABLAB_GOLDEN_DIR"
-CSV_SCHEMA = "stablab-csv-v1"
+CSV_SCHEMA = "stablab-csv-v2"
 FAMILIES = ("spikes", "steps", "smooth", "mixture")
 SUPPORT_LEFT_HALF = "left-half"
-# the keys ExperimentConfig.to_json writes, per section
-_CONFIG_KEYS = (
-    "seed", "n", "p", "operators", "s_sweep", "corpus", "dilation_factor", "dual", "support", "cz_trials",
-    "probe_trials",
-)
-_SWEEP_KEYS = ("min", "max", "count", "log")
-_DUAL_KEYS = ("s_values", "operators", "per_family", "tol")
+# The JSON layout of ExperimentConfig: section -> {JSON key: field}, with the
+# top level under None.  "corpus", {family: count} for corpus_counts, is the
+# one section outside the table.
+_LAYOUT = {
+    None: {key: key for key in (
+        "seed", "n", "p", "operators", "dilation_factor", "support", "cz_trials", "probe_trials",
+    )},
+    "s_sweep": {"min": "s_min", "max": "s_max", "count": "s_count", "log": "s_log"},
+    "dual": {
+        "s_values": "dual_s_values", "operators": "dual_operators", "per_family": "dual_corpus_per_family",
+        "tol": "dual_tol",
+    },
+}
+_TOP_KEYS = (*_LAYOUT[None], "s_sweep", "dual", "corpus")
 
 
 class ConfigError(ValueError):
@@ -128,63 +135,28 @@ class ExperimentConfig:
         ]
 
     def to_json(self) -> str:
-        obj = {
-            "seed": self.seed,
-            "n": self.n,
-            "p": self.p,
-            "operators": list(self.operators),
-            "s_sweep": {"min": self.s_min, "max": self.s_max, "count": self.s_count, "log": self.s_log},
-            "corpus": {name: count for name, count in self.corpus_counts},
-            "dilation_factor": self.dilation_factor,
-            "dual": {
-                "s_values": list(self.dual_s_values),
-                "operators": list(self.dual_operators),
-                "per_family": self.dual_corpus_per_family,
-                "tol": self.dual_tol,
-            },
-            "support": self.support,
-            "cz_trials": self.cz_trials,
-            "probe_trials": self.probe_trials,
-        }
+        obj = {"corpus": dict(self.corpus_counts)}
+        for section, fields in _LAYOUT.items():
+            part = obj if section is None else obj.setdefault(section, {})
+            part.update((key, getattr(self, name)) for key, name in fields.items())
         return json.dumps(obj, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
         obj = json.loads(text)
-        _reject_unknown(obj, _CONFIG_KEYS, "config")
-        for section, known in (("s_sweep", _SWEEP_KEYS), ("corpus", FAMILIES), ("dual", _DUAL_KEYS)):
-            if section in obj:
-                _reject_unknown(obj[section], known, section)
         kwargs = {}
-        for key in ("seed", "n", "p", "dilation_factor", "support", "cz_trials", "probe_trials"):
-            if key in obj:
-                kwargs[key] = obj[key]
-        if "operators" in obj:
-            kwargs["operators"] = tuple(obj["operators"])
-        if "s_sweep" in obj:
-            sw = obj["s_sweep"]
-            kwargs.update(
-                s_min=sw.get("min", 1.0),
-                s_max=sw.get("max", 32.0),
-                s_count=sw.get("count", 20),
-                s_log=sw.get("log", True),
-            )
-        if "corpus" in obj:
-            # family order is canonical so configs hash and compare stably
-            kwargs["corpus_counts"] = tuple(
-                (name, obj["corpus"][name]) for name in FAMILIES if name in obj["corpus"]
-            )
-        if "dual" in obj:
-            du = obj["dual"]
-            if "s_values" in du:
-                kwargs["dual_s_values"] = tuple(du["s_values"])
-            if "operators" in du:
-                kwargs["dual_operators"] = tuple(du["operators"])
-            if "per_family" in du:
-                kwargs["dual_corpus_per_family"] = du["per_family"]
-            if "tol" in du:
-                kwargs["dual_tol"] = du["tol"]
         try:
+            for section, fields in _LAYOUT.items():  # the top level first
+                part = obj if section is None else obj.get(section, {})
+                _reject_unknown(part, _TOP_KEYS if section is None else tuple(fields), section or "config")
+                for key, name in fields.items():
+                    if key in part:
+                        # sequence fields (those with a tuple default) are held as tuples
+                        kwargs[name] = tuple(part[key]) if isinstance(getattr(cls, name), tuple) else part[key]
+            if "corpus" in obj:
+                _reject_unknown(obj["corpus"], FAMILIES, "corpus")
+                # family order is canonical so configs hash and compare stably
+                kwargs["corpus_counts"] = tuple((name, obj["corpus"][name]) for name in FAMILIES if name in obj["corpus"])
             return cls(**kwargs)
         except TypeError as exc:
             raise ConfigError(str(exc)) from None
@@ -296,7 +268,7 @@ def _write_csv(name: str, header: list[str], rows: list[list]) -> str:
 
 THEOREM1_HEADER = [
     "instance", "operator", "n", "p", "s",
-    "a", "b", "c", "t", "r", "lam", "cube_count", "omega_measure",
+    "a", "b", "c", "lam", "cube_count", "omega_measure",
     "ratio_p", "ratio_f", "ratio_T", "resid_l1", "resid_T", "degenerate",
 ]
 
@@ -322,7 +294,7 @@ def run_theorem1(cfg: ExperimentConfig) -> tuple[str, dict]:
                 _, rep = bourgain_construct(f, T, s, cfg.p)
                 rows.append([
                     label, kind, cfg.n, cfg.p, s,
-                    rep.a, rep.b, rep.c, rep.t, rep.r, rep.lam, rep.cube_count,
+                    rep.a, rep.b, rep.c, rep.lam, rep.cube_count,
                     rep.omega_measure,
                     rep.ratio_p, rep.ratio_f, rep.ratio_T, rep.resid_l1, rep.resid_T,
                     rep.degenerate,

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .cz import CzDecomposition
-from .grid import DimensionError, GridFunction, GridSet, mask, norm
+from .grid import DimensionError, GridFunction, GridSet, dyadic_means, mask, norm
 
 __all__ = [
     "LinearOperatorSpec",
@@ -150,14 +150,7 @@ def _apply_hilbert(values: np.ndarray) -> np.ndarray:
 
 def _apply_haar(values: np.ndarray, level_signs: tuple[np.ndarray, ...]) -> np.ndarray:
     """Pyramid evaluation of sum_Q eps_Q <f, h_Q> h_Q in O(n) per level."""
-    n = values.size
-    k = n.bit_length() - 1
-    # block means from the leaves up; means[l] has 2^l entries
-    means = [values.astype(float)]
-    for _ in range(k):
-        prev = means[-1]
-        means.append(0.5 * (prev[0::2] + prev[1::2]))
-    means.reverse()
+    means = dyadic_means(values)
     out = np.zeros(1)
     for lev, eps in enumerate(level_signs):
         fine = means[lev + 1]

@@ -56,8 +56,6 @@ class StabilityReport:
     a: float  # L^1 mass of f - u1 (equals the L^1 distance, minimizers are exact)
     b: float  # the p-ball radius used by the level identity
     c: float  # L^1 distance of T f to the same ball
-    t: float
-    r: float
     lam: float
     ratio_p: float
     ratio_f: float
@@ -110,7 +108,7 @@ def bourgain_construct(
     exactly, so resid_l1 is norm(h, 1).
     """
     s = float(s)
-    if s <= 0:
+    if not s > 0:
         raise ValueError(f"ball radius must be positive, got {s}")
     p = float(p)
     dist_f = dist_l1_to_lp_ball(f, s, p)
@@ -123,7 +121,7 @@ def bourgain_construct(
 
     if a <= DEGENERATE_TOL:
         report = StabilityReport(
-            s=s, p=p, a=a, b=b, c=c, t=0.0, r=0.0,
+            s=s, p=p, a=a, b=b, c=c,
             lam=0.0,
             ratio_p=norm(u1, p) / s,
             ratio_f=0.0,
@@ -146,7 +144,7 @@ def bourgain_construct(
     ratio_f, deg_f = _guarded_ratio(resid_l1, dist_f.value)
     ratio_T, deg_T = _guarded_ratio(resid_T, dist_f.value + c)
     report = StabilityReport(
-        s=s, p=p, a=a, b=b, c=c, t=0.0, r=0.0,
+        s=s, p=p, a=a, b=b, c=c,
         lam=lam,
         ratio_p=norm(u, p) / s,
         ratio_f=ratio_f,

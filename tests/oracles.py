@@ -1,5 +1,9 @@
 """Independent oracles used only by tests.
 
+``brute_force_distance`` computes both distance functionals of
+``stablab.distance`` without their threshold structure: a dense zooming
+lattice for n <= 3 and a generic convex program (SLSQP) for n <= 8.
+
 The feasibility oracle is a quadratic-penalty descent: minimize the summed
 squared constraint violations over the support coordinates with a
 derivative-free simplex method from several starts.  It shares no code
@@ -21,9 +25,9 @@ import math
 import numpy as np
 from scipy.optimize import minimize
 
-from stablab.distance import dist_linf_to_lp_ball
+from stablab.distance import _check_finite_p, _check_s, dist_linf_to_lp_ball
 from stablab.dual_search import MAX_ITER, FEAS_TOL, DualInstance, FeasibilityOutcome, _certify
-from stablab.grid import GridFunction
+from stablab.grid import GridFunction, norm
 from stablab.operators import as_matrix
 
 
@@ -187,3 +191,173 @@ def reference_feasible(
         if move <= 1e-13 * scale:
             return FeasibilityOutcome("infeasible", None, k, best_res)
     return FeasibilityOutcome("inconclusive", None, max_iter, best_res)
+
+
+# ---------------------------------------------------------------------------
+# Brute-force oracle.  Deliberately ignorant of the threshold structure:
+# a dense zooming lattice for n <= 3, a generic convex program otherwise.
+# It certifies the closed-form solvers of stablab.distance.
+# ---------------------------------------------------------------------------
+
+ORACLE_MAX_N = 8
+
+
+class ScaleError(ValueError):
+    """Raised when the brute-force oracle is asked for a grid it cannot afford."""
+
+
+def brute_force_distance(f: GridFunction, s: float, p, ambient) -> float:
+    s = _check_s(s)
+    p = _check_finite_p(p)
+    ambient = float(ambient)
+    if f.n > ORACLE_MAX_N:
+        raise ScaleError(f"oracle supports n <= {ORACLE_MAX_N}, got {f.n}")
+    if ambient not in (1.0,) and not math.isinf(ambient):
+        raise ValueError(f"ambient exponent must be 1 or inf, got {ambient}")
+    if s == 0.0:
+        return norm(f, ambient)
+    if norm(f, p) <= s:
+        return 0.0
+    best = _nlp_distance(f.values, s, p, ambient)
+    if f.n <= 3:
+        # both paths report objective values at feasible points, so each is
+        # an upper estimate and the smaller one is the sharper oracle
+        best = min(best, _lattice_distance(f.values, s, p, ambient))
+    return best
+
+
+def _ambient_norm(diff: np.ndarray, ambient: float) -> float:
+    if math.isinf(ambient):
+        return float(np.abs(diff).max())
+    return float(np.abs(diff).mean())
+
+
+def _lattice_distance(fv: np.ndarray, s: float, p: float, ambient: float) -> float:
+    """Dense search over minimizer coordinates with an edge-aware zoom.
+
+    The window recenters on the best feasible lattice point each round and
+    shrinks only while that point stays interior, so the search can track an
+    optimum sitting on the ball boundary instead of collapsing early.
+    """
+    n = fv.size
+    radius = s * n ** (1.0 / p)  # |g_i| can never usefully exceed this
+    centers = np.zeros(n)
+    width = max(radius, float(np.abs(fv).max()))
+    best = _ambient_norm(fv, ambient)
+    points_per_axis = 17
+    for _ in range(80):
+        axes = [np.linspace(c - width, c + width, points_per_axis) for c in centers]
+        grids = np.meshgrid(*axes, indexing="ij")
+        cand = np.stack([g.ravel() for g in grids], axis=-1)
+        feas = np.mean(np.abs(cand) ** p, axis=1) ** (1.0 / p) <= s
+        cand = cand[feas]  # the window always contains its feasible center
+        if math.isinf(ambient):
+            vals = np.abs(cand - fv).max(axis=1)
+        else:
+            vals = np.abs(cand - fv).mean(axis=1)
+        k = int(np.argmin(vals))
+        best = min(best, float(vals[k]))
+        on_edge = np.any(np.abs(np.abs(cand[k] - centers) - width) < width / points_per_axis)
+        centers = cand[k]
+        if not on_edge:
+            width *= 0.45
+        if width < 1e-9 * max(1.0, radius):
+            break
+    return best
+
+
+def _nlp_distance(fv: np.ndarray, s: float, p: float, ambient: float) -> float:
+    """Generic convex descent (SLSQP on an epigraph form) with restarts."""
+    n = fv.size
+    ball = {
+        "type": "ineq",
+        "fun": lambda x: s**p - np.mean(np.abs(x[:n]) ** p),
+        "jac": lambda x: np.concatenate(
+            [-(p / n) * np.abs(x[:n]) ** (p - 1) * np.sign(x[:n]), np.zeros(x.size - n)]
+        ),
+    }
+    if math.isinf(ambient):
+        # minimize z subject to |f_i - g_i| <= z
+        def objective(x):
+            return x[n]
+
+        def objective_jac(x):
+            grad = np.zeros(n + 1)
+            grad[n] = 1.0
+            return grad
+
+        cons = [ball]
+        for i in range(n):
+            cons.append(
+                {
+                    "type": "ineq",
+                    "fun": (lambda x, i=i: x[n] - (fv[i] - x[i])),
+                    "jac": (lambda x, i=i: _e(n + 1, i, 1.0, n)),
+                }
+            )
+            cons.append(
+                {
+                    "type": "ineq",
+                    "fun": (lambda x, i=i: x[n] + (fv[i] - x[i])),
+                    "jac": (lambda x, i=i: _e(n + 1, i, -1.0, n)),
+                }
+            )
+        dim = n + 1
+    else:
+        # minimize mean(t) subject to |f_i - g_i| <= t_i
+        def objective(x):
+            return np.mean(x[n:])
+
+        def objective_jac(x):
+            grad = np.zeros(2 * n)
+            grad[n:] = 1.0 / n
+            return grad
+
+        cons = [ball]
+        for i in range(n):
+            cons.append(
+                {
+                    "type": "ineq",
+                    "fun": (lambda x, i=i: x[n + i] - (fv[i] - x[i])),
+                    "jac": (lambda x, i=i: _e(2 * n, i, 1.0, n + i)),
+                }
+            )
+            cons.append(
+                {
+                    "type": "ineq",
+                    "fun": (lambda x, i=i: x[n + i] + (fv[i] - x[i])),
+                    "jac": (lambda x, i=i: _e(2 * n, i, -1.0, n + i)),
+                }
+            )
+        dim = 2 * n
+
+    rng = np.random.default_rng(1234)
+    shrink = min(1.0, s / max(np.mean(np.abs(fv) ** p) ** (1.0 / p), 1e-30))
+    starts = [np.zeros(n), 0.99 * shrink * fv, 0.5 * shrink * fv]
+    starts += [rng.normal(scale=max(s, 1e-3), size=n) for _ in range(3)]
+    best = _ambient_norm(fv, ambient)
+    for g0 in starts:
+        gp = np.mean(np.abs(g0) ** p) ** (1.0 / p)
+        if gp > s:
+            g0 = g0 * (0.999 * s / gp)
+        slack = np.abs(fv - g0)
+        x0 = np.concatenate([g0, [slack.max()]]) if dim == n + 1 else np.concatenate([g0, slack])
+        res = minimize(
+            objective,
+            x0,
+            jac=objective_jac,
+            constraints=cons,
+            method="SLSQP",
+            options={"maxiter": 400, "ftol": 1e-14},
+        )
+        g = res.x[:n]
+        if np.mean(np.abs(g) ** p) ** (1.0 / p) <= s * (1 + 1e-9):
+            best = min(best, _ambient_norm(fv - g, ambient))
+    return best
+
+
+def _e(size: int, i: int, sign: float, j: int) -> np.ndarray:
+    grad = np.zeros(size)
+    grad[i] = sign
+    grad[j] = 1.0
+    return grad

@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from oracles import penalty_feasible
+from oracles import brute_force_distance, penalty_feasible
 from stablab import (
     DyadicInterval,
     GridFunction,
@@ -22,7 +22,6 @@ from stablab import (
     annihilator_pair,
     apply,
     bourgain_construct,
-    brute_force_distance,
     cz_decompose,
     dist_l1_to_lp_ball,
     dist_linf_to_lp_ball,

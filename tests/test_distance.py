@@ -1,18 +1,19 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from oracles import ScaleError, brute_force_distance
 from stablab import (
     GridFunction,
-    brute_force_distance,
     dist_l1_to_lp_ball,
     dist_linf_to_lp_ball,
     near_minimizer,
     norm,
 )
-from stablab.distance import FEAS_TOL, ScaleError
+from stablab.distance import FEAS_TOL
 
 
 def random_instance(rng, sizes=(2, 4)):
@@ -68,6 +69,9 @@ def test_negative_radius_rejected():
         dist_l1_to_lp_ball(f, -1.0, 2)
     with pytest.raises(ValueError):
         dist_linf_to_lp_ball(f, -0.5, 2)
+    for solver in (dist_l1_to_lp_ball, dist_linf_to_lp_ball):
+        with pytest.raises(ValueError):
+            solver(f, math.nan, 2)
 
 
 def test_brute_force_zero_function():
@@ -153,6 +157,22 @@ def test_positive_homogeneity(solver, rng):
         base = solver(f, s, 2).value
         scaled = solver(lam * f, lam * s, 2).value
         assert scaled == pytest.approx(lam * base, rel=1e-9, abs=1e-10)
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+@pytest.mark.parametrize("sigma", [1e-200, 1e-20, 1e200])
+@pytest.mark.parametrize("solver", [dist_l1_to_lp_ball, dist_linf_to_lp_ball])
+def test_scale_covariance_far_from_unit_scale(solver, sigma, p):
+    # the answer for (sigma f, sigma s) is sigma times the one for (f, s),
+    # with no overflow on the way
+    f = GridFunction([3.0, 1.0, 0.5, 0.0])
+    unit = solver(f, 1.0, p)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scaled = solver(f * sigma, sigma, p)
+    assert scaled.value / sigma == pytest.approx(unit.value, rel=1e-9)
+    assert scaled.threshold / sigma == pytest.approx(unit.threshold, rel=1e-9)
+    assert norm(scaled.minimizer, p) <= sigma * (1 + FEAS_TOL)
 
 
 @pytest.mark.parametrize("solver", [dist_l1_to_lp_ball, dist_linf_to_lp_ball])

@@ -110,7 +110,7 @@ def test_theorem1_rows_cover_every_instance():
     cfg = small_config()
     csv_text, summary = run_theorem1(cfg)
     lines = csv_text.strip().splitlines()
-    assert lines[0].startswith("# stablab-csv-v1 theorem1")
+    assert lines[0].startswith("# stablab-csv-v2 theorem1")
     rows = lines[2:]
     want = 4 * len(cfg.operators) * cfg.s_count  # corpus size 4
     assert len(rows) == want == summary["rows"]
@@ -136,7 +136,7 @@ def test_theorem2_rows_and_certification():
     cfg = small_config()
     csv_text, summary = run_theorem2(cfg)
     lines = csv_text.strip().splitlines()
-    assert lines[0].startswith("# stablab-csv-v1 theorem2")
+    assert lines[0].startswith("# stablab-csv-v2 theorem2")
     assert summary["rows"] == 4 * 1 * 2  # corpus x dual_operators x dual_s_values
     assert summary["uncertified"] == 0
 
@@ -150,14 +150,12 @@ def test_empty_corpus_gives_header_only():
 
 
 def test_golden_csv_smoke_regression():
-    # the frozen campaign output for a fixed tiny config; regenerating it
-    # requires deleting the file on purpose
+    # the frozen campaign output for a fixed tiny config; a missing file
+    # fails, so regenerating it is a deliberate write of this csv_text
     cfg = small_config()
     csv_text, _ = run_theorem1(cfg)
     path = os.path.join(GOLDEN, "theorem1_smoke.csv")
-    if not os.path.exists(path):
-        with open(path, "w") as fh:
-            fh.write(csv_text)
+    assert os.path.exists(path), f"golden {path} is missing; regenerate it on purpose"
     with open(path) as fh:
         assert fh.read() == csv_text
 
@@ -181,6 +179,26 @@ def test_verify_all_green_and_fault_injection():
     broken = verify_all(cfg, corrupt_adjoint=True)
     assert not broken["ok"]
     assert broken["suites"]["operators"]["failures"] > 0
+
+
+def test_library_runs_without_scipy():
+    # the library needs numpy alone; scipy is test equipment (tests/oracles.py)
+    code = """
+import sys
+sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+import stablab
+cfg = stablab.default_config(
+    n=16, s_count=2, corpus_counts=(("spikes", 1), ("smooth", 1)), dual_s_values=(1.0,),
+    dual_operators=("hilbert",), cz_trials=5, probe_trials=5,
+)
+_, one = stablab.run_theorem1(cfg)
+_, two = stablab.run_theorem2(cfg)
+assert stablab.verify_all(cfg)["ok"]
+print(one["rows"], two["rows"])
+"""
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["12", "2"]
 
 
 def run_cli(*args, env=None):
@@ -242,20 +260,28 @@ def test_cli_dual_support_mode(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "command, flag, text, message",
+    "argv, text, message",
     [
-        ("verify", "--config", '{"sead": 3}', "unknown key(s) in config: sead"),
-        ("distance", "--input", "[1.0, 2.0, 3.0]", "power of two"),
-        ("distance", "--input", "[1.0, NaN]", "finite"),
-        ("distance", "--input", None, "No such file"),
+        ("verify --config {path}", '{"sead": 3}', "unknown key(s) in config: sead"),
+        ("distance --input {path}", "[1.0, 2.0, 3.0]", "power of two"),
+        ("distance --input {path}", "[1.0, NaN]", "finite"),
+        ("distance --input {path}", None, "No such file"),
+        ("distance --s -1", None, "ball radius must be nonnegative, got -1.0"),
+        ("dual --tol 0", None, "tolerance must be positive, got 0.0"),
+        ("cz --level 0", None, "decomposition level must be positive, got 0.0"),
+        ("cz --dilation 0.5", None, "dilation factor must be >= 1, got 0.5"),
+        ("construct --s nan", None, "ball radius must be positive, got nan"),
     ],
-    ids=["unknown-config-key", "three-values", "nan", "missing-file"],
+    ids=[
+        "unknown-config-key", "three-values", "nan", "missing-file",
+        "negative-radius", "zero-tol", "zero-level", "small-dilation", "nan-radius",
+    ],
 )
-def test_cli_bad_input_is_a_one_line_error(tmp_path, command, flag, text, message):
+def test_cli_bad_input_is_a_one_line_error(tmp_path, argv, text, message):
     path = tmp_path / "given.json"
     if text is not None:
         path.write_text(text)
-    out = run_cli(command, flag, str(path))
+    out = run_cli(*(arg.format(path=path) for arg in argv.split()))
     assert out.returncode == 2
     assert out.stdout == ""
     assert out.stderr.startswith("stablab: error: ") and out.stderr.count("\n") == 1
