@@ -29,6 +29,7 @@ inst = make_instance(GridFunction.constant(2.0, n), make_operator("hilbert", n),
 print("  gaps: r =", inst.r, " t =", inst.t)
 res = min_constant(inst, tol=1e-3)
 print(f"  smallest constant {res.c_star:.5f} (true optimum 2/3), status {res.status}")
+print(f"  certified lower end {res.c_lower:.5f} (weak duality)")
 print(f"  witness is the constant {res.v.values[0]:.5f}")
 
 print()
@@ -38,7 +39,8 @@ values = rng.standard_normal(n) * np.exp(rng.standard_normal(n))
 f = GridFunction(values / np.abs(values).mean())
 inst = make_instance(f, make_operator("haar_transform", n, seed=11), 0.4 * norm(f, 2), 2)
 res = min_constant(inst, tol=1e-2)
-print(f"  c* = {res.c_star:.4f}, residuals p/inf/T: {res.res_p:.4f} {res.res_inf:.4f} {res.res_Tinf:.4f}")
+print(f"  c* = {res.c_star:.4f} in the certified bracket [{res.c_lower:.4f}, {res.c_star:.4f}]")
+print(f"  residuals p/inf/T: {res.res_p:.4f} {res.res_inf:.4f} {res.res_Tinf:.4f}")
 
 print()
 print("support mode: everything lives on the left half circle")

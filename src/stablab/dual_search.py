@@ -9,9 +9,14 @@ For an instance built from (f, T, s, p) the search looks for v satisfying
 optionally constrained to vanish off a support set E.  All three sets are
 convex; the transformed sup-norm constraint is handled by a splitting
 variable w = T*v kept consistent through an exact projection onto the
-graph of T*.  Feasibility for fixed c is decided by averaged projections;
-the smallest workable c is then located by bisection, which is sound
-because the constraint sets are nested in c.
+graph of T*.  Feasibility for fixed c is decided by extrapolated parallel
+projections (Pierra, Math. Programming 28, 1984; convergence by Combettes,
+IEEE Trans. Image Process. 6(4), 1997): x = (v, w) moves along the mean d
+of its four projection displacements, by EXTRAPOLATION * L times d with
+L = mean |d_i|^2 / |d|^2 >= 1 rather than by d itself.  When d = 0 every
+projection agrees, so the iterate is checked directly before the run may
+stop as stagnant.  The smallest workable c is then located by bisection,
+which is sound because the constraint sets are nested in c.
 
 The graph projection has a closed form.  For every unrestricted operator
 kind T T* is the orthogonal projection onto the complement of ker T*, so
@@ -21,9 +26,8 @@ projection of (v, w) is then (u + Pi u) / 2 with partner T* u / 2, where
 u = v + T w.  T and T* are applied as dense matvecs up to n = DENSE_MAX_N
 and by the operators' own transforms above it.  A restricted operator
 chi_E T is not a partial isometry, so ``make_instance`` rejects it.
-The iteration is allocation-light (sums for means, box bounds computed once
-per call, clamps and averages in place) and keeps the arithmetic of its
-plain form bit for bit: the same operations in the same order.
+The iteration is allocation-light: sums for means, box bounds computed
+once per call, clamps and displacements in place.
 
 Every reported witness is re-checked against the constraints by direct
 norm evaluation; the solver is never trusted for the final verdict.
@@ -39,6 +43,9 @@ direct check could still accept a candidate ends the call.  When no such
 bound turns up, a run that stops improving is still called "infeasible"
 (the stagnation rule, a heuristic kept as the fallback), and a run that
 neither finds a witness, nor a bound, nor stagnates ends "inconclusive".
+Every bound is a certified lower bound on c*, so ``min_constant`` reports
+the largest one found as the lower end ``c_lower`` of a bracket whose upper
+end is the certified ``c_star``.
 """
 
 from __future__ import annotations
@@ -75,6 +82,8 @@ FEAS_TOL = 1e-7
 CONSENSUS_TOL = 1e-8
 MAX_ITER = 10000
 _ABS_DUST = 1e-12
+# relaxation of the extrapolated parallel-projection step, inside (0, 2)
+EXTRAPOLATION = 1.9
 # T and T* are dense matvecs up to this n and transforms above it.  Per graph
 # step on one BLAS thread, dense wins at n = 256 for both kinds, the FFT wins
 # from n = 512 and the Haar pyramid from n = 1024.
@@ -96,6 +105,9 @@ class DualInstance:
     Tstar_f: GridFunction
     support: GridSet | None = None
     _appliers: tuple[Callable, Callable] | None = field(default=None, repr=False)
+    # the largest weak-duality bound any feasible call on this instance found:
+    # a certified lower bound on every constant at which the constraints meet
+    best_bound: float = field(default=0.0, init=False, repr=False, compare=False)
     scale: float = field(init=False, repr=False)  # max(1, norm(f, inf)): the size the tolerances scale with
 
     def __post_init__(self):
@@ -157,6 +169,7 @@ class FeasibilityOutcome:
 @dataclass(frozen=True, eq=False)
 class DualResult:
     c_star: float
+    c_lower: float  # certified lower end: the largest weak-duality bound found, less 1e-9 relative
     v: GridFunction
     res_p: float  # norm(v, p) / s
     res_inf: float  # norm(f - v, inf) / r, 0 when r is degenerate
@@ -169,6 +182,7 @@ class DualResult:
         return json.dumps(
             {
                 "c_star": float(self.c_star),
+                "c_lower": float(self.c_lower),
                 "residuals": {
                     "p": float(self.res_p),
                     "inf": float(self.res_inf),
@@ -372,15 +386,21 @@ def feasible(
 ) -> FeasibilityOutcome:
     """Search the intersection of the three constraint sets at constant c.
 
-    Averaged projections over four convex sets (p-ball with support mask,
-    the two sup-norm boxes, and the graph of T*).  Candidates are read off
-    the graph projection and accepted only after the direct check, so a
-    "feasible" outcome is always certified.  A rejected candidate is
-    followed by the weak-duality bound of the two box normals; a bound above
-    every constant the direct check could accept reports a certified
-    "infeasible".  Without one, a run that stops improving while still
-    violated reports "infeasible" (at tolerance), and an iteration budget
-    exhausted by both rules reports "inconclusive".
+    Extrapolated parallel projections over four convex sets (p-ball with
+    support mask, the two sup-norm boxes, and the graph of T*): with d_i the
+    displacements of x = (v, w) to the four projections and d their mean,
+    x moves by EXTRAPOLATION * L * d, L = mean |d_i|^2 / |d|^2.  Candidates
+    are read off the graph projection on every fifth iteration and accepted
+    only after the direct check, so a "feasible" outcome is always
+    certified.  A rejected candidate is followed by the weak-duality bound
+    of the two box normals; a bound above every constant the direct check
+    could accept reports a certified "infeasible", and the largest bound
+    seen is kept in ``inst.best_bound``.  A step too small to move x
+    checks x itself: at a fixed point every projection agrees and x is a
+    witness.
+    Otherwise such a run, or one that stops improving while still violated,
+    reports "infeasible" (at tolerance), and an iteration budget exhausted
+    by every rule reports "inconclusive".
     """
     c = float(c)
     if not c > 0:
@@ -421,8 +441,11 @@ def feasible(
     best_iter = 0
     for k in range(1, max_iter + 1):
         vg, wg = inst.graph_step(v, w)
+        # the box displacements p2 - v and p3 - w, which are also the box normals
         np.minimum(np.maximum(v, lo_f, out=p2), hi_f, out=p2)
         np.minimum(np.maximum(w, lo_T, out=p3), hi_T, out=p3)
+        p2 -= v
+        p3 -= w
         if k % 5 == 1:
             cand = vg if sup_mask is None else np.where(sup_mask, vg, 0.0)
             res = _certify(inst, c, cand, Ts(cand))
@@ -434,26 +457,36 @@ def feasible(
             elif k - best_iter > 300 and k > 400:
                 return FeasibilityOutcome("infeasible", None, k, best_res)
             # the box normals of the current iterate as the dual pair
-            if _dual_bound(inst, p2 - v, p3 - w) > c_accept:
+            bound = _dual_bound(inst, p2, p3)
+            inst.best_bound = max(inst.best_bound, bound)
+            if bound > c_accept:
                 return FeasibilityOutcome("infeasible", None, k, best_res)
 
-        # v_new = (p1 + p2 + v + vg) / 4 and w_new = (w + w + p3 + wg) / 4, summed left to right;
-        # p1 is a fresh array, so it becomes v_new
-        v_new = project_lp_ball(v if sup_mask is None else np.where(sup_mask, v, 0.0), bound_p, inst.p)
-        v_new += p2
-        v_new += v
-        v_new += vg
-        v_new *= 0.25
-        w_new = w + w
-        w_new += p3
-        w_new += wg
-        w_new *= 0.25
-        # p2 and p3 are free again: take the step sizes in them
-        move_v = np.abs(np.subtract(v_new, v, out=p2), out=p2).max()
-        move_w = np.abs(np.subtract(w_new, w, out=p3), out=p3).max()
-        move = float(max(move_v, move_w))
-        v, w = v_new, w_new
+        # the displacements d_i to the p-ball (p1 - v, 0), the f-box (p2 - v, 0),
+        # the T*-box (0, p3 - w) and the graph (vg - v, wg - w), in place
+        d1 = project_lp_ball(v if sup_mask is None else np.where(sup_mask, v, 0.0), bound_p, inst.p)
+        d1 -= v
+        vg -= v
+        wg -= w
+        spread = float(d1 @ d1 + p2 @ p2 + p3 @ p3 + vg @ vg + wg @ wg)  # 4 mean |d_i|^2
+        dv = d1
+        dv += p2
+        dv += vg
+        dw = np.add(p3, wg, out=p3)
+        mean_sq = float(dv @ dv + dw @ dw)  # 16 |d|^2, with d = (dv, dw) / 4
+        # EXTRAPOLATION * L * d = EXTRAPOLATION * (spread / mean_sq) * (dv, dw)
+        step = EXTRAPOLATION * spread / mean_sq if mean_sq > 0.0 else 0.0
+        dv *= step
+        dw *= step
+        move = float(max(np.abs(dv).max(), np.abs(dw).max()))
+        v = v + dv
+        w = w + dw
         if move <= 1e-13 * inst.scale:
+            # every projection agrees at a fixed point: x itself may be the witness
+            cand = v if sup_mask is None else np.where(sup_mask, v, 0.0)
+            res = _certify(inst, c, cand, Ts(cand))
+            if res <= tol:
+                return FeasibilityOutcome("feasible", GridFunction(cand), k, max(res, 0.0))
             return FeasibilityOutcome("infeasible", None, k, best_res)
     return FeasibilityOutcome("inconclusive", None, max_iter, best_res)
 
@@ -469,14 +502,17 @@ def min_constant(inst: DualInstance, tol: float = 1e-2, max_iter: int = MAX_ITER
     The upper end starts at the directly-certified witness v = f, so the
     geometric growth phase is never needed.  Inconclusive solver verdicts
     are treated as infeasible for upper-bounding only and flag the result.
+    The lower end c_lower is ``inst.best_bound``, the largest weak-duality
+    bound found, less 1e-9 relative for rounding; at r = 0, c* is exact
+    and c_lower = c*.
     """
     if not tol > 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     fv_norm_p = norm(inst.f, inst.p)
 
     if inst.r == 0.0:
-        c_star = fv_norm_p / inst.s
-        return _finish(inst, max(c_star, 0.0), inst.f, 0, flagged=False)
+        c_star = max(fv_norm_p / inst.s, 0.0)
+        return _finish(inst, c_star, c_star, inst.f, 0, flagged=False)
 
     hi = fv_norm_p / inst.s  # v = f is feasible here by direct arithmetic
     best_v = inst.f
@@ -496,10 +532,12 @@ def min_constant(inst: DualInstance, tol: float = 1e-2, max_iter: int = MAX_ITER
             lo = mid
             if out.status == "inconclusive":
                 flagged = True
-    return _finish(inst, hi, best_v, iterations, flagged)
+    return _finish(inst, hi, inst.best_bound * (1.0 - 1e-9), best_v, iterations, flagged)
 
 
-def _finish(inst: DualInstance, c_star: float, v: GridFunction, iterations: int, flagged: bool) -> DualResult:
+def _finish(
+    inst: DualInstance, c_star: float, c_lower: float, v: GridFunction, iterations: int, flagged: bool
+) -> DualResult:
     ok = certified(inst, c_star, v) if c_star > 0 else norm(v, 1) == 0.0
     Tsv = inst.apply_tstar(v.values)
     res_p = norm(v, inst.p) / inst.s
@@ -508,6 +546,7 @@ def _finish(inst: DualInstance, c_star: float, v: GridFunction, iterations: int,
     res_Tinf = float(np.abs(inst.Tstar_f.values - Tsv).max()) / denom_T if denom_T > _ABS_DUST else 0.0
     return DualResult(
         c_star=c_star,
+        c_lower=c_lower,
         v=v,
         res_p=res_p,
         res_inf=res_inf,

@@ -265,12 +265,16 @@ def _as_p(p) -> float:
     return p
 
 
+_TINY = float(np.finfo(float).tiny)  # the smallest normal double
+
+
 def norm(f: GridFunction, p) -> float:
     """L^p norm with respect to the normalized counting measure.
 
     norm(f, p) = (mean |f_i|^p)^(1/p) for finite p, max |f_i| for p = inf.
-    When that power mean overflows, or underflows to 0 for a non-zero f, it
-    is recomputed as m * (mean (|f_i|/m)^p)^(1/p) with m = max |f_i|.
+    When that power mean overflows, or mean |f_i|^p falls below the normal
+    range for a non-zero f, it is recomputed as m * (mean (|f_i|/m)^p)^(1/p)
+    with m = max |f_i|.
     """
     p = _as_p(p)
     a = np.abs(f.values)
@@ -288,10 +292,11 @@ def norm(f: GridFunction, p) -> float:
 
 def _rescaled_norm(direct: float, values: np.ndarray, p: float) -> float:
     """``direct``, the power mean (mean |x_i|^p)^(1/p) as computed directly,
-    unless it overflowed or underflowed to 0 for a non-zero x: then it is
-    recomputed as m * (mean (|x_i|/m)^p)^(1/p) with m = max |x_i|.
+    unless it overflowed or mean |x_i|^p fell below the normal range (to a
+    subnormal or 0) for a non-zero x: then it is recomputed as
+    m * (mean (|x_i|/m)^p)^(1/p) with m = max |x_i|.
     """
-    if math.isinf(direct) or direct == 0.0:
+    if math.isinf(direct) or (direct < 1.0 and direct**p < _TINY):
         a = np.abs(values)
         m = float(a.max())
         if m > 0.0:
@@ -338,9 +343,12 @@ def dilate_interval(Q: DyadicInterval, factor: float, n: int) -> GridSet:
 
 
 def dyadic_means(values: np.ndarray) -> list[np.ndarray]:
-    """means[l][j] = mean of values over the dyadic interval (l, j), built from the cells up."""
+    """means[l][j] = mean of values over the dyadic interval (l, j), built from the cells up.
+
+    The cells run along axis 0, so a 2-D array gives the means of each column.
+    """
     levels = [values.astype(float)]
-    while levels[-1].size > 1:
+    while len(levels[-1]) > 1:
         prev = levels[-1]
         levels.append(0.5 * (prev[0::2] + prev[1::2]))
     levels.reverse()

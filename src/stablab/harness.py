@@ -51,7 +51,8 @@ __all__ = [
 ]
 
 GOLDEN_ENV = "STABLAB_GOLDEN_DIR"
-CSV_SCHEMA = "stablab-csv-v2"
+# schema line of each CSV, bumped when its columns change
+CSV_SCHEMAS = {"theorem1": "stablab-csv-v2", "theorem2": "stablab-csv-v3"}
 FAMILIES = ("spikes", "steps", "smooth", "mixture")
 SUPPORT_LEFT_HALF = "left-half"
 # The JSON layout of ExperimentConfig: section -> {JSON key: field}, with the
@@ -259,7 +260,7 @@ def _fmt(x) -> str:
 
 def _write_csv(name: str, header: list[str], rows: list[list]) -> str:
     buf = io.StringIO()
-    buf.write(f"# {CSV_SCHEMA} {name}\n")
+    buf.write(f"# {CSV_SCHEMAS[name]} {name}\n")
     buf.write(",".join(header) + "\n")
     for row in rows:
         buf.write(",".join(_fmt(x) for x in row) + "\n")
@@ -274,7 +275,7 @@ THEOREM1_HEADER = [
 
 THEOREM2_HEADER = [
     "instance", "operator", "n", "p", "s", "r", "t",
-    "c_star", "res_p", "res_inf", "res_Tinf", "iterations", "status", "flagged", "support",
+    "c_star", "c_lower", "res_p", "res_inf", "res_Tinf", "iterations", "status", "flagged", "support",
 ]
 
 
@@ -322,7 +323,7 @@ def run_theorem2(cfg: ExperimentConfig) -> tuple[str, dict]:
                 result = min_constant(inst, tol=cfg.dual_tol)
                 rows.append([
                     label, kind, cfg.n, cfg.p, s, inst.r, inst.t,
-                    result.c_star, result.res_p, result.res_inf, result.res_Tinf,
+                    result.c_star, result.c_lower, result.res_p, result.res_inf, result.res_Tinf,
                     result.iterations, result.status, result.flagged,
                     cfg.support or "none",
                 ])

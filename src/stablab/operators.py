@@ -41,6 +41,7 @@ __all__ = [
 ]
 
 KINDS = ("hilbert", "haar_transform", "identity_minus_mean")
+MATRIX_BLOCK = 64  # columns per transform call in as_matrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,25 +140,30 @@ def identity_minus_mean(n: int, restriction: GridSet | None = None) -> LinearOpe
     return LinearOperatorSpec("identity_minus_mean", n, restriction=restriction)
 
 
+def _by_cell(a: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """A per-cell array shaped to broadcast along axis 0 of ``values``."""
+    return a.reshape(a.shape + (1,) * (values.ndim - 1))
+
+
 def _apply_hilbert(values: np.ndarray) -> np.ndarray:
-    n = values.size
-    spec = np.fft.rfft(values)
-    mult = np.full(spec.size, -1j)
+    n = values.shape[0]
+    spec = np.fft.rfft(values, axis=0)
+    mult = np.full(spec.shape[0], -1j)
     mult[0] = 0.0
     mult[-1] = 0.0  # unpaired top mode of an even grid
-    return np.fft.irfft(spec * mult, n)
+    return np.fft.irfft(spec * _by_cell(mult, spec), n, axis=0)
 
 
 def _apply_haar(values: np.ndarray, level_signs: tuple[np.ndarray, ...]) -> np.ndarray:
     """Pyramid evaluation of sum_Q eps_Q <f, h_Q> h_Q in O(n) per level."""
     means = dyadic_means(values)
-    out = np.zeros(1)
+    out = np.zeros((1,) + values.shape[1:])
     for lev, eps in enumerate(level_signs):
         fine = means[lev + 1]
-        half_diff = 0.5 * (fine[0::2] - fine[1::2])
-        expanded = np.empty(2 << lev)
-        expanded[0::2] = out + eps * half_diff
-        expanded[1::2] = out - eps * half_diff
+        half_diff = _by_cell(eps, fine) * (0.5 * (fine[0::2] - fine[1::2]))
+        expanded = np.empty((2 << lev,) + values.shape[1:])
+        expanded[0::2] = out + half_diff
+        expanded[1::2] = out - half_diff
         out = expanded
     return out
 
@@ -170,19 +176,22 @@ def apply(T: LinearOperatorSpec, f: GridFunction) -> GridFunction:
 
 
 def apply_values(T: LinearOperatorSpec, values: np.ndarray) -> np.ndarray:
-    """The arithmetic of ``apply`` on a raw array of length T.n, unchecked."""
+    """The arithmetic of ``apply`` on a raw array of length T.n, unchecked.
+
+    A 2-D array is transformed column by column (along axis 0).
+    """
     if T.restriction is not None and T.restriction_side == "input":
-        values = np.where(T.restriction.membership, values, 0.0)
+        values = np.where(_by_cell(T.restriction.membership, values), values, 0.0)
     if T.kind == "hilbert":
         out = _apply_hilbert(values)
     elif T.kind == "haar_transform":
         out = _apply_haar(values, T.level_signs)
     else:
-        out = values - values.mean()
+        out = values - values.mean(axis=0)
     if T.negate:
         out = -out
     if T.restriction is not None and T.restriction_side == "output":
-        out = np.where(T.restriction.membership, out, 0.0)
+        out = np.where(_by_cell(T.restriction.membership, out), out, 0.0)
     return out
 
 
@@ -203,13 +212,18 @@ def adjoint(T: LinearOperatorSpec) -> LinearOperatorSpec:
 
 
 def as_matrix(T: LinearOperatorSpec) -> np.ndarray:
-    """Dense matrix of T in the cell basis (columns are T applied to cells)."""
+    """Dense matrix of T in the cell basis (columns are T applied to cells).
+
+    The transforms run on blocks of MATRIX_BLOCK columns of the identity at
+    once, which gives the bits of applying T to each cell in turn.
+    """
     n = T.n
     cols = np.empty((n, n))
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = 1.0
-        cols[:, j] = apply(T, GridFunction(e)).values
+    for j in range(0, n, MATRIX_BLOCK):
+        width = min(MATRIX_BLOCK, n - j)
+        block = np.zeros((n, width))
+        block[np.arange(j, j + width), np.arange(width)] = 1.0
+        cols[:, j : j + width] = apply_values(T, block)
     return cols
 
 

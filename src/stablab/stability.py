@@ -174,6 +174,8 @@ def kclosed_redecompose(
     The report carries the measured norm ratios and, separately, the two
     sides of the restricted-to-omega estimate
     norm(Th,1 on omega) <= c + |omega|^(1/p') (norm(v1,p) + norm(Tw,p)).
+    When a or b is at most DEGENERATE_TOL there is no level to split at:
+    the split is h = 0, w = u and the report is flagged degenerate.
     """
     p = float(p)
     u0, v0, u1, v1 = split
@@ -188,7 +190,8 @@ def kclosed_redecompose(
     b = max(norm(u1, p), norm(v1, p))
     c = norm(v0, 1)
 
-    if a <= DEGENERATE_TOL:
+    # no mass to split off (a = 0), or no level to split at (b = 0 makes lam = 0)
+    if a <= DEGENERATE_TOL or b <= DEGENERATE_TOL:
         h = GridFunction.zeros(u.n)
         w = u
         report = RedecompositionReport(

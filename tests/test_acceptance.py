@@ -181,11 +181,14 @@ def test_criterion_6_theorem2_certified_and_oracle_checked(theorem2_campaign):
     for label, kind, s, inst, res in results:
         assert res.status == "certified", (label, kind, s)
         assert certified(inst, res.c_star, res.v), (label, kind, s)
+        # the certified bracket [c_lower, c*] is at most 2% wide
+        assert 0.0 < res.c_lower <= res.c_star, (label, kind, s)
+        assert res.c_star - res.c_lower <= 0.02 * res.c_star, (label, kind, s)
         worst_c = max(worst_c, res.c_star)
     # work-count guard: the stagnation rule alone needs 167,498 iterations here,
-    # the weak-duality exits about 82,000
+    # the weak-duality exits about 82,000 and the extrapolated step about 7,200
     iterations = sum(res.iterations for *_, res in results)
-    assert iterations <= 100_000, iterations
+    assert iterations <= 15_000, iterations
     frozen_c, created = freeze_or_check("theorem2_max_c_star", worst_c)
     assert not created, "the theorem2_max_c_star golden is missing"
     assert worst_c <= frozen_c * (1 + 1e-9) + 1e-15
@@ -206,6 +209,7 @@ def test_criterion_6_theorem2_certified_and_oracle_checked(theorem2_campaign):
         f = f * (1.0 / norm(f, 1))
         inst = make_instance(f, T, float(rng.uniform(0.25, 0.7)) * norm(f, 2), 2)
         base = min_constant(inst, tol=1e-2)
+        assert base.c_lower <= base.c_star, i
         c = base.c_star * (1.3 if i % 2 == 0 else 0.7)
         ours = feasible(inst, c).is_feasible
         oracle = penalty_feasible(inst, c)

@@ -51,6 +51,17 @@ def test_norm_survives_underflow_of_the_power_mean():
     assert norm(GridFunction([1e-200, 0.0]), 2) == pytest.approx(1e-200 / math.sqrt(2.0), rel=1e-12)
 
 
+def test_norm_rescales_a_subnormal_power_mean():
+    f = np.array([3.0, 1.0, 0.5, 0.0])
+    unit = norm(GridFunction(f), 1.5)
+    # mean |f_i|^1.5 at 1e-210 is about 1e-315, below the normal range
+    assert norm(GridFunction(f * 1e-210), 1.5) / 1e-210 == pytest.approx(unit, rel=1e-15)
+    # a normal power mean keeps the direct bits
+    g = np.array([3.0, -4.0, 0.5, 2.0])
+    assert norm(GridFunction(g), 1.5) == float(np.mean(np.abs(g) ** 1.5) ** (1 / 1.5))
+    assert norm(GridFunction(g * 1e-100), 3) == float(np.mean(np.abs(g * 1e-100) ** 3) ** (1 / 3))
+
+
 def test_norm_zero_iff_zero(rng):
     assert norm(GridFunction.zeros(16), 3) == 0.0
     f = GridFunction(rng.standard_normal(16))

@@ -136,9 +136,14 @@ def test_theorem2_rows_and_certification():
     cfg = small_config()
     csv_text, summary = run_theorem2(cfg)
     lines = csv_text.strip().splitlines()
-    assert lines[0].startswith("# stablab-csv-v2 theorem2")
+    assert lines[0].startswith("# stablab-csv-v3 theorem2")
     assert summary["rows"] == 4 * 1 * 2  # corpus x dual_operators x dual_s_values
     assert summary["uncertified"] == 0
+    header = lines[1].split(",")
+    assert header[header.index("c_star") + 1] == "c_lower"
+    for line in lines[2:]:
+        row = dict(zip(header, line.split(",")))
+        assert 0.0 <= float(row["c_lower"]) <= float(row["c_star"])
 
 
 def test_empty_corpus_gives_header_only():
@@ -286,6 +291,14 @@ def test_cli_bad_input_is_a_one_line_error(tmp_path, argv, text, message):
     assert out.stdout == ""
     assert out.stderr.startswith("stablab: error: ") and out.stderr.count("\n") == 1
     assert message in out.stderr
+
+
+def test_cli_redecompose_zero_radius_is_degenerate():
+    out = run_cli("redecompose", "--s", "0")
+    assert out.returncode == 0, out.stderr
+    payload = json.loads(out.stdout)
+    assert payload["degenerate"] is True
+    assert payload["b"] == 0.0 and payload["lam"] == 0.0 and payload["a"] > 0.0
 
 
 def test_cli_redecompose_bytes():

@@ -221,8 +221,27 @@ def test_json_round_trip(rng):
         assert norm(apply(back, f) - apply(T, f), np.inf) == 0.0
 
 
-def test_as_matrix_matches_apply(rng):
-    for T in [hilbert(16), make_operator("haar_transform", 16, 2), identity_minus_mean(16)]:
-        M = as_matrix(T)
-        f = GridFunction(rng.standard_normal(16))
-        assert norm(GridFunction(M @ f.values) - apply(T, f), np.inf) <= 1e-12
+@pytest.mark.parametrize("n", [8, 256, 1024])
+@pytest.mark.parametrize("negate", [False, True])
+@pytest.mark.parametrize("kind", ["hilbert", "haar_transform", "identity_minus_mean"])
+def test_as_matrix_is_the_column_loop_bit_for_bit(kind, negate, n, rng):
+    T = make_operator(kind, n, 2)
+    if negate:
+        T = LinearOperatorSpec(kind, n, signs=T.signs, negate=True)
+    cols = np.empty((n, n))
+    for j in range(n):
+        e = np.zeros(n)
+        e[j] = 1.0
+        cols[:, j] = apply(T, GridFunction(e)).values
+    M = as_matrix(T)
+    assert M.tobytes() == cols.tobytes()
+    f = GridFunction(rng.standard_normal(n))
+    assert norm(GridFunction(M @ f.values) - apply(T, f), np.inf) <= 1e-12
+
+
+def test_as_matrix_of_a_restricted_operator():
+    n = 64
+    E = GridSet(np.arange(n) % 3 == 0)
+    for T in (hilbert(n, restriction=E), adjoint(hilbert(n, restriction=E))):
+        cols = np.column_stack([apply(T, GridFunction(np.eye(n)[j])).values for j in range(n)])
+        assert as_matrix(T).tobytes() == cols.tobytes()

@@ -94,6 +94,19 @@ def test_kclosed_degenerate_split():
     assert rep.degenerate
 
 
+def test_kclosed_zero_ball_part_is_degenerate():
+    # b = 0 < a: no level to split at, so the degenerate report comes back
+    n = 16
+    u = GridFunction(np.linspace(-1, 1, n))
+    T = make_operator("haar_transform", n, 3)
+    zero = GridFunction.zeros(n)
+    Tu = apply(T, u)
+    (h, Th), (w, Tw), rep = kclosed_redecompose(u, T, (u, Tu, zero, zero), 2)
+    assert rep.a > 0.0 and rep.b == 0.0
+    assert rep.degenerate and rep.lam == 0.0
+    assert h == zero and w == u and Tw == Tu
+
+
 def test_kclosed_rejects_inconsistent_split():
     n = 16
     u = GridFunction(np.linspace(-1, 1, n))
