@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridFunction, _rescaled_norm, norm
+from .grid import GridFunction, norm, power_mean
 
 __all__ = [
     "DistanceResult",
@@ -89,12 +89,6 @@ def _check_finite_p(p) -> float:
     return p
 
 
-def _power_mean(x: np.ndarray, p: float) -> float:
-    """(mean x_i^p)^(1/p) for x >= 0, recomputed in units of max x when the
-    powers overflow or underflow to 0 (the rule of grid.norm)."""
-    return _rescaled_norm(float(np.mean(x**p)) ** (1.0 / p), x, p)
-
-
 def _bisect(low_side, av: np.ndarray, s: float) -> tuple[float, float]:
     """Bracket [lo, hi] of [0, max av] around the threshold t at which the
     monotone test ``low_side(values, radius, t)`` turns from True to False.
@@ -106,15 +100,14 @@ def _bisect(low_side, av: np.ndarray, s: float) -> tuple[float, float]:
     unit = min(1.0, float(av.max()))
     au, su = av / unit, s / unit
     lo, hi = 0.0, float(au.max())
-    with np.errstate(over="ignore"):
-        while hi - lo > BISECTION_TOL:
-            mid = 0.5 * (lo + hi)
-            if not lo < mid < hi:
-                break
-            if low_side(au, su, mid):
-                lo = mid
-            else:
-                hi = mid
+    while hi - lo > BISECTION_TOL:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if low_side(au, su, mid):
+            lo = mid
+        else:
+            hi = mid
     return lo * unit, hi * unit
 
 
@@ -134,7 +127,7 @@ def dist_l1_to_lp_ball(f: GridFunction, s: float, p) -> DistanceResult:
         return DistanceResult(norm(f, 1), g, s, p, 1.0, 0.0)
     if norm(f, p) <= s:
         return DistanceResult(0.0, f, s, p, 1.0, sup)
-    tau, _ = _bisect(lambda a, r, t: _power_mean(np.minimum(a, t), p) <= r, av, s)
+    tau, _ = _bisect(lambda a, r, t: power_mean(np.minimum(a, t), p) <= r, av, s)
     g = GridFunction(_hard_clip(f.values, tau))
     value = float(np.mean(np.maximum(av - tau, 0.0)))
     return DistanceResult(value, g, s, p, 1.0, tau)
@@ -151,7 +144,7 @@ def dist_linf_to_lp_ball(f: GridFunction, s: float, p) -> DistanceResult:
     av = np.abs(f.values)
     if norm(f, p) <= s:
         return DistanceResult(0.0, f, s, p, math.inf, 0.0)
-    _, eps = _bisect(lambda a, r, t: _power_mean(np.maximum(a - t, 0.0), p) > r, av, s)
+    _, eps = _bisect(lambda a, r, t: power_mean(np.maximum(a - t, 0.0), p) > r, av, s)
     g = GridFunction(_soft_threshold(f.values, eps))
     return DistanceResult(eps, g, s, p, math.inf, eps)
 

@@ -59,7 +59,7 @@ from typing import Callable
 import numpy as np
 
 from .distance import dist_linf_to_lp_ball
-from .grid import DimensionError, GridFunction, GridSet, _rescaled_norm, inner, norm
+from .grid import DimensionError, GridFunction, GridSet, _rescaled_norm, inner, norm, power_mean
 from .operators import LinearOperatorSpec, adjoint, apply, apply_values, as_matrix
 
 __all__ = [
@@ -79,7 +79,6 @@ __all__ = [
 ]
 
 FEAS_TOL = 1e-7
-CONSENSUS_TOL = 1e-8
 MAX_ITER = 10000
 _ABS_DUST = 1e-12
 # relaxation of the extrapolated parallel-projection step, inside (0, 2)
@@ -231,11 +230,12 @@ def project_lp_ball(values: np.ndarray, radius: float, p: float) -> np.ndarray:
     """Euclidean projection onto {v : norm(v, p) <= radius} (normalized norm).
 
     p = 2 is the radial scaling, with the size rescaled by max |v_i| when
-    the direct mean square overflows or underflows; other p solve the KKT
-    system by a bisection on the multiplier with a vectorized inner bisection
-    per coordinate.  When sum |v_i|^p overflows or underflows, or the
-    multiplier lies outside the range that bisection resolves, the system
-    is solved in units of the radius instead.
+    the direct mean square overflows or underflows.  Other p solve the KKT
+    system in units of the radius, so that no power of an input size is
+    formed: x = radius * y with y_i + nu y_i^(p-1) = |v_i| / radius and
+    sum y^p = n, which caps every y_i at n^(1/p).  log2 nu is bisected over
+    [-1000, 1000] in 80 steps, each y_i found by a 60-step inner bisection,
+    and y is scaled down when sum y^p still exceeds n.
     """
     n = values.size
     if radius <= 0.0:
@@ -247,64 +247,7 @@ def project_lp_ball(values: np.ndarray, radius: float, p: float) -> np.ndarray:
             return values.copy()
         return values * (radius / size)
     av = np.abs(values)
-    with np.errstate(over="ignore"):
-        total = float(np.sum(av**p))
-    if math.isinf(total) or (total == 0.0 and av.max() > 0.0):
-        return _project_lp_ball_rescaled(values, radius, p)
-    cap = n * radius**p
-    if total <= cap:
-        return values.copy()
-
-    def shrunk(mu: float) -> np.ndarray:
-        return _kkt_root(av, av, mu * p, p)
-
-    mu_hi = 1.0
-    for _ in range(200):
-        if float(np.sum(shrunk(mu_hi) ** p)) <= cap:
-            break
-        mu_hi *= 2.0
-    else:  # the multiplier is above 2^200
-        return _project_lp_ball_rescaled(values, radius, p)
-    mu_lo = 0.0
-    for _ in range(80):
-        mu = 0.5 * (mu_lo + mu_hi)
-        if float(np.sum(shrunk(mu) ** p)) <= cap:
-            mu_hi = mu
-        else:
-            mu_lo = mu
-    if mu_lo == 0.0:  # the multiplier is below the bisection's resolution
-        return _project_lp_ball_rescaled(values, radius, p)
-    y = shrunk(mu_hi)
-    total = float(np.sum(y**p))
-    if total > cap and total > 0:
-        y *= (cap / total) ** (1.0 / p)  # land exactly inside
-    return np.sign(values) * y
-
-
-def _kkt_root(b: np.ndarray, top: np.ndarray, coef: float, p: float) -> np.ndarray:
-    """Per coordinate, the root y in [0, top] of y + coef * y^(p-1) = b, by bisection."""
-    lo = np.zeros(b.size)
-    hi = top.copy()
-    for _ in range(60):
-        midv = 0.5 * (lo + hi)
-        too_big = midv + coef * midv ** (p - 1.0) > b
-        hi = np.where(too_big, midv, hi)
-        lo = np.where(too_big, lo, midv)
-    return 0.5 * (lo + hi)
-
-
-def _project_lp_ball_rescaled(values: np.ndarray, radius: float, p: float) -> np.ndarray:
-    """``project_lp_ball`` for p != 2 when sum |v_i|^p overflows or underflows.
-
-    In units of the radius the projection is x = radius * y with
-    y_i + nu y_i^(p-1) = b_i = |v_i| / radius and sum y^p = n, so every
-    y_i <= n^(1/p) and no power of an input size is formed; the multiplier
-    nu is bisected on a log scale.
-    """
-    n = values.size
-    av = np.abs(values)
-    m = float(av.max())
-    if m * float(np.mean((av / m) ** p)) ** (1.0 / p) <= radius:
+    if power_mean(av, p) <= radius:
         return values.copy()
     b = av / radius
     top = np.minimum(b, n ** (1.0 / p))
@@ -322,6 +265,18 @@ def _project_lp_ball_rescaled(values: np.ndarray, radius: float, p: float) -> np
     return np.sign(values) * y * radius
 
 
+def _kkt_root(b: np.ndarray, top: np.ndarray, coef: float, p: float) -> np.ndarray:
+    """Per coordinate, the root y in [0, top] of y + coef * y^(p-1) = b, by bisection."""
+    lo = np.zeros(b.size)
+    hi = top.copy()
+    for _ in range(60):
+        midv = 0.5 * (lo + hi)
+        too_big = midv + coef * midv ** (p - 1.0) > b
+        hi = np.where(too_big, midv, hi)
+        lo = np.where(too_big, lo, midv)
+    return 0.5 * (lo + hi)
+
+
 # ---------------------------------------------------------------------------
 # feasibility for a fixed constant
 # ---------------------------------------------------------------------------
@@ -332,7 +287,7 @@ def _certify(inst: DualInstance, c: float, v_values: np.ndarray, Tsv: np.ndarray
     dust = _ABS_DUST * inst.scale
     viol = []
     bound_p = c * inst.s
-    size = _rescaled_norm(float(np.mean(np.abs(v_values) ** inst.p)) ** (1.0 / inst.p), v_values, inst.p)
+    size = power_mean(np.abs(v_values), inst.p)
     viol.append((size - bound_p - dust) / max(bound_p, dust))
     bound_f = c * inst.r
     viol.append((float(np.abs(inst.f.values - v_values).max()) - bound_f - dust) / max(bound_f, dust))
@@ -367,12 +322,7 @@ def _dual_bound(inst: DualInstance, a: np.ndarray, b: np.ndarray) -> float:
     if inst.support is not None:
         z[~inst.support.membership] = 0.0
     az = np.abs(z)
-    if inst.p == 1.0:
-        size = float(az.max())
-    else:
-        q = inst.p / (inst.p - 1.0)
-        with np.errstate(over="ignore"):
-            size = _rescaled_norm(float((az**q).sum() / n) ** (1.0 / q), az, q)
+    size = float(az.max()) if inst.p == 1.0 else power_mean(az, inst.p / (inst.p - 1.0))
     denom = inst.r * float(np.abs(a).sum()) / n + (inst.t + inst.r) * float(np.abs(b).sum()) / n + inst.s * size
     return pairing / denom if denom > 0.0 else 0.0
 

@@ -3,10 +3,15 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, os.path.dirname(__file__))
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+
+# every run draws the same examples, so a property failure reproduces
+settings.register_profile("repeatable", derandomize=True, deadline=None)
+settings.load_profile("repeatable")
 
 
 @pytest.fixture(autouse=True)

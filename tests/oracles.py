@@ -14,8 +14,9 @@ its earlier, allocation-heavy form (``np.mean``, ``np.full``, ``np.clip``,
 fresh arrays for every sum), with no dual bound: it says "infeasible" only
 when the iteration stagnates.  The library's loop must reproduce every
 "feasible" outcome of it bit for bit, and may end a call that is not
-feasible earlier.  ``reference_project_lp_ball`` is the projection before
-its scale-safe fallbacks.
+feasible earlier.  ``reference_project_lp_ball`` is the projection's earlier
+direct path for p != 2: a linear bisection on the multiplier, with no
+rescaling, so it is a reference at unit scale only.
 """
 
 from __future__ import annotations

@@ -25,6 +25,7 @@ from stablab import (
     project_lp_ball,
 )
 from stablab.dual_search import DENSE_MAX_N, FEAS_TOL, MAX_ITER, SupportError, _certify, _dual_bound, certified
+from stablab.grid import power_mean
 from stablab.harness import default_config, generate_corpus, make_operator
 from stablab.operators import adjoint, as_matrix, hilbert
 
@@ -436,12 +437,57 @@ def test_project_lp_ball_general_p_extreme_magnitudes(p, rng):
                 np.testing.assert_allclose(project_lp_ball(x * scale, radius * scale, p) / scale, y, rtol=1e-9, atol=1e-12)
 
 
-def test_project_lp_ball_keeps_the_direct_bits(rng):
+def test_project_lp_ball_agrees_with_the_reference_at_unit_scale(rng):
     for p in (1.5, 3.0):
         for _ in range(5):
             x = rng.standard_normal(16) * 2.0
             radius = float(rng.uniform(0.1, 1.0))
-            assert project_lp_ball(x, radius, p).tobytes() == reference_project_lp_ball(x, radius, p).tobytes()
+            ref = reference_project_lp_ball(x, radius, p)
+            assert np.abs(project_lp_ball(x, radius, p) - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize(
+    "x, radius, p",
+    [
+        (np.array([3.0, -1.0, 0.5, 2.0]) * 1e23, 1e23, 3.0),
+        (np.array([3.0, -1.0, 0.5, 2.0]) * 1e-47, 1e-47, 1.5),
+    ],
+)
+def test_project_lp_ball_lands_on_the_sphere_at_every_scale(x, radius, p):
+    y = project_lp_ball(x, radius, p)
+    assert power_mean(np.abs(y), p) / radius == pytest.approx(1.0, rel=0, abs=1e-12)
+
+
+@settings(max_examples=100)
+@given(
+    p=st.floats(1.0, 64.0, exclude_min=True),
+    n=st.integers(2, 256),
+    magnitude=st.floats(-150.0, 150.0),
+    # the variational inequality is checked relative to |x - y|, which shrinks to
+    # the rounding of y as x nears the sphere: outside draws keep 1% away from it
+    ratio=st.one_of(st.floats(0.01, 0.99), st.floats(1.0, 100.0)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_project_lp_ball_is_the_projection(p, n, magnitude, ratio, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(n) * np.exp(rng.standard_normal(n)) * 10.0**magnitude
+    size = power_mean(np.abs(x), p)
+    radius = size * ratio
+    y = project_lp_ball(x, radius, p)
+    if size <= radius:
+        assert y.tobytes() == x.tobytes()
+        return
+    assert power_mean(np.abs(y), p) / radius == pytest.approx(1.0, rel=0, abs=1e-12)
+    assert np.all((y == 0) | (np.sign(y) == np.sign(x)))
+    assert np.all(np.abs(y) <= np.abs(x) * (1 + 1e-15))
+    # in units of the radius, so that the inner products stay in the normal range
+    xu, yu = x / radius, y / radius
+    for _ in range(5):
+        w = rng.standard_normal(n)
+        zu = w * (rng.uniform() / power_mean(np.abs(w), p))
+        assert (xu - yu) @ (zu - yu) <= 1e-9 * np.linalg.norm(xu - yu) * np.linalg.norm(zu - yu)
+    radial = xu * (radius / size)
+    assert np.linalg.norm(xu - yu) <= np.linalg.norm(xu - radial) * (1 + 1e-12)
 
 
 def test_certify_p_term_survives_overflow():

@@ -192,10 +192,13 @@ def test_long_range_campaign_frozen(rng):
             continue
         for kind, T in ops.items():
             worst[kind] = max(worst[kind], long_range_ratio(T, d))
-    for kind, val in worst.items():
-        assert np.isfinite(val)
-        _, created = freeze_or_check(f"long_range_campaign_{kind}", val)
-        assert not created, f"the long_range_campaign_{kind} golden is missing"
+    # a dyadically localized kind maps a function with mean zero on each cube to one
+    # supported on that cube, so its true ratio is 0; only rounding is left
+    assert worst["haar_transform"] <= 1e-15
+    assert worst["identity_minus_mean"] <= 1e-15
+    assert np.isfinite(worst["hilbert"])
+    _, created = freeze_or_check("long_range_campaign_hilbert", worst["hilbert"])
+    assert not created, "the long_range_campaign_hilbert golden is missing"
 
 
 def test_dimension_mismatch_rejected():
