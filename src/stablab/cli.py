@@ -49,38 +49,39 @@ def _input_errors():
         raise InputError(str(exc)) from exc
 
 
-def _common_flags(sub: argparse.ArgumentParser):
-    sub.add_argument("--config", help="path to a JSON experiment config")
-    sub.add_argument("--seed", type=int, help="override the config seed")
-    sub.add_argument("--n", type=int, help="override the grid size")
-    sub.add_argument("--p", type=float, help="override the ball exponent")
-    sub.add_argument("--s", type=float, help="ball radius")
-    sub.add_argument(
-        "--operator",
-        choices=["hilbert", "haar_transform", "identity_minus_mean"],
-        help="operator kind",
-    )
-    sub.add_argument("--support", help=f"'{SUPPORT_LEFT_HALF}' or a path to a JSON 0/1 mask")
-    sub.add_argument("--out", help="output path (.json or .csv); default stdout")
-    sub.add_argument("--input", help="path to a JSON array holding the grid function")
+def _subcommand(subs, name: str, summary: str, flags: str) -> argparse.ArgumentParser:
+    """A subcommand taking the shared flags it reads, named space-separated.
+
+    Flags are taken in full only: an abbreviation could silently stand for another flag.
+    """
+    table = {
+        "config": dict(help="path to a JSON experiment config"),
+        "seed": dict(type=int, help="override the config seed"),
+        "n": dict(type=int, help="override the grid size"),
+        "p": dict(type=float, help="override the ball exponent"),
+        "s": dict(type=float, default=1.0, help="ball radius"),
+        "operator": dict(choices=["hilbert", "haar_transform", "identity_minus_mean"], help="operator kind"),
+        "support": dict(help=f"'{SUPPORT_LEFT_HALF}'; dual also takes a path to a JSON 0/1 mask"),
+        "out": dict(help="output path (.json or .csv); default stdout"),
+        "input": dict(help="path to a JSON array holding the grid function"),
+    }
+    sub = subs.add_parser(name, help=summary, allow_abbrev=False)
+    for flag in flags.split():
+        sub.add_argument(f"--{flag}", **table[flag])
+    return sub
 
 
-def _load_config(args) -> ExperimentConfig:
+def _load_config(args, keys=("seed", "n", "p", "support")) -> ExperimentConfig:
     if args.config:
         with _input_errors(), open(args.config) as fh:
             cfg = ExperimentConfig.from_json(fh.read())
     else:
         cfg = default_config()
-    overrides = {}
-    for key in ("seed", "n", "p"):
-        value = getattr(args, key, None)
-        if value is not None:
-            overrides[key] = value
-    if getattr(args, "support", None):
-        overrides["support"] = args.support if args.support == SUPPORT_LEFT_HALF else None
+    overrides = {key: getattr(args, key) for key in keys if getattr(args, key, None) is not None}
     if overrides:
         from dataclasses import replace
 
+        # the config admits only the named support choices: a mask path is an error
         with _input_errors():
             cfg = replace(cfg, **overrides)
     return cfg
@@ -94,7 +95,7 @@ def _load_function(args, cfg: ExperimentConfig, support: GridSet | None = None) 
 
 
 def _load_support(args, cfg: ExperimentConfig) -> GridSet | None:
-    if not getattr(args, "support", None):
+    if not args.support:
         return None
     if args.support == SUPPORT_LEFT_HALF:
         return GridSet.from_interval(DyadicInterval(1, 0), cfg.n)
@@ -115,10 +116,9 @@ def _emit(args, text: str) -> None:
 def _cmd_distance(args) -> int:
     cfg = _load_config(args)
     f = _load_function(args, cfg)
-    s = args.s if args.s is not None else 1.0
     solver = dist_linf_to_lp_ball if args.ambient == "inf" else dist_l1_to_lp_ball
     with _input_errors():
-        result = solver(f, s, cfg.p)
+        result = solver(f, args.s, cfg.p)
     _emit(args, result.to_json())
     return 0
 
@@ -126,9 +126,8 @@ def _cmd_distance(args) -> int:
 def _cmd_cz(args) -> int:
     cfg = _load_config(args)
     f = _load_function(args, cfg)
-    level = args.level if args.level is not None else (args.s if args.s is not None else 1.0)
     with _input_errors():
-        d = cz_decompose(f, level, args.dilation)
+        d = cz_decompose(f, args.level, args.dilation)
     _emit(args, d.to_json())
     return 0
 
@@ -137,9 +136,8 @@ def _cmd_construct(args) -> int:
     cfg = _load_config(args)
     f = _load_function(args, cfg)
     T = make_operator(args.operator or cfg.operators[0], cfg.n, cfg.seed)
-    s = args.s if args.s is not None else 1.0
     with _input_errors():
-        _, report = bourgain_construct(f, T, s, cfg.p)
+        _, report = bourgain_construct(f, T, args.s, cfg.p)
     _emit(args, report.to_json())
     return 0
 
@@ -148,18 +146,17 @@ def _cmd_redecompose(args) -> int:
     cfg = _load_config(args)
     f = _load_function(args, cfg)
     T = make_operator(args.operator or cfg.operators[0], cfg.n, cfg.seed)
-    s = args.s if args.s is not None else 1.0
     Tf = apply(T, f)
     with _input_errors():
-        u1 = dist_l1_to_lp_ball(f, s, cfg.p).minimizer
-        v1 = dist_l1_to_lp_ball(Tf, s, cfg.p).minimizer
+        u1 = dist_l1_to_lp_ball(f, args.s, cfg.p).minimizer
+        v1 = dist_l1_to_lp_ball(Tf, args.s, cfg.p).minimizer
         _, _, report = kclosed_redecompose(f, T, (f - u1, Tf - v1, u1, v1), cfg.p)
     _emit(args, report.to_json())
     return 0
 
 
 def _cmd_dual(args) -> int:
-    cfg = _load_config(args)
+    cfg = _load_config(args, keys=("seed", "n", "p"))  # --support names a set here, not a config choice
     support = _load_support(args, cfg)
     f = _load_function(args, cfg, support)
     if support is not None and args.input:
@@ -168,9 +165,8 @@ def _cmd_dual(args) -> int:
         total = np.abs(masked).mean()
         f = GridFunction(masked / total if total > 0 else masked)
     T = make_operator(args.operator or cfg.dual_operators[0], cfg.n, cfg.seed)
-    s = args.s if args.s is not None else 1.0
     with _input_errors():
-        inst = make_instance(f, T, s, cfg.p, support)
+        inst = make_instance(f, T, args.s, cfg.p, support)
         result = min_constant(inst, tol=args.tol)
     _emit(args, result.to_json())
     return 0
@@ -215,37 +211,33 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="stablab", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
 
-    sub = subs.add_parser("distance", help="distance from f to an L^p ball")
-    _common_flags(sub)
+    sub = _subcommand(subs, "distance", "distance from f to an L^p ball", "config seed n p s out input")
     sub.add_argument("--ambient", choices=["1", "inf"], default="1")
     sub.set_defaults(func=_cmd_distance)
 
-    sub = subs.add_parser("cz", help="stopping-time decomposition of f")
-    _common_flags(sub)
-    sub.add_argument("--level", type=float, help="decomposition level")
+    sub = _subcommand(subs, "cz", "stopping-time decomposition of f", "config seed n out input")
+    sub.add_argument("--level", type=float, default=1.0, help="decomposition level")
     sub.add_argument("--dilation", type=float, default=10.0)
     sub.set_defaults(func=_cmd_cz)
 
-    sub = subs.add_parser("construct", help="stable near-minimizer construction")
-    _common_flags(sub)
+    sub = _subcommand(subs, "construct", "stable near-minimizer construction",
+        "config seed n p s operator out input")
     sub.set_defaults(func=_cmd_construct)
 
-    sub = subs.add_parser("redecompose", help="graph redecomposition of an ambient split")
-    _common_flags(sub)
+    sub = _subcommand(subs, "redecompose", "graph redecomposition of an ambient split",
+        "config seed n p s operator out input")
     sub.set_defaults(func=_cmd_redecompose)
 
-    sub = subs.add_parser("dual", help="smallest workable constant by convex feasibility")
-    _common_flags(sub)
+    sub = _subcommand(subs, "dual", "smallest workable constant by convex feasibility",
+        "config seed n p s operator support out input")
     sub.add_argument("--tol", type=float, default=1e-2)
     sub.set_defaults(func=_cmd_dual)
 
-    sub = subs.add_parser("verify", help="run every module's invariant suite")
-    _common_flags(sub)
+    sub = _subcommand(subs, "verify", "run every module's invariant suite", "config seed n p support out")
     sub.add_argument("--inject-fault", choices=["adjoint"], help="test fixture: corrupt an identity")
     sub.set_defaults(func=_cmd_verify)
 
-    sub = subs.add_parser("report", help="run both campaigns and write CSV reports")
-    _common_flags(sub)
+    sub = _subcommand(subs, "report", "run both campaigns and write CSV reports", "config seed n p support")
     sub.add_argument("--outdir", default="reports")
     sub.add_argument("--bump-golden", action="store_true", help="overwrite frozen constants")
     sub.set_defaults(func=_cmd_report)

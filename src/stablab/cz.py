@@ -1,7 +1,8 @@
 """Dyadic stopping-time decomposition at a level lambda.
 
-The dyadic tree over [0, 1) is descended from the root; a maximal interval
-is selected as soon as the average of |f| over it first exceeds lambda.
+The dyadic intervals of [0, 1) are scanned one level at a time from the
+root; an interval is selected when the average of |f| over it exceeds
+lambda and no larger dyadic interval containing it was selected.
 On each selected interval the good part is the (signed) average of f and
 the bad part is the mean-zero remainder; off the selected intervals the
 good part is f itself.  The exceptional set omega is the union of the
@@ -91,9 +92,9 @@ def _assemble(
 def cz_decompose(f: GridFunction, level: float, dilation_factor: float = 10.0) -> CzDecomposition:
     """Stopping-time decomposition of f at the given level.
 
-    Descends the dyadic tree from the root; recursion bottoms out at single
+    One array pass per level of the dyadic means of |f|, down to single
     cells, so a cell with |f| > level becomes a one-cell cube where the bad
-    part vanishes identically.
+    part vanishes identically.  The cubes come out left to right.
     """
     level = float(level)
     if not level > 0:
@@ -101,18 +102,13 @@ def cz_decompose(f: GridFunction, level: float, dilation_factor: float = 10.0) -
     dilation_factor = float(dilation_factor)
     if not dilation_factor >= 1.0:
         raise ValueError(f"dilation factor must be >= 1, got {dilation_factor}")
-    abs_means = dyadic_means(np.abs(f.values))
-    max_level = len(abs_means) - 1
     cubes: list[DyadicInterval] = []
-    stack = [(0, 0)]
-    while stack:
-        lev, idx = stack.pop()
-        if abs_means[lev][idx] > level:
-            cubes.append(DyadicInterval(lev, idx))
-        elif lev < max_level:
-            # right child pushed first so cubes come out left to right
-            stack.append((lev + 1, 2 * idx + 1))
-            stack.append((lev + 1, 2 * idx))
+    inside = np.zeros(1, dtype=bool)  # per interval of this level: inside a selected cube
+    for lev, means in enumerate(dyadic_means(np.abs(f.values))):
+        hot = (means > level) & ~inside
+        cubes += [DyadicInterval(lev, int(i)) for i in np.flatnonzero(hot)]
+        inside = np.repeat(inside | hot, 2)
+    cubes.sort(key=lambda q: q.left)  # dyadic lefts are exact, and disjoint cubes have distinct lefts
     return _assemble(f, level, tuple(cubes), dilation_factor)
 
 

@@ -17,6 +17,12 @@ when the iteration stagnates.  The library's loop must reproduce every
 feasible earlier.  ``reference_project_lp_ball`` is the projection's earlier
 direct path for p != 2: a linear bisection on the multiplier, with no
 rescaling, so it is a reference at unit scale only.
+
+``reference_cz_cubes`` is the stopping-time selection of ``cz_decompose`` in
+its earlier form: a Python stack that visits the dyadic nodes one at a time,
+root first, and stops at the first node whose mean of |f| exceeds the level.
+The library's level-by-level array pass must select the same cubes in the
+same order.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from scipy.optimize import minimize
 
 from stablab.distance import _check_finite_p, _check_s, dist_linf_to_lp_ball
 from stablab.dual_search import MAX_ITER, FEAS_TOL, DualInstance, FeasibilityOutcome, _certify
-from stablab.grid import GridFunction, norm
+from stablab.grid import DyadicInterval, GridFunction, dyadic_means, norm
 from stablab.operators import as_matrix
 
 
@@ -132,6 +138,22 @@ def reference_project_lp_ball(values: np.ndarray, radius: float, p: float) -> np
     if total > cap and total > 0:
         y *= (cap / total) ** (1.0 / p)  # land exactly inside
     return np.sign(values) * y
+
+
+def reference_cz_cubes(f: GridFunction, level: float) -> tuple[DyadicInterval, ...]:
+    abs_means = dyadic_means(np.abs(f.values))
+    max_level = len(abs_means) - 1
+    cubes: list[DyadicInterval] = []
+    stack = [(0, 0)]
+    while stack:
+        lev, idx = stack.pop()
+        if abs_means[lev][idx] > level:
+            cubes.append(DyadicInterval(lev, idx))
+        elif lev < max_level:
+            # right child pushed first so cubes come out left to right
+            stack.append((lev + 1, 2 * idx + 1))
+            stack.append((lev + 1, 2 * idx))
+    return tuple(cubes)
 
 
 def _clamp_box(values: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:

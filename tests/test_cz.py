@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import reference_cz_cubes
 from stablab import CzDecomposition, GridFunction, cz_decompose, norm, verify_cz
 from stablab.cz import ConsistencyError, all_passed
+from stablab.grid import DyadicInterval, dyadic_means
 
 
 def spiky(rng, n):
@@ -117,3 +121,42 @@ def test_json_round_trip(rng):
     assert rebuilt.bad == d.bad
     assert rebuilt.omega == d.omega
     assert rebuilt.dilation_factor == 4.0
+
+
+@settings(max_examples=200)
+@given(
+    k=st.integers(1, 12),
+    # the invariants are checked at the narrower magnitudes only
+    magnitude=st.one_of(st.floats(-30.0, 30.0), st.floats(-150.0, 150.0)),
+    zeros=st.sampled_from([0.0, 0.5, 0.9]),
+    tie=st.booleans(),
+    ratio=st.floats(-1.0, np.log10(300.0)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_level_pass_selects_the_reference_cubes(k, magnitude, zeros, tie, ratio, seed):
+    rng = np.random.default_rng(seed)
+    n = 2**k
+    values = rng.standard_normal(n) * np.exp(rng.standard_normal(n)) * 10.0**magnitude
+    values[rng.uniform(size=n) < zeros] = 0.0
+    values[rng.integers(n)] = 10.0**magnitude  # one nonzero cell at least, so some mean is positive
+    f = GridFunction(values)
+    if tie:
+        # an exact pyramid mean: that node sits at the level and must not be selected
+        means = dyadic_means(np.abs(values))
+        lev = int(rng.integers(k + 1))
+        idx = int(rng.choice(np.flatnonzero(means[lev] > 0)))
+        level = float(means[lev][idx])
+    else:
+        level = norm(f, 1) * 10.0**ratio
+    d = cz_decompose(f, level)
+    assert d.cubes == reference_cz_cubes(f, level)
+    if tie:
+        assert DyadicInterval(lev, idx) not in d.cubes
+    if abs(magnitude) <= 30.0:
+        failed = [c for c in verify_cz(d, f) if not c.passed]
+        if tie:
+            # verify_cz re-measures a parent's mean with np.mean, which can round
+            # an exact pyramid tie one ulp above the level and flag the cube as
+            # not maximal (n = 4096, magnitude 0, no zeros, seed 464 does): a known false alarm
+            failed = [c for c in failed if c.name != "cubes_maximal"]
+        assert not failed, failed

@@ -262,6 +262,15 @@ def test_cli_dual_support_mode(tmp_path):
     assert out.returncode == 0
     payload = json.loads(out.stdout)
     assert payload["status"] == "certified"
+    # the same set given as a mask file
+    mask = tmp_path / "mask.json"
+    mask.write_text(json.dumps([1] * 16 + [0] * 16))
+    from_mask = run_cli(
+        "dual", "--n", "32", "--s", "1.0", "--operator", "hilbert",
+        "--support", str(mask), "--tol", "0.02",
+    )
+    assert from_mask.returncode == 0, from_mask.stderr
+    assert from_mask.stdout == out.stdout
 
 
 @pytest.mark.parametrize(
@@ -276,10 +285,14 @@ def test_cli_dual_support_mode(tmp_path):
         ("cz --level 0", None, "decomposition level must be positive, got 0.0"),
         ("cz --dilation 0.5", None, "dilation factor must be >= 1, got 0.5"),
         ("construct --s nan", None, "ball radius must be positive, got nan"),
+        # a mask is a dual-only support: the campaigns take the named choice alone
+        ("verify --support {path}", "[1, 0]", "unsupported support choice"),
+        ("report --support {path} --outdir {path}.d", "[1, 0]", "unsupported support choice"),
     ],
     ids=[
         "unknown-config-key", "three-values", "nan", "missing-file",
         "negative-radius", "zero-tol", "zero-level", "small-dilation", "nan-radius",
+        "verify-mask", "report-mask",
     ],
 )
 def test_cli_bad_input_is_a_one_line_error(tmp_path, argv, text, message):
@@ -291,6 +304,18 @@ def test_cli_bad_input_is_a_one_line_error(tmp_path, argv, text, message):
     assert out.stdout == ""
     assert out.stderr.startswith("stablab: error: ") and out.stderr.count("\n") == 1
     assert message in out.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    # --outdir keeps what a report that ignored --out would write inside tmp_path
+    [("report --out {tmp} --outdir {tmp}", "--out"), ("verify --s 1", "--s"), ("cz --s 2", "--s")],
+)
+def test_cli_rejects_a_flag_the_subcommand_does_not_read(tmp_path, argv, flag):
+    out = run_cli(*argv.format(tmp=tmp_path).split())
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert f"unrecognized arguments: {flag} " in out.stderr
 
 
 def test_cli_redecompose_zero_radius_is_degenerate():
