@@ -7,7 +7,6 @@ from .distance import (
     DistanceResult,
     dist_l1_to_lp_ball,
     dist_linf_to_lp_ball,
-    near_minimizer,
 )
 from .dual_search import (
     DualInstance,
@@ -21,7 +20,6 @@ from .dual_search import (
 )
 from .grid import (
     DyadicInterval,
-    Exponent,
     GridFunction,
     GridSet,
     dilate_interval,

@@ -23,9 +23,7 @@ from .harness import (
     ExperimentConfig,
     SUPPORT_LEFT_HALF,
     default_config,
-    freeze_or_check,
     generate_corpus,
-    golden_dir,
     make_operator,
     run_theorem1,
     run_theorem2,
@@ -174,7 +172,7 @@ def _cmd_dual(args) -> int:
 
 def _cmd_verify(args) -> int:
     cfg = _load_config(args)
-    summary = verify_all(cfg, corrupt_adjoint=(args.inject_fault == "adjoint"))
+    summary = verify_all(cfg)
     _emit(args, json.dumps(summary, sort_keys=True) + "\n")
     return 0 if summary["ok"] else 1
 
@@ -188,18 +186,7 @@ def _cmd_report(args) -> int:
         fh.write(csv1)
     with open(os.path.join(args.outdir, "theorem2.csv"), "w") as fh:
         fh.write(csv2)
-    directory = golden_dir()
-    frozen = {}
-    if directory is not None:
-        for name, value in (
-            ("theorem1_max_ratio_T", summary1["max_ratio_T"]),
-            ("theorem2_max_c_star", summary2["max_c_star"]),
-        ):
-            frozen_value, created = freeze_or_check(name, value, directory, bump=args.bump_golden)
-            frozen[name] = {"frozen": frozen_value}
-            if created:
-                print(f"froze {name} = {frozen_value!r}", file=sys.stderr)
-    summary = {"theorem1": summary1, "theorem2": summary2, "golden": frozen}
+    summary = {"theorem1": summary1, "theorem2": summary2}
     text = json.dumps(summary, sort_keys=True) + "\n"
     with open(os.path.join(args.outdir, "summary.json"), "w") as fh:
         fh.write(text)
@@ -234,12 +221,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=_cmd_dual)
 
     sub = _subcommand(subs, "verify", "run every module's invariant suite", "config seed n p support out")
-    sub.add_argument("--inject-fault", choices=["adjoint"], help="test fixture: corrupt an identity")
     sub.set_defaults(func=_cmd_verify)
 
     sub = _subcommand(subs, "report", "run both campaigns and write CSV reports", "config seed n p support")
     sub.add_argument("--outdir", default="reports")
-    sub.add_argument("--bump-golden", action="store_true", help="overwrite frozen constants")
     sub.set_defaults(func=_cmd_report)
     return parser
 

@@ -116,7 +116,8 @@ def verify_cz(d: CzDecomposition, f: GridFunction, ps=(1.5, 2.0, 3.0, 4.0)) -> l
     """Re-measure every decomposition invariant against f.
 
     Also checks the p-norm budget of the good part,
-    norm(g, p)^p <= (2 lambda)^(p-1) * norm(f, 1), for each requested p.
+    norm(g, p)^p <= (2 lambda)^(p-1) * norm(f, 1), for each requested p,
+    divided through by (2 lambda)^p; its slack is in those units.
     Bounds that presuppose an unselected root are skipped when the root was
     selected.  Raises ConsistencyError when d was clearly not built from f.
     """
@@ -136,14 +137,13 @@ def verify_cz(d: CzDecomposition, f: GridFunction, ps=(1.5, 2.0, 3.0, 4.0)) -> l
     worst_mean = 0.0
     covered = np.zeros(n, dtype=int)
     maximal = True
+    means = dyadic_means(np.abs(f.values))  # the numbers the selection compares, so ties agree
     for q in d.cubes:
         sl = q.cell_slice(n)
         covered[sl] += 1
         worst_mean = max(worst_mean, abs(float(d.bad.values[sl].mean())))
-        if q.level > 0:
-            psl = q.parent().cell_slice(n)
-            if float(np.abs(f.values[psl]).mean()) > lam:
-                maximal = False
+        if q.level > 0 and means[q.level - 1][q.index // 2] > lam:
+            maximal = False
     checks.append(CheckResult("mean_zero_on_cubes", worst_mean <= MEAN_ZERO_TOL * scale, MEAN_ZERO_TOL * scale - worst_mean))
     checks.append(CheckResult("cubes_disjoint", int(covered.max(initial=0)) <= 1, float(1 - covered.max(initial=0))))
     checks.append(CheckResult("cubes_maximal", maximal, 0.0 if maximal else -1.0))
@@ -165,8 +165,9 @@ def verify_cz(d: CzDecomposition, f: GridFunction, ps=(1.5, 2.0, 3.0, 4.0)) -> l
 
     if not root_selected:
         for p in ps:
-            lhs = norm(d.good, p) ** p
-            rhs = (2 * lam) ** (p - 1) * f1
+            # in units of 2 lambda, where both sides are O(1) and cannot overflow
+            lhs = (norm(d.good, p) / (2 * lam)) ** p
+            rhs = f1 / (2 * lam)
             checks.append(CheckResult(f"good_lp_budget_p={p:g}", lhs <= rhs * (1 + 1e-12), rhs - lhs))
     return checks
 

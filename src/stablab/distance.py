@@ -30,7 +30,6 @@ __all__ = [
     "DistanceResult",
     "dist_l1_to_lp_ball",
     "dist_linf_to_lp_ball",
-    "near_minimizer",
 ]
 
 BISECTION_TOL = 1e-12
@@ -148,16 +147,3 @@ def dist_linf_to_lp_ball(f: GridFunction, s: float, p) -> DistanceResult:
     g = GridFunction(_soft_threshold(f.values, eps))
     return DistanceResult(eps, g, s, p, math.inf, eps)
 
-
-def near_minimizer(f: GridFunction, s: float, p, ambient) -> GridFunction:
-    """The exact minimizer of the requested distance functional.
-
-    The discrete problem attains its infimum, so no slack factor is needed;
-    the result always satisfies norm(result, p) <= s.
-    """
-    ambient = float(ambient)
-    if ambient == 1.0:
-        return dist_l1_to_lp_ball(f, s, p).minimizer
-    if math.isinf(ambient):
-        return dist_linf_to_lp_ball(f, s, p).minimizer
-    raise ValueError(f"ambient exponent must be 1 or inf, got {ambient}")

@@ -19,7 +19,6 @@ __all__ = [
     "GridFunction",
     "DyadicInterval",
     "GridSet",
-    "Exponent",
     "DimensionError",
     "norm",
     "power_mean",
@@ -63,10 +62,6 @@ class GridFunction:
     @property
     def n(self) -> int:
         return self.values.shape[0]
-
-    @property
-    def cell_width(self) -> float:
-        return 1.0 / self.n
 
     @classmethod
     def zeros(cls, n: int) -> "GridFunction":
@@ -229,34 +224,6 @@ class GridSet:
     @classmethod
     def from_json(cls, text: str) -> "GridSet":
         return cls(np.asarray(json.loads(text), dtype=bool))
-
-
-@dataclass(frozen=True)
-class Exponent:
-    """A Lebesgue exponent in [1, inf] with conjugate arithmetic."""
-
-    p: float
-
-    def __post_init__(self):
-        p = float(self.p)
-        if not (p >= 1.0):
-            raise ValueError(f"exponent must satisfy p >= 1, got {p}")
-        object.__setattr__(self, "p", p)
-
-    @property
-    def is_finite(self) -> bool:
-        return math.isfinite(self.p)
-
-    @property
-    def conjugate(self) -> "Exponent":
-        if self.p == 1.0:
-            return Exponent(math.inf)
-        if math.isinf(self.p):
-            return Exponent(1.0)
-        return Exponent(self.p / (self.p - 1.0))
-
-    def __float__(self) -> float:
-        return self.p
 
 
 def _as_p(p) -> float:

@@ -3,12 +3,6 @@
 Everything here is deterministic: corpora are drawn from seeded generators,
 campaigns iterate in a fixed order, and floats are serialized with repr, so
 identical configs produce byte-identical reports.
-
-Empirical constants measured by the campaigns (the corpus maxima that play
-the role of the inequality constants) are frozen into a golden directory on
-first run and compared on later runs; bumping a frozen value requires an
-explicit flag.  The golden directory is taken from the STABLAB_GOLDEN_DIR
-environment variable unless given explicitly.
 """
 
 from __future__ import annotations
@@ -16,7 +10,6 @@ from __future__ import annotations
 import io
 import json
 import math
-import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -45,12 +38,8 @@ __all__ = [
     "run_theorem1",
     "run_theorem2",
     "verify_all",
-    "golden_dir",
-    "freeze_or_check",
-    "GOLDEN_ENV",
 ]
 
-GOLDEN_ENV = "STABLAB_GOLDEN_DIR"
 # schema line of each CSV, bumped when its columns change
 CSV_SCHEMAS = {"theorem1": "stablab-csv-v2", "theorem2": "stablab-csv-v3"}
 FAMILIES = ("spikes", "steps", "smooth", "mixture")
@@ -335,46 +324,6 @@ def run_theorem2(cfg: ExperimentConfig) -> tuple[str, dict]:
 
 
 # ---------------------------------------------------------------------------
-# golden (frozen) constants
-# ---------------------------------------------------------------------------
-
-
-def golden_dir(explicit: str | None = None) -> str | None:
-    return explicit if explicit is not None else os.environ.get(GOLDEN_ENV)
-
-
-def freeze_or_check(
-    name: str,
-    value: float,
-    directory: str | None = None,
-    rel_slack: float = 1e-9,
-    bump: bool = False,
-) -> tuple[float, bool]:
-    """Freeze a measured constant on first run, compare on later runs.
-
-    Returns (frozen_value, created).  Raises AssertionError when the new
-    value exceeds the frozen one beyond the slack and bumping is off.
-    """
-    directory = golden_dir(directory)
-    if directory is None:
-        return value, False
-    os.makedirs(directory, exist_ok=True)
-    path = os.path.join(directory, f"{name}.json")
-    if bump or not os.path.exists(path):
-        with open(path, "w") as fh:
-            json.dump({"name": name, "value": value}, fh, sort_keys=True)
-            fh.write("\n")
-        return value, True
-    with open(path) as fh:
-        frozen = float(json.load(fh)["value"])
-    if value > frozen * (1.0 + rel_slack) + 1e-15:
-        raise AssertionError(
-            f"frozen constant {name} regressed: measured {value!r} > frozen {frozen!r}"
-        )
-    return frozen, False
-
-
-# ---------------------------------------------------------------------------
 # verify_all: every module's invariant suite, machine-readable summary
 # ---------------------------------------------------------------------------
 
@@ -462,7 +411,7 @@ def _suite_cz(cfg: ExperimentConfig) -> tuple[int, list[str]]:
     return checks, failures
 
 
-def _suite_operators(cfg: ExperimentConfig, corrupt_adjoint: bool = False) -> tuple[int, list[str]]:
+def _suite_operators(cfg: ExperimentConfig) -> tuple[int, list[str]]:
     failures = []
     checks = 0
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 400]))
@@ -482,8 +431,6 @@ def _suite_operators(cfg: ExperimentConfig, corrupt_adjoint: bool = False) -> tu
             gp = GridFunction(rng.standard_normal(n))
             lhs = inner(apply(T, fp), gp)
             rhs = inner(fp, apply(Ts, gp))
-            if corrupt_adjoint:
-                rhs += 1e-3
             checks += 1
             if abs(lhs - rhs) > 1e-10 * max(1.0, abs(lhs)):
                 failures.append(f"adjoint_pairing:{kind}:{i}")
@@ -550,17 +497,13 @@ def _suite_dual(cfg: ExperimentConfig) -> tuple[int, list[str]]:
     return checks, failures
 
 
-def verify_all(cfg: ExperimentConfig, corrupt_adjoint: bool = False) -> dict:
-    """Run every module's invariant suite; returns a JSON-ready summary.
-
-    ``corrupt_adjoint`` is a fault-injection hook used by tests to prove the
-    gate actually fails when an operator identity breaks.
-    """
+def verify_all(cfg: ExperimentConfig) -> dict:
+    """Run every module's invariant suite; returns a JSON-ready summary."""
     suites = {
         "grid": _suite_grid(cfg),
         "distance": _suite_distance(cfg),
         "cz": _suite_cz(cfg),
-        "operators": _suite_operators(cfg, corrupt_adjoint=corrupt_adjoint),
+        "operators": _suite_operators(cfg),
         "stability": _suite_stability(cfg),
         "dual": _suite_dual(cfg),
     }

@@ -6,7 +6,6 @@ stays inside its runtime budgets.
 """
 
 import json
-import os
 import subprocess
 import sys
 import time
@@ -35,7 +34,7 @@ from stablab import (
     verify_cz,
 )
 from stablab.dual_search import certified
-from stablab.harness import default_config, freeze_or_check, generate_corpus, make_operator
+from stablab.harness import default_config, generate_corpus, make_operator
 from stablab.operators import adjoint, hilbert, nyquist_free
 from stablab.stability import DEGENERATE_TOL
 
@@ -140,7 +139,7 @@ def test_criterion_3_operator_algebra():
     print("\nACCEPTANCE 3 PASS: multiplier identities and adjoint pairings")
 
 
-def test_criterion_4_theorem1_exact_bounds_and_frozen_constant(theorem1_campaign):
+def test_criterion_4_theorem1_exact_bounds_and_frozen_constant(theorem1_campaign, frozen):
     start = time.time()
     cfg, rows = theorem1_campaign
     bound_p = 1.0 + 2.0 ** ((cfg.p - 1.0) / cfg.p)
@@ -150,9 +149,7 @@ def test_criterion_4_theorem1_exact_bounds_and_frozen_constant(theorem1_campaign
         assert rep.ratio_f <= 2.0 * (1 + 1e-9), (label, kind, s)
         assert np.isfinite(rep.ratio_T), (label, kind, s)
         worst_T = max(worst_T, rep.ratio_T)
-    frozen, created = freeze_or_check("theorem1_max_ratio_T", worst_T)
-    assert not created, "the theorem1_max_ratio_T golden is missing"
-    assert worst_T <= frozen * (1 + 1e-9) + 1e-15
+    frozen("theorem1_max_ratio_T", worst_T)
     elapsed = time.time() - start
     assert elapsed < 300.0
     print(
@@ -174,7 +171,7 @@ def test_criterion_5_level_identity(theorem1_campaign):
     print(f"\nACCEPTANCE 5 PASS: level identity on {checked} nondegenerate runs")
 
 
-def test_criterion_6_theorem2_certified_and_oracle_checked(theorem2_campaign):
+def test_criterion_6_theorem2_certified_and_oracle_checked(theorem2_campaign, frozen):
     start = time.time()
     cfg, results = theorem2_campaign
     worst_c = 0.0
@@ -189,9 +186,7 @@ def test_criterion_6_theorem2_certified_and_oracle_checked(theorem2_campaign):
     # the weak-duality exits about 82,000 and the extrapolated step about 7,200
     iterations = sum(res.iterations for *_, res in results)
     assert iterations <= 15_000, iterations
-    frozen_c, created = freeze_or_check("theorem2_max_c_star", worst_c)
-    assert not created, "the theorem2_max_c_star golden is missing"
-    assert worst_c <= frozen_c * (1 + 1e-9) + 1e-15
+    frozen("theorem2_max_c_star", worst_c)
 
     # the worked instance: constant 2, radius 1
     inst = make_instance(GridFunction.constant(2.0, 64), hilbert(64), 1.0, 2)
@@ -260,7 +255,7 @@ def test_criterion_8_support_mode():
     print(f"\nACCEPTANCE 8 PASS: all witnesses vanish off E exactly ({elapsed:.1f}s)")
 
 
-def test_criterion_9_graph_sequence_saturation_and_monotonicity():
+def test_criterion_9_graph_sequence_saturation_and_monotonicity(frozen):
     cfg = default_config()
     corpus = generate_corpus(cfg)
     worst_factor = 0.0
@@ -284,9 +279,7 @@ def test_criterion_9_graph_sequence_saturation_and_monotonicity():
                     worst_factor = max(worst_factor, nxt / prev)
                 else:
                     assert nxt <= 1e-12
-    frozen, created = freeze_or_check("graph_monotonicity_factor", worst_factor)
-    assert not created, "the graph_monotonicity_factor golden is missing"
-    assert worst_factor <= frozen * (1 + 1e-9) + 1e-15
+    frozen("graph_monotonicity_factor", worst_factor)
     print(
         f"\nACCEPTANCE 9 PASS: saturation exact, residual growth factor "
         f"{worst_factor:.6f} within frozen constant"
@@ -295,8 +288,6 @@ def test_criterion_9_graph_sequence_saturation_and_monotonicity():
 
 def test_criterion_10_verify_all_determinism(tmp_path):
     start = time.time()
-    env = dict(os.environ)
-    env.pop("STABLAB_GOLDEN_DIR", None)
     outputs = []
     for run in (1, 2):
         path = tmp_path / f"verify{run}.json"
@@ -304,7 +295,6 @@ def test_criterion_10_verify_all_determinism(tmp_path):
             [sys.executable, "-m", "stablab", "verify", "--out", str(path)],
             capture_output=True,
             text=True,
-            env=env,
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
         outputs.append(path.read_bytes())

@@ -4,13 +4,14 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import ScaleError, brute_force_distance
 from stablab import (
     GridFunction,
     dist_l1_to_lp_ball,
     dist_linf_to_lp_ball,
-    near_minimizer,
     norm,
 )
 from stablab.distance import FEAS_TOL
@@ -102,21 +103,6 @@ def test_oracle_equivalence_linf(rng):
         assert closed == pytest.approx(brute_force_distance(f, s, p, np.inf), abs=1e-6)
 
 
-def test_near_minimizer_dispatch(rng):
-    f = GridFunction(rng.standard_normal(8))
-    s = 0.5 * norm(f, 2)
-    clip = near_minimizer(f, s, 2, 1)
-    soft = near_minimizer(f, s, 2, np.inf)
-    assert clip == dist_l1_to_lp_ball(f, s, 2).minimizer
-    assert soft == dist_linf_to_lp_ball(f, s, 2).minimizer
-    assert norm(clip, 2) <= s * (1 + FEAS_TOL)
-    assert norm(soft, 2) <= s * (1 + FEAS_TOL)
-    big = near_minimizer(f, 10 * norm(f, 2), 2, 1)
-    assert big == f
-    with pytest.raises(ValueError):
-        near_minimizer(f, s, 2, 3)
-
-
 def test_minimizer_structure(rng):
     # ambient L^1 minimizers are clips, ambient L^inf minimizers are shrinks
     for _ in range(20):
@@ -173,6 +159,32 @@ def test_scale_covariance_far_from_unit_scale(solver, sigma, p):
     assert scaled.value / sigma == pytest.approx(unit.value, rel=1e-9)
     assert scaled.threshold / sigma == pytest.approx(unit.threshold, rel=1e-9)
     assert norm(scaled.minimizer, p) <= sigma * (1 + FEAS_TOL)
+
+
+@pytest.mark.parametrize("solver", [dist_l1_to_lp_ball, dist_linf_to_lp_ball])
+@settings(max_examples=100)
+@given(
+    p=st.floats(1.0, 64.0, exclude_min=True),
+    k=st.integers(1, 10),
+    magnitude=st.floats(-150.0, 150.0),
+    lam_exponent=st.floats(-3.0, 3.0),
+    ratio=st.floats(0.05, 1.5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_scaling_and_monotonicity_at_every_scale(solver, p, k, magnitude, lam_exponent, ratio, seed):
+    rng = np.random.default_rng(seed)
+    n = 2**k
+    unit_f = GridFunction(rng.standard_normal(n) * np.exp(rng.standard_normal(n)))
+    unit_s = ratio * norm(unit_f, p)
+    sigma = 10.0**magnitude
+    f, s = sigma * unit_f, sigma * unit_s
+    lam = 10.0**lam_exponent
+    size = norm(f, 1.0 if solver is dist_l1_to_lp_ball else np.inf)  # the solver's ambient norm
+    d = solver(f, s, p).value
+    # the same draw at unit scale, so the magnitude itself is a scaling too
+    assert abs(d - sigma * solver(unit_f, unit_s, p).value) <= 1e-8 * size
+    assert abs(solver(lam * f, lam * s, p).value - lam * d) <= 1e-8 * lam * size
+    assert solver(f, 1.5 * s, p).value <= d * (1 + 1e-9) + 1e-12 * size
 
 
 @pytest.mark.parametrize("solver", [dist_l1_to_lp_ball, dist_linf_to_lp_ball])

@@ -6,7 +6,6 @@ import pytest
 
 from stablab import (
     DyadicInterval,
-    Exponent,
     GridFunction,
     GridSet,
     dilate_interval,
@@ -144,9 +143,9 @@ def test_holder_inequality(rng):
     for _ in range(100):
         f = GridFunction(rng.standard_normal(n))
         g = GridFunction(rng.standard_normal(n))
-        p = Exponent(float(rng.uniform(1.01, 5.0)))
-        q = p.conjugate
-        assert abs(inner(f, g)) <= norm(f, p.p) * norm(g, q.p) * (1 + 1e-12)
+        p = float(rng.uniform(1.01, 5.0))
+        q = p / (p - 1.0)
+        assert abs(inner(f, g)) <= norm(f, p) * norm(g, q) * (1 + 1e-12)
 
 
 def test_norm_monotone_in_exponent(rng):
@@ -156,22 +155,6 @@ def test_norm_monotone_in_exponent(rng):
         lo, hi = sorted(rng.uniform(1.0, 8.0, size=2))
         assert norm(f, lo) <= norm(f, hi) * (1 + 1e-12)
     assert norm(f, 4.0) <= norm(f, np.inf) * (1 + 1e-12)
-
-
-def test_exponent_accepted_by_norm():
-    f = GridFunction([2.0, 0.0])
-    assert norm(f, Exponent(2.0)) == norm(f, 2.0)
-    assert norm(f, Exponent(math.inf)) == norm(f, np.inf)
-
-
-def test_exponent_conjugation():
-    assert Exponent(2.0).conjugate.p == 2.0
-    assert Exponent(1.0).conjugate.p == math.inf
-    assert Exponent(math.inf).conjugate.p == 1.0
-    for p in (1.5, 2.0, 3.0, 7.0):
-        assert Exponent(p).conjugate.conjugate.p == pytest.approx(p, rel=1e-15)
-    with pytest.raises(ValueError):
-        Exponent(0.5)
 
 
 def test_json_round_trips():

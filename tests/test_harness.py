@@ -6,13 +6,12 @@ import sys
 import numpy as np
 import pytest
 
-from stablab import GridFunction, GridSet, norm
+from stablab import GridFunction, GridSet, harness, norm
 from stablab.grid import DyadicInterval
 from stablab.harness import (
     ConfigError,
     ExperimentConfig,
     default_config,
-    freeze_or_check,
     generate_corpus,
     make_operator,
     run_theorem1,
@@ -165,23 +164,33 @@ def test_golden_csv_smoke_regression():
         assert fh.read() == csv_text
 
 
-def test_freeze_or_check_creates_then_compares(tmp_path):
-    directory = str(tmp_path)
-    value, created = freeze_or_check("demo_constant", 1.25, directory)
-    assert created and value == 1.25
-    value, created = freeze_or_check("demo_constant", 1.2, directory)
-    assert not created and value == 1.25
-    with pytest.raises(AssertionError):
-        freeze_or_check("demo_constant", 1.3, directory)
-    value, created = freeze_or_check("demo_constant", 1.3, directory, bump=True)
-    assert created and value == 1.3
+def test_frozen_compares_and_never_writes(frozen):
+    name = "theorem2_max_c_star"
+    path = os.path.join(GOLDEN, f"{name}.json")
+    with open(path, "rb") as fh:
+        before = fh.read()
+    value = json.loads(before)["value"]
+    # at or below the frozen value, and within the slack above it
+    assert frozen(name, value) == value
+    assert frozen(name, 0.5 * value) == value
+    assert frozen(name, value * (1 + 5e-10)) == value
+    with pytest.raises(pytest.fail.Exception, match="regressed") as regressed:
+        frozen(name, value * (1 + 1e-8))
+    assert json.dumps({"name": name, "value": value * (1 + 1e-8)}, sort_keys=True) in str(regressed.value)
+    with pytest.raises(pytest.fail.Exception, match="missing"):
+        frozen("no_such_constant", 1.0)
+    assert not os.path.exists(os.path.join(GOLDEN, "no_such_constant.json"))
+    with open(path, "rb") as fh:
+        assert fh.read() == before
 
 
-def test_verify_all_green_and_fault_injection():
+def test_verify_all_green_and_fault_injection(monkeypatch):
     cfg = small_config(cz_trials=40, probe_trials=20)
     summary = verify_all(cfg)
     assert summary["ok"]
-    broken = verify_all(cfg, corrupt_adjoint=True)
+    # T* = T breaks the pairing of the skew-adjoint Hilbert transform
+    monkeypatch.setattr(harness, "adjoint", lambda T: T)
+    broken = verify_all(cfg)
     assert not broken["ok"]
     assert broken["suites"]["operators"]["failures"] > 0
 
@@ -206,12 +215,8 @@ print(one["rows"], two["rows"])
     assert out.stdout.split() == ["12", "2"]
 
 
-def run_cli(*args, env=None):
-    cmd = [sys.executable, "-m", "stablab", *args]
-    merged = dict(os.environ)
-    if env:
-        merged.update(env)
-    return subprocess.run(cmd, capture_output=True, text=True, env=merged)
+def run_cli(*args):
+    return subprocess.run([sys.executable, "-m", "stablab", *args], capture_output=True, text=True)
 
 
 def test_cli_distance_json():
@@ -234,8 +239,14 @@ def test_cli_verify_exit_codes(tmp_path):
     cfg.write_text(small_config(cz_trials=20, probe_trials=10).to_json())
     ok = run_cli("verify", "--config", str(cfg))
     assert ok.returncode == 0
-    bad = run_cli("verify", "--config", str(cfg), "--inject-fault", "adjoint")
-    assert bad.returncode == 1
+    # the same fault as test_verify_all_green_and_fault_injection, behind the CLI
+    code = (
+        "import sys; from stablab import cli, harness; harness.adjoint = lambda T: T; "
+        f"sys.exit(cli.main(['verify', '--config', {str(cfg)!r}]))"
+    )
+    bad = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert bad.returncode == 1, bad.stderr
+    assert not json.loads(bad.stdout)["ok"]
 
 
 def test_cli_report_determinism(tmp_path):
@@ -243,11 +254,11 @@ def test_cli_report_determinism(tmp_path):
     cfg.write_text(
         small_config(dual_s_values=(2.0,), dual_operators=("hilbert",)).to_json()
     )
-    env = {"STABLAB_GOLDEN_DIR": str(tmp_path / "golden")}
-    first = run_cli("report", "--config", str(cfg), "--outdir", str(tmp_path / "r1"), env=env)
+    first = run_cli("report", "--config", str(cfg), "--outdir", str(tmp_path / "r1"))
     assert first.returncode == 0, first.stderr
-    second = run_cli("report", "--config", str(cfg), "--outdir", str(tmp_path / "r2"), env=env)
+    second = run_cli("report", "--config", str(cfg), "--outdir", str(tmp_path / "r2"))
     assert second.returncode == 0, second.stderr
+    assert set(json.loads(first.stdout)) == {"theorem1", "theorem2"}
     for name in ("theorem1.csv", "theorem2.csv", "summary.json"):
         a = (tmp_path / "r1" / name).read_bytes()
         b = (tmp_path / "r2" / name).read_bytes()

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stablab import (
     GridFunction,
@@ -17,7 +19,7 @@ from stablab import (
     operator_norm_estimate,
 )
 from stablab.grid import DimensionError
-from stablab.harness import freeze_or_check, make_operator
+from stablab.harness import make_operator
 from stablab.operators import LinearOperatorSpec, as_matrix, nyquist_free
 
 N = 128
@@ -62,6 +64,24 @@ def test_adjoint_pairing(rng):
             f = GridFunction(rng.standard_normal(N))
             g = GridFunction(rng.standard_normal(N))
             assert abs(inner(apply(T, f), g) - inner(f, apply(Ts, g))) <= 1e-10
+
+
+@settings(max_examples=200)
+@given(
+    kind=st.sampled_from(["hilbert", "haar_transform", "identity_minus_mean"]),
+    k=st.integers(1, 10),
+    f_magnitude=st.floats(-150.0, 150.0),
+    g_magnitude=st.floats(-150.0, 150.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_adjoint_pairing_at_every_scale(kind, k, f_magnitude, g_magnitude, seed):
+    n = 2**k
+    rng = np.random.default_rng(seed)
+    T = make_operator(kind, n, seed)  # seeded Haar signs
+    f = GridFunction(rng.standard_normal(n) * 10.0**f_magnitude)
+    g = GridFunction(rng.standard_normal(n) * 10.0**g_magnitude)
+    gap = abs(inner(apply(T, f), g) - inner(f, apply(adjoint(T), g)))
+    assert gap <= 1e-12 * norm(f, 2) * norm(g, 2)
 
 
 def test_adjoint_is_involution(rng):
@@ -147,7 +167,7 @@ def test_long_range_ratio_zero_for_zero_bad():
     assert long_range_ratio(hilbert(4), d) == 0.0
 
 
-def test_long_range_spec_dipole_big_cube():
+def test_long_range_spec_dipole_big_cube(frozen):
     # dipole on [0, 1/4): the factor-10 dilate saturates the circle, so the
     # outside mass is zero; the bound <= 1 holds with room to spare
     n = 256
@@ -156,11 +176,10 @@ def test_long_range_spec_dipole_big_cube():
     assert [(q.level, q.index) for q in d.cubes] == [(2, 0)]
     ratio = long_range_ratio(hilbert(n), d)
     assert ratio <= 1.0
-    _, created = freeze_or_check("long_range_hilbert_big_cube", ratio)
-    assert not created, "the long_range_hilbert_big_cube golden is missing"
+    frozen("long_range_hilbert_big_cube", ratio)
 
 
-def test_long_range_small_cube_frozen():
+def test_long_range_small_cube_frozen(frozen):
     # mass on the left half of [0, 1/64) gives a true dipole on a small cube
     n = 256
     f = GridFunction(np.where(np.arange(n) < n // 128, 128.0, 0.0))
@@ -176,11 +195,10 @@ def test_long_range_small_cube_frozen():
     assert got["identity_minus_mean"] == 0.0
     assert got["hilbert"] <= 1.0
     for kind, val in got.items():
-        _, created = freeze_or_check(f"long_range_small_cube_{kind}", val)
-        assert not created, f"the long_range_small_cube_{kind} golden is missing"
+        frozen(f"long_range_small_cube_{kind}", val)
 
 
-def test_long_range_campaign_frozen(rng):
+def test_long_range_campaign_frozen(rng, frozen):
     n = 256
     worst = {kind: 0.0 for kind in ("hilbert", "haar_transform", "identity_minus_mean")}
     ops = {kind: make_operator(kind, n, 5) for kind in worst}
@@ -197,8 +215,7 @@ def test_long_range_campaign_frozen(rng):
     assert worst["haar_transform"] <= 1e-15
     assert worst["identity_minus_mean"] <= 1e-15
     assert np.isfinite(worst["hilbert"])
-    _, created = freeze_or_check("long_range_campaign_hilbert", worst["hilbert"])
-    assert not created, "the long_range_campaign_hilbert golden is missing"
+    frozen("long_range_campaign_hilbert", worst["hilbert"])
 
 
 def test_dimension_mismatch_rejected():

@@ -14,7 +14,7 @@ from stablab import (
     norm,
 )
 from stablab.cz import ConsistencyError
-from stablab.harness import default_config, freeze_or_check, generate_corpus, make_operator
+from stablab.harness import default_config, generate_corpus, make_operator
 from stablab.stability import DEGENERATE_TOL
 
 
@@ -161,7 +161,7 @@ def test_kclosed_holder_diagnostic_holds(rng):
                 assert np.isfinite(val)
 
 
-def test_kclosed_random_split_campaign_frozen(rng):
+def test_kclosed_random_split_campaign_frozen(rng, frozen):
     cfg = default_config(n=256, s_count=3)
     worst = 0.0
     for label, f in generate_corpus(cfg):
@@ -179,8 +179,7 @@ def test_kclosed_random_split_campaign_frozen(rng):
             for val in (rep.ratio_h, rep.ratio_w_p, rep.ratio_Tw_p, rep.ratio_Th):
                 assert np.isfinite(val)
                 worst = max(worst, val)
-    _, created = freeze_or_check("kclosed_max_ratio", worst)
-    assert not created, "the kclosed_max_ratio golden is missing"
+    frozen("kclosed_max_ratio", worst)
 
 
 def test_graph_sequence_saturates():
@@ -201,7 +200,7 @@ def test_graph_sequence_requires_increasing_s():
         graph_approx_sequence(f, make_operator("hilbert", 2), [1.0, 1.0], 2)
 
 
-def test_graph_sequence_residuals_controlled(rng):
+def test_graph_sequence_residuals_controlled(rng, frozen):
     cfg = default_config(n=256)
     corpus = generate_corpus(cfg)
     worst_factor = 0.0
@@ -221,8 +220,7 @@ def test_graph_sequence_residuals_controlled(rng):
                     assert nxt <= 1e-12
         if s_list[-1] >= norm(f, cfg.p):
             assert resid[-1] == 0.0 and resid_T[-1] == 0.0
-    _, created = freeze_or_check("graph_monotonicity_factor", worst_factor)
-    assert not created, "the graph_monotonicity_factor golden is missing"
+    frozen("graph_monotonicity_factor", worst_factor)
 
 
 def test_report_serialization():
