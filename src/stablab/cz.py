@@ -64,13 +64,6 @@ class CzDecomposition:
             }
         )
 
-    @classmethod
-    def from_json(cls, text: str, f: GridFunction) -> "CzDecomposition":
-        """Rebuild the full decomposition from the serialized skeleton and f."""
-        obj = json.loads(text)
-        cubes = tuple(DyadicInterval.from_dict(d) for d in obj["cubes"])
-        return _assemble(f, float(obj["lambda"]), cubes, float(obj["dilation_factor"]))
-
 
 def _assemble(
     f: GridFunction,
@@ -124,7 +117,7 @@ def verify_cz(d: CzDecomposition, f: GridFunction, ps=(1.5, 2.0, 3.0, 4.0)) -> l
     if d.n != f.n:
         raise DimensionError(f"grid sizes differ: {d.n} vs {f.n}")
     resid = float(np.abs(d.good.values + d.bad.values - f.values).max())
-    scale = max(1.0, float(np.abs(f.values).max()))
+    scale = float(np.abs(f.values).max())  # tolerances relative to max |f|, at every magnitude
     if resid > 1e-6 * scale:
         raise ConsistencyError("decomposition does not add back to the supplied function")
 

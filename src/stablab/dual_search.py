@@ -59,7 +59,7 @@ from typing import Callable
 import numpy as np
 
 from .distance import dist_linf_to_lp_ball
-from .grid import DimensionError, GridFunction, GridSet, _rescaled_norm, inner, norm, power_mean
+from .grid import DimensionError, GridFunction, GridSet, _rescaled_norm, inner, mask, norm, power_mean
 from .operators import LinearOperatorSpec, adjoint, apply, apply_values, as_matrix
 
 __all__ = [
@@ -102,6 +102,7 @@ class DualInstance:
     r: float
     t: float
     Tstar_f: GridFunction
+    v0: GridFunction  # feasible's cold start: the sup-distance minimizer of f, zero off the support
     support: GridSet | None = None
     _appliers: tuple[Callable, Callable] | None = field(default=None, repr=False)
     # the largest weak-duality bound any feasible call on this instance found:
@@ -202,7 +203,7 @@ def make_instance(
     p,
     support: GridSet | None = None,
 ) -> DualInstance:
-    """Assemble a search instance; computes T*, T*f and the two sup distances."""
+    """Assemble a search instance: T*, T*f, the two sup distances and feasible's cold start."""
     s = float(s)
     if not s > 0:
         raise ValueError(f"ball radius must be positive, got {s}")
@@ -216,9 +217,10 @@ def make_instance(
             raise SupportError("f must vanish off the declared support set")
     Ts = adjoint(T)
     Tsf = apply(Ts, f)
-    r = 2.0 * dist_linf_to_lp_ball(f, s, p).value
+    near = dist_linf_to_lp_ball(f, s, p)
+    v0 = near.minimizer if support is None else mask(near.minimizer, support)
     t = 2.0 * dist_linf_to_lp_ball(Tsf, s, p).value
-    return DualInstance(f=f, Tstar=Ts, s=s, p=p, r=r, t=t, Tstar_f=Tsf, support=support)
+    return DualInstance(f=f, Tstar=Ts, s=s, p=p, r=2.0 * near.value, t=t, Tstar_f=Tsf, v0=v0, support=support)
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +324,7 @@ def _dual_bound(inst: DualInstance, a: np.ndarray, b: np.ndarray) -> float:
     if inst.support is not None:
         z[~inst.support.membership] = 0.0
     az = np.abs(z)
-    size = float(az.max()) if inst.p == 1.0 else power_mean(az, inst.p / (inst.p - 1.0))
+    size = power_mean(az, inst.p / (inst.p - 1.0))
     denom = inst.r * float(np.abs(a).sum()) / n + (inst.t + inst.r) * float(np.abs(b).sum()) / n + inst.s * size
     return pairing / denom if denom > 0.0 else 0.0
 
@@ -375,9 +377,7 @@ def feasible(
     Ts = inst.apply_tstar
 
     if x0 is None:
-        v = dist_linf_to_lp_ball(inst.f, inst.s, inst.p).minimizer.values
-        if sup_mask is not None:
-            v = np.where(sup_mask, v, 0.0)
+        v = inst.v0.values
         w = Ts(v)
     else:
         v, w = x0[0].copy(), x0[1].copy()

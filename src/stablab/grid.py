@@ -131,17 +131,6 @@ class DyadicInterval:
     def center(self) -> float:
         return (self.index + 0.5) * self.length
 
-    def parent(self) -> "DyadicInterval":
-        if self.level == 0:
-            raise ValueError("the root interval has no parent")
-        return DyadicInterval(self.level - 1, self.index // 2)
-
-    def children(self) -> tuple["DyadicInterval", "DyadicInterval"]:
-        return (
-            DyadicInterval(self.level + 1, 2 * self.index),
-            DyadicInterval(self.level + 1, 2 * self.index + 1),
-        )
-
     def cell_slice(self, n: int) -> slice:
         """Half-open cell index range [start, stop) on a grid of n cells."""
         per = n >> self.level
@@ -158,14 +147,10 @@ class DyadicInterval:
         return self.contains(other) or other.contains(self) or self.disjoint(other)
 
     def disjoint(self, other: "DyadicInterval") -> bool:
-        return not (self.contains(other) or other.contains(self))
+        return self.right <= other.left or other.right <= self.left
 
     def to_dict(self) -> dict:
         return {"level": self.level, "index": self.index}
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "DyadicInterval":
-        return cls(int(obj["level"]), int(obj["index"]))
 
 
 @dataclass(frozen=True, eq=False)

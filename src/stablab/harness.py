@@ -27,7 +27,7 @@ from .operators import (
     identity_minus_mean,
     nyquist_free,
 )
-from .stability import bourgain_construct
+from .stability import THEOREM1_DILATION, bourgain_construct
 
 __all__ = [
     "ExperimentConfig",
@@ -44,14 +44,15 @@ __all__ = [
 CSV_SCHEMAS = {"theorem1": "stablab-csv-v2", "theorem2": "stablab-csv-v3"}
 FAMILIES = ("spikes", "steps", "smooth", "mixture")
 SUPPORT_LEFT_HALF = "left-half"
+# trials of verify's cz suite and of its operator probes per kind
+CZ_TRIALS = 200
+PROBE_TRIALS = 100
 # The JSON layout of ExperimentConfig: section -> {JSON key: field}, with the
 # top level under None.  "corpus", {family: count} for corpus_counts, is the
 # one section outside the table.
 _LAYOUT = {
-    None: {key: key for key in (
-        "seed", "n", "p", "operators", "dilation_factor", "support", "cz_trials", "probe_trials",
-    )},
-    "s_sweep": {"min": "s_min", "max": "s_max", "count": "s_count", "log": "s_log"},
+    None: {key: key for key in ("seed", "n", "p", "operators", "support")},
+    "s_sweep": {"min": "s_min", "max": "s_max", "count": "s_count"},
     "dual": {
         "s_values": "dual_s_values", "operators": "dual_operators", "per_family": "dual_corpus_per_family",
         "tol": "dual_tol",
@@ -81,21 +82,17 @@ class ExperimentConfig:
     s_min: float = 1.0
     s_max: float = 32.0
     s_count: int = 20
-    s_log: bool = True
     corpus_counts: tuple[tuple[str, int], ...] = (
         ("spikes", 3),
         ("steps", 3),
         ("smooth", 3),
         ("mixture", 3),
     )
-    dilation_factor: float = 10.0
     dual_s_values: tuple[float, ...] = (0.5, 1.0, 2.0, 4.0)
     dual_operators: tuple[str, ...] = ("hilbert", "haar_transform")
     dual_corpus_per_family: int = 1
     dual_tol: float = 1e-2
     support: str | None = None  # None or "left-half"
-    cz_trials: int = 200
-    probe_trials: int = 100
 
     def __post_init__(self):
         if self.n < 2 or (self.n & (self.n - 1)) != 0:
@@ -114,15 +111,11 @@ class ExperimentConfig:
             raise ConfigError(f"unsupported support choice {self.support!r}")
 
     def s_values(self) -> list[float]:
+        """s_count radii from s_min to s_max, evenly spaced in log s."""
         if self.s_count == 1:
             return [float(self.s_min)]
-        if self.s_log:
-            lo, hi = math.log(self.s_min), math.log(self.s_max)
-            return [math.exp(lo + (hi - lo) * i / (self.s_count - 1)) for i in range(self.s_count)]
-        return [
-            self.s_min + (self.s_max - self.s_min) * i / (self.s_count - 1)
-            for i in range(self.s_count)
-        ]
+        lo, hi = math.log(self.s_min), math.log(self.s_max)
+        return [math.exp(lo + (hi - lo) * i / (self.s_count - 1)) for i in range(self.s_count)]
 
     def to_json(self) -> str:
         obj = {"corpus": dict(self.corpus_counts)}
@@ -399,11 +392,11 @@ def _suite_cz(cfg: ExperimentConfig) -> tuple[int, list[str]]:
     failures = []
     checks = 0
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 300]))
-    for i in range(cfg.cz_trials):
+    for i in range(CZ_TRIALS):
         n = int(rng.choice([64, 256]))
         f = GridFunction(rng.standard_normal(n) * np.exp(rng.standard_normal(n)))
         lam = norm(f, 1) * float(10.0 ** rng.uniform(0.0, 2.0))
-        d = cz_mod.cz_decompose(f, lam, cfg.dilation_factor)
+        d = cz_mod.cz_decompose(f, lam, THEOREM1_DILATION)
         for check in cz_mod.verify_cz(d, f):
             checks += 1
             if not check.passed:
@@ -426,7 +419,7 @@ def _suite_operators(cfg: ExperimentConfig) -> tuple[int, list[str]]:
     for kind in cfg.operators:
         T = make_operator(kind, n, cfg.seed)
         Ts = adjoint(T)
-        for i in range(cfg.probe_trials):
+        for i in range(PROBE_TRIALS):
             fp = GridFunction(rng.standard_normal(n))
             gp = GridFunction(rng.standard_normal(n))
             lhs = inner(apply(T, fp), gp)

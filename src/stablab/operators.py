@@ -18,7 +18,6 @@ taking adjoints moves the mask to the input side.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -83,48 +82,6 @@ class LinearOperatorSpec:
             raise DimensionError("restriction set lives on a different grid")
         if self.restriction_side not in ("output", "input"):
             raise ValueError(f"restriction_side must be 'output' or 'input', got {self.restriction_side!r}")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LinearOperatorSpec):
-            return False
-        same_restriction = (
-            (self.restriction is None and other.restriction is None)
-            or (self.restriction is not None and self.restriction == other.restriction)
-        )
-        return (
-            self.kind == other.kind
-            and self.n == other.n
-            and self.signs == other.signs
-            and same_restriction
-            and (self.restriction is None or self.restriction_side == other.restriction_side)
-            and self.negate == other.negate
-        )
-
-    def to_json(self) -> str:
-        obj: dict = {"kind": self.kind, "n": self.n}
-        if self.signs is not None:
-            obj["signs"] = list(self.signs)
-        if self.restriction is not None:
-            obj["restriction"] = [int(b) for b in self.restriction.membership]
-            obj["restriction_side"] = self.restriction_side
-        if self.negate:
-            obj["negate"] = True
-        return json.dumps(obj)
-
-    @classmethod
-    def from_json(cls, text: str) -> "LinearOperatorSpec":
-        obj = json.loads(text)
-        restriction = None
-        if obj.get("restriction") is not None:
-            restriction = GridSet(np.asarray(obj["restriction"], dtype=bool))
-        return cls(
-            kind=obj["kind"],
-            n=int(obj["n"]),
-            signs=tuple(obj["signs"]) if obj.get("signs") is not None else None,
-            restriction=restriction,
-            restriction_side=obj.get("restriction_side", "output"),
-            negate=bool(obj.get("negate", False)),
-        )
 
 
 def hilbert(n: int, restriction: GridSet | None = None) -> LinearOperatorSpec:

@@ -1,10 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import reference_cz_cubes
-from stablab import CzDecomposition, GridFunction, cz_decompose, norm, verify_cz
+from stablab import GridFunction, cz_decompose, norm, verify_cz
 from stablab.cz import ConsistencyError, all_passed
 from stablab.grid import DyadicInterval, dyadic_means
 
@@ -79,7 +81,8 @@ def test_additivity_and_disjointness_details(rng):
     for q in d.cubes:
         covered[q.cell_slice(128)] += 1
         if q.level > 0:
-            parent_avg = float(np.abs(f.values[q.parent().cell_slice(128)]).mean())
+            parent = DyadicInterval(q.level - 1, q.index // 2)
+            parent_avg = float(np.abs(f.values[parent.cell_slice(128)]).mean())
             assert parent_avg <= lam  # maximality
         assert float(np.abs(f.values[q.cell_slice(128)]).mean()) > lam
     assert covered.max() <= 1
@@ -112,15 +115,14 @@ def test_verify_rejects_wrong_function(rng):
         verify_cz(d, f + GridFunction.constant(5.0, 64))
 
 
-def test_json_round_trip(rng):
-    f = spiky(rng, 64)
-    d = cz_decompose(f, norm(f, 1) * 2.0, dilation_factor=4.0)
-    rebuilt = CzDecomposition.from_json(d.to_json(), f)
-    assert rebuilt.cubes == d.cubes
-    assert rebuilt.good == d.good
-    assert rebuilt.bad == d.bad
-    assert rebuilt.omega == d.omega
-    assert rebuilt.dilation_factor == 4.0
+@pytest.mark.parametrize("scale", [1.0, 1e-150])
+def test_verify_rejects_a_corrupted_bad_part_at_every_scale(scale):
+    f = GridFunction(scale * np.random.default_rng(3).standard_normal(64))
+    d = cz_decompose(f, 3.0 * norm(f, 1))
+    # 100 times the size of f added to every cell of the bad part
+    corrupted = replace(d, bad=GridFunction(d.bad.values + 100.0 * scale))
+    with pytest.raises(ConsistencyError):
+        verify_cz(corrupted, f)
 
 
 @settings(max_examples=200)

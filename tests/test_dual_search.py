@@ -48,7 +48,10 @@ def test_make_instance_worked_example():
 def test_make_instance_support_check():
     E = GridSet.from_interval(DyadicInterval(1, 0), 8)
     good = GridFunction([1.0, 2.0, 0.5, 1.0, 0, 0, 0, 0])
-    make_instance(good, make_operator("hilbert", 8), 1.0, 2, E)
+    inst = make_instance(good, make_operator("hilbert", 8), 1.0, 2, E)
+    # the cold start is the sup-distance minimizer of f, zero off E
+    assert inst.v0 == dist_linf_to_lp_ball(good, 1.0, 2).minimizer
+    assert np.all(inst.v0.values[~E.membership] == 0.0)
     bad = GridFunction([1.0, 2.0, 0.5, 1.0, 0, 0, 0.1, 0])
     with pytest.raises(SupportError):
         make_instance(bad, make_operator("hilbert", 8), 1.0, 2, E)
@@ -59,6 +62,13 @@ def test_make_instance_rejects_restricted_operator():
     f = GridFunction.constant(2.0, 8)
     with pytest.raises(ValueError, match="unrestricted"):
         make_instance(f, hilbert(8, restriction=E), 1.0, 2)
+
+
+@pytest.mark.parametrize("p", [1.0, 0.5])
+def test_make_instance_rejects_p_at_most_one(p):
+    f = GridFunction.constant(2.0, 8)
+    with pytest.raises(ValueError, match="finite and > 1"):
+        make_instance(f, make_operator("hilbert", 8), 1.0, p)
 
 
 GRAPH_OPERATORS = {

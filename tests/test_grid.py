@@ -132,10 +132,10 @@ def test_nesting_law_exhaustive_levels_to_six():
 def test_interval_geometry():
     q = DyadicInterval(3, 5)
     assert q.left == 5 / 8 and q.right == 6 / 8 and q.length == 1 / 8
-    assert q.parent() == DyadicInterval(2, 2)
-    kids = q.children()
-    assert kids == (DyadicInterval(4, 10), DyadicInterval(4, 11))
     assert q.cell_slice(16) == slice(10, 12)
+    # half-open, so intervals that only touch are disjoint
+    assert q.disjoint(DyadicInterval(3, 6)) and q.disjoint(DyadicInterval(2, 1))
+    assert not q.disjoint(DyadicInterval(2, 2)) and not q.disjoint(DyadicInterval(4, 11))
 
 
 def test_holder_inequality(rng):

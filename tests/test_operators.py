@@ -89,7 +89,10 @@ def test_adjoint_is_involution(rng):
     specs = all_kinds() + [hilbert(N, restriction=E), haar_transform(N, restriction=E)]
     for T in specs:
         TT = adjoint(adjoint(T))
-        assert TT == T
+        assert (TT.kind, TT.n, TT.signs, TT.restriction, TT.restriction_side, TT.negate) == (
+            T.kind, T.n, T.signs, T.restriction, T.restriction_side, T.negate
+        )
+        assert as_matrix(TT).tobytes() == as_matrix(T).tobytes()
         f = GridFunction(rng.standard_normal(N))
         assert norm(apply(TT, f) - apply(T, f), np.inf) <= 1e-14
 
@@ -230,15 +233,6 @@ def test_spec_validation():
         LinearOperatorSpec("haar_transform", 8, signs=(1, 1))
     with pytest.raises(ValueError):
         LinearOperatorSpec("hilbert", 8, signs=(1,) * 7)
-
-
-def test_json_round_trip(rng):
-    E = GridSet(np.arange(N) < N // 2)
-    for T in [hilbert(N), make_operator("haar_transform", N, 9), hilbert(N, restriction=E), adjoint(hilbert(N))]:
-        back = LinearOperatorSpec.from_json(T.to_json())
-        assert back == T
-        f = GridFunction(rng.standard_normal(N))
-        assert norm(apply(back, f) - apply(T, f), np.inf) == 0.0
 
 
 @pytest.mark.parametrize("n", [8, 256, 1024])
