@@ -18,7 +18,7 @@ import numpy as np
 from .cz import cz_decompose
 from .distance import dist_l1_to_lp_ball, dist_linf_to_lp_ball
 from .dual_search import make_instance, min_constant
-from .grid import DyadicInterval, GridFunction, GridSet
+from .grid import DimensionError, DyadicInterval, GridFunction, GridSet, mask
 from .harness import (
     ExperimentConfig,
     SUPPORT_LEFT_HALF,
@@ -98,7 +98,10 @@ def _load_support(args, cfg: ExperimentConfig) -> GridSet | None:
     if args.support == SUPPORT_LEFT_HALF:
         return GridSet.from_interval(DyadicInterval(1, 0), cfg.n)
     with _input_errors(), open(args.support) as fh:
-        return GridSet.from_json(fh.read())
+        support = GridSet.from_json(fh.read())
+        if support.n != cfg.n:
+            raise DimensionError(f"support mask has {support.n} cells, the grid has n={cfg.n}")
+    return support
 
 
 def _emit(args, text: str) -> None:
@@ -144,8 +147,8 @@ def _cmd_redecompose(args) -> int:
     cfg = _load_config(args)
     f = _load_function(args, cfg)
     T = make_operator(args.operator or cfg.operators[0], cfg.n, cfg.seed)
-    Tf = apply(T, f)
     with _input_errors():
+        Tf = apply(T, f)
         u1 = dist_l1_to_lp_ball(f, args.s, cfg.p).minimizer
         v1 = dist_l1_to_lp_ball(Tf, args.s, cfg.p).minimizer
         _, _, report = kclosed_redecompose(f, T, (f - u1, Tf - v1, u1, v1), cfg.p)
@@ -159,7 +162,8 @@ def _cmd_dual(args) -> int:
     f = _load_function(args, cfg, support)
     if support is not None and args.input:
         # user-supplied functions are masked and renormalized onto the set
-        masked = np.where(support.membership, f.values, 0.0)
+        with _input_errors():
+            masked = mask(f, support).values
         total = np.abs(masked).mean()
         f = GridFunction(masked / total if total > 0 else masked)
     T = make_operator(args.operator or cfg.dual_operators[0], cfg.n, cfg.seed)

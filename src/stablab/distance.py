@@ -1,15 +1,16 @@
 """Distance from a grid function to an L^p ball, with exact minimizers.
 
-Two functionals are computed, both by bisection on a scalar threshold:
+Two functionals are computed, each from an exact scalar threshold:
 
 * distance in L^1 to the ball B_p(s): the optimal competitor is a hard
   clip of f at a uniform level tau, because minimizing
   |f_i - g_i| + mu |g_i|^p cell by cell gives g_i = sign(f_i) min(|f_i|, tau)
-  with tau depending only on the multiplier mu;
+  with tau depending only on the multiplier mu, and tau has a closed form
+  once |f| is sorted;
 * distance in L^inf to B_p(s): the cheapest way to shrink the p-norm while
   moving at most eps in sup norm is the soft threshold
   g_i = sign(f_i) (|f_i| - eps)_+, so the distance is the smallest feasible
-  eps.
+  eps, the root of a convex decreasing map that Newton's method finds.
 
 Both characterizations are cross-validated in the tests against a generic
 convex solver that knows nothing about thresholds (``brute_force_distance``
@@ -32,7 +33,7 @@ __all__ = [
     "dist_linf_to_lp_ball",
 ]
 
-BISECTION_TOL = 1e-12
+BISECTION_TOL = 1e-12  # the stability suite's degeneracy threshold; no solve here bisects
 FEAS_TOL = 1e-9
 
 
@@ -88,34 +89,13 @@ def _check_finite_p(p) -> float:
     return p
 
 
-def _bisect(low_side, av: np.ndarray, s: float) -> tuple[float, float]:
-    """Bracket [lo, hi] of [0, max av] around the threshold t at which the
-    monotone test ``low_side(values, radius, t)`` turns from True to False.
-
-    The search runs in units of min(1, max av), so its stopping width
-    BISECTION_TOL is absolute above unit scale and relative below it; it
-    also stops when lo and hi are adjacent floats.
-    """
-    unit = min(1.0, float(av.max()))
-    au, su = av / unit, s / unit
-    lo, hi = 0.0, float(au.max())
-    while hi - lo > BISECTION_TOL:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        if low_side(au, su, mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo * unit, hi * unit
-
-
 def dist_l1_to_lp_ball(f: GridFunction, s: float, p) -> DistanceResult:
     """L^1 distance from f to the ball of radius s in L^p, 1 < p < inf.
 
-    The map tau -> norm(clip_tau f, p) is nondecreasing, so the active
-    threshold is found by bisection; the returned threshold is the smallest
-    one attaining the optimal value (the feasible end of the final bracket).
+    With the k largest |f| clipped, the clip level solves
+    k tau^p + sum_{i > k} |f|_(i)^p = n s^p; the answer is the first k whose
+    tau reaches the largest unclipped cell.  In units of s, tau lies in
+    [1, n^(1/p)], so only cells that end up clipped can overflow.
     """
     s = _check_s(s)
     p = _check_finite_p(p)
@@ -126,7 +106,12 @@ def dist_l1_to_lp_ball(f: GridFunction, s: float, p) -> DistanceResult:
         return DistanceResult(norm(f, 1), g, s, p, 1.0, 0.0)
     if norm(f, p) <= s:
         return DistanceResult(0.0, f, s, p, 1.0, sup)
-    tau, _ = _bisect(lambda a, r, t: power_mean(np.minimum(a, t), p) <= r, av, s)
+    with np.errstate(over="ignore"):
+        bp = (np.sort(av)[::-1] / s) ** p
+        tail = np.append(np.cumsum(bp[:0:-1])[::-1], 0.0)  # sum of bp past the k-th cell
+    tau_p = (f.n - tail) / np.arange(1, f.n + 1)
+    k = int(np.argmax(tau_p >= np.append(bp[1:], 0.0)))
+    tau = s * float(tau_p[k]) ** (1.0 / p)
     g = GridFunction(_hard_clip(f.values, tau))
     value = float(np.mean(np.maximum(av - tau, 0.0)))
     return DistanceResult(value, g, s, p, 1.0, tau)
@@ -135,15 +120,28 @@ def dist_l1_to_lp_ball(f: GridFunction, s: float, p) -> DistanceResult:
 def dist_linf_to_lp_ball(f: GridFunction, s: float, p) -> DistanceResult:
     """Sup-norm distance from f to the ball of radius s in L^p, 1 < p < inf.
 
-    Feasibility of the soft threshold is monotone nonincreasing in eps;
-    bisection returns the smallest feasible eps within tolerance.
+    eps -> power_mean((|f| - eps)_+, p) is convex and decreasing, so Newton
+    from eps = 0 rises monotonically to its root at s; it stops when a step
+    no longer moves eps up.  The work runs in units of max |f|, and the step
+    (g - s) / mean((x/g)^(p-1)) cannot overflow because x/g <= n^(1/p).
     """
     s = _check_s(s)
     p = _check_finite_p(p)
     av = np.abs(f.values)
     if norm(f, p) <= s:
         return DistanceResult(0.0, f, s, p, math.inf, 0.0)
-    _, eps = _bisect(lambda a, r, t: power_mean(np.maximum(a - t, 0.0), p) > r, av, s)
+    sup = float(av.max())
+    if s == 0.0:
+        return DistanceResult(sup, GridFunction.zeros(f.n), s, p, math.inf, sup)
+    au, su, eps = av / sup, s / sup, 0.0
+    while True:
+        x = np.maximum(au - eps, 0.0)
+        g = power_mean(x, p)
+        new = eps + (g - su) / float(np.mean((x / g) ** (p - 1.0)))
+        if not new > eps:  # a rounding overshoot of the root gets one step back
+            eps = min(eps, new)
+            break
+        eps = new
+    eps *= sup
     g = GridFunction(_soft_threshold(f.values, eps))
     return DistanceResult(eps, g, s, p, math.inf, eps)
-

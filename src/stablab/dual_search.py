@@ -59,7 +59,7 @@ from typing import Callable
 import numpy as np
 
 from .distance import dist_linf_to_lp_ball
-from .grid import DimensionError, GridFunction, GridSet, _rescaled_norm, inner, mask, norm, power_mean
+from .grid import DimensionError, GridFunction, GridSet, inner, mask, norm, power_mean
 from .operators import LinearOperatorSpec, adjoint, apply, apply_values, as_matrix
 
 __all__ = [
@@ -205,8 +205,8 @@ def make_instance(
 ) -> DualInstance:
     """Assemble a search instance: T*, T*f, the two sup distances and feasible's cold start."""
     s = float(s)
-    if not s > 0:
-        raise ValueError(f"ball radius must be positive, got {s}")
+    if not 0 < s < math.inf:
+        raise ValueError(f"ball radius must be positive and finite, got {s}")
     if T.restriction is not None:
         raise ValueError("the dual search needs an unrestricted operator: chi_E T has no closed-form graph projection")
     p = float(p)
@@ -231,26 +231,24 @@ def make_instance(
 def project_lp_ball(values: np.ndarray, radius: float, p: float) -> np.ndarray:
     """Euclidean projection onto {v : norm(v, p) <= radius} (normalized norm).
 
-    p = 2 is the radial scaling, with the size rescaled by max |v_i| when
-    the direct mean square overflows or underflows.  Other p solve the KKT
-    system in units of the radius, so that no power of an input size is
-    formed: x = radius * y with y_i + nu y_i^(p-1) = |v_i| / radius and
-    sum y^p = n, which caps every y_i at n^(1/p).  log2 nu is bisected over
-    [-1000, 1000] in 80 steps, each y_i found by a 60-step inner bisection,
-    and y is scaled down when sum y^p still exceeds n.
+    p = 2 is the radial scaling, by the scale-safe size of ``power_mean``.
+    Other p solve the KKT system in units of the radius, so that no power of
+    an input size is formed: x = radius * y with
+    y_i + nu y_i^(p-1) = |v_i| / radius and sum y^p = n, which caps every y_i
+    at n^(1/p).  log2 nu is bisected over [-1000, 1000] in 80 steps, each
+    y_i found by a 60-step inner bisection, and y is scaled down when
+    sum y^p still exceeds n.
     """
     n = values.size
     if radius <= 0.0:
         return np.zeros(n)
     p = float(p)
-    if p == 2.0:
-        size = _rescaled_norm(math.sqrt(float((values * values).sum() / n)), values, 2.0)
-        if size <= radius:
-            return values.copy()
-        return values * (radius / size)
     av = np.abs(values)
-    if power_mean(av, p) <= radius:
+    size = power_mean(av, p)
+    if size <= radius:
         return values.copy()
+    if p == 2.0:
+        return values * (radius / size)
     b = av / radius
     top = np.minimum(b, n ** (1.0 / p))
     e_lo, e_hi = -1000.0, 1000.0

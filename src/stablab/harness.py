@@ -7,6 +7,7 @@ identical configs produce byte-identical reports.
 
 from __future__ import annotations
 
+import functools
 import io
 import json
 import math
@@ -208,16 +209,19 @@ def generate_corpus(cfg: ExperimentConfig, support: GridSet | None = None) -> li
     return out
 
 
-def make_operator(kind: str, n: int, seed: int = 0, restriction: GridSet | None = None) -> LinearOperatorSpec:
-    """Operator factory; haar_transform gets seeded +-1 signs per scale/position."""
+@functools.lru_cache(maxsize=None)
+def make_operator(kind: str, n: int, seed: int = 0) -> LinearOperatorSpec:
+    """Operator factory; haar_transform gets seeded +-1 signs per scale/position.
+
+    Specs are immutable, so equal calls share one (a Haar spec is 64 KB at n = 4096)."""
     if kind == "hilbert":
-        return hilbert(n, restriction)
+        return hilbert(n)
     if kind == "identity_minus_mean":
-        return identity_minus_mean(n, restriction)
+        return identity_minus_mean(n)
     if kind == "haar_transform":
         rng = np.random.default_rng(np.random.SeedSequence([seed, 1713]))
         signs = rng.choice([-1, 1], size=n - 1)
-        return haar_transform(n, signs, restriction)
+        return haar_transform(n, signs)
     raise ConfigError(f"unknown operator kind {kind!r}")
 
 

@@ -18,6 +18,11 @@ feasible earlier.  ``reference_project_lp_ball`` is the projection's earlier
 direct path for p != 2: a linear bisection on the multiplier, with no
 rescaling, so it is a reference at unit scale only.
 
+``reference_dist_l1_to_lp_ball`` and ``reference_dist_linf_to_lp_ball`` are
+verbatim copies of the earlier distance solvers, which bisected the clip and
+shrink levels with an absolute stopping width (``_reference_bisect``).  The
+library's exact solves must agree with them to within that width.
+
 ``reference_cz_cubes`` is the stopping-time selection of ``cz_decompose`` in
 its earlier form: a Python stack that visits the dyadic nodes one at a time,
 root first, and stops at the first node whose mean of |f| exceeds the level.
@@ -32,9 +37,17 @@ import math
 import numpy as np
 from scipy.optimize import minimize
 
-from stablab.distance import _check_finite_p, _check_s, dist_linf_to_lp_ball
+from stablab.distance import (
+    BISECTION_TOL,
+    DistanceResult,
+    _check_finite_p,
+    _check_s,
+    _hard_clip,
+    _soft_threshold,
+    dist_linf_to_lp_ball,
+)
 from stablab.dual_search import MAX_ITER, FEAS_TOL, DualInstance, FeasibilityOutcome, _certify
-from stablab.grid import DyadicInterval, GridFunction, dyadic_means, norm
+from stablab.grid import DyadicInterval, GridFunction, dyadic_means, norm, power_mean
 from stablab.operators import as_matrix
 
 
@@ -138,6 +151,66 @@ def reference_project_lp_ball(values: np.ndarray, radius: float, p: float) -> np
     if total > cap and total > 0:
         y *= (cap / total) ** (1.0 / p)  # land exactly inside
     return np.sign(values) * y
+
+
+def _reference_bisect(low_side, av: np.ndarray, s: float) -> tuple[float, float]:
+    """Bracket [lo, hi] of [0, max av] around the threshold t at which the
+    monotone test ``low_side(values, radius, t)`` turns from True to False.
+
+    The search runs in units of min(1, max av), so its stopping width
+    BISECTION_TOL is absolute above unit scale and relative below it; it
+    also stops when lo and hi are adjacent floats.
+    """
+    unit = min(1.0, float(av.max()))
+    au, su = av / unit, s / unit
+    lo, hi = 0.0, float(au.max())
+    while hi - lo > BISECTION_TOL:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if low_side(au, su, mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo * unit, hi * unit
+
+
+def reference_dist_l1_to_lp_ball(f: GridFunction, s: float, p) -> DistanceResult:
+    """L^1 distance from f to the ball of radius s in L^p, 1 < p < inf.
+
+    The map tau -> norm(clip_tau f, p) is nondecreasing, so the active
+    threshold is found by bisection; the returned threshold is the smallest
+    one attaining the optimal value (the feasible end of the final bracket).
+    """
+    s = _check_s(s)
+    p = _check_finite_p(p)
+    av = np.abs(f.values)
+    sup = float(av.max())
+    if s == 0.0:
+        g = GridFunction.zeros(f.n)
+        return DistanceResult(norm(f, 1), g, s, p, 1.0, 0.0)
+    if norm(f, p) <= s:
+        return DistanceResult(0.0, f, s, p, 1.0, sup)
+    tau, _ = _reference_bisect(lambda a, r, t: power_mean(np.minimum(a, t), p) <= r, av, s)
+    g = GridFunction(_hard_clip(f.values, tau))
+    value = float(np.mean(np.maximum(av - tau, 0.0)))
+    return DistanceResult(value, g, s, p, 1.0, tau)
+
+
+def reference_dist_linf_to_lp_ball(f: GridFunction, s: float, p) -> DistanceResult:
+    """Sup-norm distance from f to the ball of radius s in L^p, 1 < p < inf.
+
+    Feasibility of the soft threshold is monotone nonincreasing in eps;
+    bisection returns the smallest feasible eps within tolerance.
+    """
+    s = _check_s(s)
+    p = _check_finite_p(p)
+    av = np.abs(f.values)
+    if norm(f, p) <= s:
+        return DistanceResult(0.0, f, s, p, math.inf, 0.0)
+    _, eps = _reference_bisect(lambda a, r, t: power_mean(np.maximum(a - t, 0.0), p) > r, av, s)
+    g = GridFunction(_soft_threshold(f.values, eps))
+    return DistanceResult(eps, g, s, p, math.inf, eps)
 
 
 def reference_cz_cubes(f: GridFunction, level: float) -> tuple[DyadicInterval, ...]:

@@ -4,10 +4,10 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import ScaleError, brute_force_distance
+from oracles import ScaleError, brute_force_distance, reference_dist_l1_to_lp_ball, reference_dist_linf_to_lp_ball
 from stablab import (
     GridFunction,
     dist_l1_to_lp_ball,
@@ -15,6 +15,7 @@ from stablab import (
     norm,
 )
 from stablab.distance import FEAS_TOL
+from stablab.grid import power_mean
 
 
 def random_instance(rng, sizes=(2, 4)):
@@ -185,6 +186,29 @@ def test_scaling_and_monotonicity_at_every_scale(solver, p, k, magnitude, lam_ex
     assert abs(d - sigma * solver(unit_f, unit_s, p).value) <= 1e-8 * size
     assert abs(solver(lam * f, lam * s, p).value - lam * d) <= 1e-8 * lam * size
     assert solver(f, 1.5 * s, p).value <= d * (1 + 1e-9) + 1e-12 * size
+
+
+@settings(max_examples=200)
+@given(
+    p=st.floats(1.0, 64.0, exclude_min=True),
+    k=st.integers(1, 12),
+    magnitude=st.floats(-150.0, 150.0),
+    log_ratio=st.floats(-6.0, 0.0, exclude_max=True),
+    seed=st.integers(0, 2**32 - 1),
+)
+# s / max|f| is about 1.4e-6 here, so (s / max|f|)^57 underflows: a clip level
+# solved in units of max|f| would read 0
+@example(p=57.0, k=1, magnitude=0.0, log_ratio=-5.85, seed=0)
+def test_thresholds_are_exact_and_agree_with_the_bisection(p, k, magnitude, log_ratio, seed):
+    rng = np.random.default_rng(seed)
+    n = 2**k
+    f = GridFunction(rng.standard_normal(n) * np.exp(rng.standard_normal(n)) * 10.0**magnitude)
+    s = 10.0**log_ratio * norm(f, p)
+    res = dist_l1_to_lp_ball(f, s, p)
+    assert abs(power_mean(np.minimum(np.abs(f.values), res.threshold), p) / s - 1.0) <= 1e-12
+    assert abs(res.value - reference_dist_l1_to_lp_ball(f, s, p).value) <= 1e-8 * res.value
+    expect = reference_dist_linf_to_lp_ball(f, s, p).value
+    assert abs(dist_linf_to_lp_ball(f, s, p).value - expect) <= 1e-8 * expect
 
 
 @pytest.mark.parametrize("solver", [dist_l1_to_lp_ball, dist_linf_to_lp_ball])

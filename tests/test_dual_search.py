@@ -1,6 +1,7 @@
 import functools
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -62,6 +63,14 @@ def test_make_instance_rejects_restricted_operator():
     f = GridFunction.constant(2.0, 8)
     with pytest.raises(ValueError, match="unrestricted"):
         make_instance(f, hilbert(8, restriction=E), 1.0, 2)
+
+
+@pytest.mark.parametrize("s", [0.0, -1.0, math.inf, math.nan])
+def test_make_instance_rejects_a_radius_that_is_not_positive_and_finite(s):
+    # an infinite radius would otherwise give c* = 0, reported as "uncertified"
+    f = GridFunction.constant(2.0, 8)
+    with pytest.raises(ValueError, match="ball radius must be positive and finite"):
+        make_instance(f, make_operator("hilbert", 8), s, 2)
 
 
 @pytest.mark.parametrize("p", [1.0, 0.5])
@@ -422,7 +431,8 @@ def test_project_lp_ball_general_p(rng):
 
 
 def test_project_lp_ball_p2_extreme_magnitudes():
-    with np.errstate(over="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         big = project_lp_ball(np.array([1e200, 1e200]), 1.0, 2)
     np.testing.assert_allclose(big, [1.0, 1.0], rtol=1e-12)
     tiny = project_lp_ball(np.array([1e-200, 0.0]), 1e-205, 2)

@@ -313,11 +313,16 @@ def test_cli_dual_support_mode(tmp_path):
         # a mask is a dual-only support: the campaigns take the named choice alone
         ("verify --support {path}", "[1, 0]", "unsupported support choice"),
         ("report --support {path} --outdir {path}.d", "[1, 0]", "unsupported support choice"),
+        # inputs on the wrong grid, and a JSON object where an array belongs
+        ("redecompose --input {path} --n 16", "[1, 2, 3, 4, 5, 6, 7, 8]", "operator on n=16 applied to f with n=8"),
+        ("dual --support {path}", "[1, 0, 1, 0]", "support mask has 4 cells, the grid has n=256"),
+        ("distance --input {path}", "{}", "grid values must be a JSON array of numbers"),
+        ("dual --s inf", None, "ball radius must be positive and finite, got inf"),
     ],
     ids=[
         "unknown-config-key", "cz-trials-key", "probe-trials-key", "dilation-key", "s-log-key", "three-values", "nan", "missing-file",
         "negative-radius", "zero-tol", "zero-level", "small-dilation", "nan-radius",
-        "verify-mask", "report-mask",
+        "verify-mask", "report-mask", "redecompose-grid", "dual-mask-grid", "json-object", "infinite-radius",
     ],
 )
 def test_cli_bad_input_is_a_one_line_error(tmp_path, argv, text, message):
@@ -352,12 +357,12 @@ def test_cli_redecompose_zero_radius_is_degenerate():
 
 
 def test_cli_redecompose_bytes():
-    # the default config's output, as printed before RedecompositionReport.to_json existed
+    # the default config's output; "b" reads 1.0 since the clip level is solved exactly
     out = run_cli("redecompose")
     assert out.returncode == 0, out.stderr
     assert out.stdout == (
-        '{"a": 2.2563096986333875, "b": 0.9999999999999717, "c": 2.2563096986333875, '
-        '"degenerate": false, "holder_lhs": 2.7607041115016413, "holder_rhs": 4.255006766483823, '
-        '"lam": 0.4432015696274444, "ratio_Th": 0.611774197747268, "ratio_Tw_p": 0.9986970678505737, '
-        '"ratio_h": 0.667889096552841, "ratio_w_p": 1.1982104390802242}\n'
+        '{"a": 2.2563096986333244, "b": 1.0, "c": 2.2563096986333244, '
+        '"degenerate": false, "holder_lhs": 2.760704111501633, "holder_rhs": 4.255006766483898, '
+        '"lam": 0.44320156962748186, "ratio_Th": 0.6117741977472833, "ratio_Tw_p": 0.9986970678505735, '
+        '"ratio_h": 0.6678890965528577, "ratio_w_p": 1.1982104390802135}\n'
     )
