@@ -18,18 +18,19 @@ import numpy as np
 from .cz import cz_decompose
 from .distance import dist_l1_to_lp_ball, dist_linf_to_lp_ball
 from .dual_search import make_instance, min_constant
-from .grid import DimensionError, DyadicInterval, GridFunction, GridSet, mask
+from .grid import DimensionError, GridFunction, GridSet, mask
 from .harness import (
     ExperimentConfig,
     SUPPORT_LEFT_HALF,
     default_config,
     generate_corpus,
+    left_half,
     make_operator,
     run_theorem1,
     run_theorem2,
     verify_all,
 )
-from .operators import apply
+from .operators import KINDS, apply
 from .stability import bourgain_construct, kclosed_redecompose
 
 
@@ -40,7 +41,7 @@ class InputError(Exception):
 @contextmanager
 def _input_errors():
     # ConfigError and the library's domain checks on radii, levels and
-    # tolerances are ValueErrors; OSError covers missing and unreadable files
+    # tolerances are ValueErrors; OSError covers files that cannot be read or written
     try:
         yield
     except (OSError, ValueError) as exc:
@@ -58,7 +59,7 @@ def _subcommand(subs, name: str, summary: str, flags: str) -> argparse.ArgumentP
         "n": dict(type=int, help="override the grid size"),
         "p": dict(type=float, help="override the ball exponent"),
         "s": dict(type=float, default=1.0, help="ball radius"),
-        "operator": dict(choices=["hilbert", "haar_transform", "identity_minus_mean"], help="operator kind"),
+        "operator": dict(choices=KINDS, help="operator kind"),
         "support": dict(help=f"'{SUPPORT_LEFT_HALF}'; dual also takes a path to a JSON 0/1 mask"),
         "out": dict(help="output path (.json or .csv); default stdout"),
         "input": dict(help="path to a JSON array holding the grid function"),
@@ -96,7 +97,7 @@ def _load_support(args, cfg: ExperimentConfig) -> GridSet | None:
     if not args.support:
         return None
     if args.support == SUPPORT_LEFT_HALF:
-        return GridSet.from_interval(DyadicInterval(1, 0), cfg.n)
+        return left_half(cfg.n)
     with _input_errors(), open(args.support) as fh:
         support = GridSet.from_json(fh.read())
         if support.n != cfg.n:
@@ -106,7 +107,7 @@ def _load_support(args, cfg: ExperimentConfig) -> GridSet | None:
 
 def _emit(args, text: str) -> None:
     if args.out:
-        with open(args.out, "w") as fh:
+        with _input_errors(), open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -183,17 +184,15 @@ def _cmd_verify(args) -> int:
 
 def _cmd_report(args) -> int:
     cfg = _load_config(args)
-    os.makedirs(args.outdir, exist_ok=True)
+    with _input_errors():
+        os.makedirs(args.outdir, exist_ok=True)
     csv1, summary1 = run_theorem1(cfg)
     csv2, summary2 = run_theorem2(cfg)
-    with open(os.path.join(args.outdir, "theorem1.csv"), "w") as fh:
-        fh.write(csv1)
-    with open(os.path.join(args.outdir, "theorem2.csv"), "w") as fh:
-        fh.write(csv2)
-    summary = {"theorem1": summary1, "theorem2": summary2}
-    text = json.dumps(summary, sort_keys=True) + "\n"
-    with open(os.path.join(args.outdir, "summary.json"), "w") as fh:
-        fh.write(text)
+    text = json.dumps({"theorem1": summary1, "theorem2": summary2}, sort_keys=True) + "\n"
+    with _input_errors():
+        for name, body in (("theorem1.csv", csv1), ("theorem2.csv", csv2), ("summary.json", text)):
+            with open(os.path.join(args.outdir, name), "w") as fh:
+                fh.write(body)
     sys.stdout.write(text)
     return 0
 

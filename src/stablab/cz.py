@@ -90,11 +90,11 @@ def cz_decompose(f: GridFunction, level: float, dilation_factor: float = 10.0) -
     part vanishes identically.  The cubes come out left to right.
     """
     level = float(level)
-    if not level > 0:
-        raise ValueError(f"decomposition level must be positive, got {level}")
+    if not 0 < level < np.inf:
+        raise ValueError(f"decomposition level must be positive and finite, got {level}")
     dilation_factor = float(dilation_factor)
-    if not dilation_factor >= 1.0:
-        raise ValueError(f"dilation factor must be >= 1, got {dilation_factor}")
+    if not 1.0 <= dilation_factor < np.inf:
+        raise ValueError(f"dilation factor must be finite and >= 1, got {dilation_factor}")
     cubes: list[DyadicInterval] = []
     inside = np.zeros(1, dtype=bool)  # per interval of this level: inside a selected cube
     for lev, means in enumerate(dyadic_means(np.abs(f.values))):

@@ -77,8 +77,8 @@ def _soft_threshold(values: np.ndarray, eps: float) -> np.ndarray:
 
 def _check_s(s: float) -> float:
     s = float(s)
-    if not s >= 0:
-        raise ValueError(f"ball radius must be nonnegative, got {s}")
+    if not 0 <= s < math.inf:
+        raise ValueError(f"ball radius must be nonnegative and finite, got {s}")
     return s
 
 

@@ -43,9 +43,10 @@ direct check could still accept a candidate ends the call.  When no such
 bound turns up, a run that stops improving is still called "infeasible"
 (the stagnation rule, a heuristic kept as the fallback), and a run that
 neither finds a witness, nor a bound, nor stagnates ends "inconclusive".
-Every bound is a certified lower bound on c*, so ``min_constant`` reports
-the largest one found as the lower end ``c_lower`` of a bracket whose upper
-end is the certified ``c_star``.
+Every bound is a certified lower bound on c*: ``feasible`` returns the
+largest one it found, and ``min_constant`` reports the largest over its calls
+as the lower end ``c_lower`` of a bracket whose upper end is the certified
+``c_star``.
 """
 
 from __future__ import annotations
@@ -105,9 +106,6 @@ class DualInstance:
     v0: GridFunction  # feasible's cold start: the sup-distance minimizer of f, zero off the support
     support: GridSet | None = None
     _appliers: tuple[Callable, Callable] | None = field(default=None, repr=False)
-    # the largest weak-duality bound any feasible call on this instance found:
-    # a certified lower bound on every constant at which the constraints meet
-    best_bound: float = field(default=0.0, init=False, repr=False, compare=False)
     scale: float = field(init=False, repr=False)  # max(1, norm(f, inf)): the size the tolerances scale with
 
     def __post_init__(self):
@@ -159,7 +157,7 @@ class FeasibilityOutcome:
     status: str  # "feasible" | "infeasible" | "inconclusive"
     v: GridFunction | None
     iterations: int
-    residual: float
+    bound: float  # the largest weak-duality bound the call found, 0.0 if none
 
     @property
     def is_feasible(self) -> bool:
@@ -296,13 +294,13 @@ def _certify(inst: DualInstance, c: float, v_values: np.ndarray, Tsv: np.ndarray
     return max(viol)
 
 
-def certified(inst: DualInstance, c: float, v: GridFunction, tol: float = FEAS_TOL) -> bool:
-    """Direct, solver-independent constraint check at constant c * (1 + tol)."""
+def certified(inst: DualInstance, c: float, v: GridFunction) -> bool:
+    """Direct, solver-independent constraint check at constant c * (1 + FEAS_TOL)."""
     if inst.support is not None:
         if float(np.abs(v.values[~inst.support.membership]).max(initial=0.0)) > 0.0:
             return False
     Tsv = inst.apply_tstar(v.values)
-    return _certify(inst, c * (1.0 + tol), v.values, Tsv) <= 0.0
+    return _certify(inst, c * (1.0 + FEAS_TOL), v.values, Tsv) <= 0.0
 
 
 def _dual_bound(inst: DualInstance, a: np.ndarray, b: np.ndarray) -> float:
@@ -327,30 +325,25 @@ def _dual_bound(inst: DualInstance, a: np.ndarray, b: np.ndarray) -> float:
     return pairing / denom if denom > 0.0 else 0.0
 
 
-def feasible(
-    inst: DualInstance,
-    c: float,
-    max_iter: int = MAX_ITER,
-    tol: float = FEAS_TOL,
-    x0: tuple[np.ndarray, np.ndarray] | None = None,
-) -> FeasibilityOutcome:
+def feasible(inst: DualInstance, c: float, x0: np.ndarray | None = None) -> FeasibilityOutcome:
     """Search the intersection of the three constraint sets at constant c.
 
     Extrapolated parallel projections over four convex sets (p-ball with
     support mask, the two sup-norm boxes, and the graph of T*): with d_i the
     displacements of x = (v, w) to the four projections and d their mean,
-    x moves by EXTRAPOLATION * L * d, L = mean |d_i|^2 / |d|^2.  Candidates
-    are read off the graph projection on every fifth iteration and accepted
-    only after the direct check, so a "feasible" outcome is always
-    certified.  A rejected candidate is followed by the weak-duality bound
-    of the two box normals; a bound above every constant the direct check
-    could accept reports a certified "infeasible", and the largest bound
-    seen is kept in ``inst.best_bound``.  A step too small to move x
-    checks x itself: at a fixed point every projection agrees and x is a
-    witness.
+    x moves by EXTRAPOLATION * L * d, L = mean |d_i|^2 / |d|^2.  The run
+    starts at v = x0, or at the instance's cold start, with w = T* v.
+    Candidates are read off the graph projection on every fifth iteration
+    and accepted only after the direct check, so a "feasible" outcome is
+    always certified.  A rejected candidate is followed by the weak-duality
+    bound of the two box normals; a bound above every constant the direct
+    check could accept reports a certified "infeasible".  Every outcome
+    carries the largest bound the call found.  A step too small to move x
+    puts x itself through the same direct check: at a fixed point every
+    projection agrees and x is a witness.
     Otherwise such a run, or one that stops improving while still violated,
-    reports "infeasible" (at tolerance), and an iteration budget exhausted
-    by every rule reports "inconclusive".
+    reports "infeasible" (at tolerance), and MAX_ITER iterations exhausted
+    by every rule report "inconclusive".
     """
     c = float(c)
     if not c > 0:
@@ -360,9 +353,8 @@ def feasible(
 
     # r = 0 pins v = f exactly; only the p-ball constraint can still bind.
     if inst.r == 0.0:
-        out = _certify(inst, c, fv, inst.Tstar_f.values)
-        status = "feasible" if out <= tol else "infeasible"
-        return FeasibilityOutcome(status, inst.f if out <= tol else None, 0, max(out, 0.0))
+        ok = _certify(inst, c, fv, inst.Tstar_f.values) <= FEAS_TOL
+        return FeasibilityOutcome("feasible" if ok else "infeasible", inst.f if ok else None, 0, 0.0)
 
     bound_p = c * inst.s
     bound_f = c * inst.r
@@ -373,21 +365,26 @@ def feasible(
     lo_T, hi_T = tsf - bound_T, tsf + bound_T
     p2, p3 = np.empty_like(fv), np.empty_like(tsf)
     Ts = inst.apply_tstar
-
-    if x0 is None:
-        v = inst.v0.values
-        w = Ts(v)
-    else:
-        v, w = x0[0].copy(), x0[1].copy()
+    v = inst.v0.values if x0 is None else x0
+    w = Ts(v)
 
     # _certify accepts v at c only if v meets all three constraints at c_accept, so a
     # weak-duality bound above c_accept (with a rounding margin) rules out any later candidate
-    c_accept = (1.0 + tol) * (c + _ABS_DUST * inst.scale / min(inst.s, inst.r, inst.t + inst.r))
+    c_accept = (1.0 + FEAS_TOL) * (c + _ABS_DUST * inst.scale / min(inst.s, inst.r, inst.t + inst.r))
     c_accept *= 1.0 + 1e-9
 
+    def witness(x: np.ndarray, k: int) -> tuple[float, FeasibilityOutcome | None]:
+        """The direct check of x masked to E: its violation, and the "feasible" outcome if it passes."""
+        cand = x if sup_mask is None else np.where(sup_mask, x, 0.0)
+        res = _certify(inst, c, cand, Ts(cand))
+        if not res <= FEAS_TOL:
+            return res, None
+        return res, FeasibilityOutcome("feasible", GridFunction(cand), k, best_bound)
+
+    best_bound = 0.0
     best_res = math.inf
     best_iter = 0
-    for k in range(1, max_iter + 1):
+    for k in range(1, MAX_ITER + 1):
         vg, wg = inst.graph_step(v, w)
         # the box displacements p2 - v and p3 - w, which are also the box normals
         np.minimum(np.maximum(v, lo_f, out=p2), hi_f, out=p2)
@@ -395,20 +392,19 @@ def feasible(
         p2 -= v
         p3 -= w
         if k % 5 == 1:
-            cand = vg if sup_mask is None else np.where(sup_mask, vg, 0.0)
-            res = _certify(inst, c, cand, Ts(cand))
-            if res <= tol:
-                return FeasibilityOutcome("feasible", GridFunction(cand), k, max(res, 0.0))
+            res, found = witness(vg, k)
+            if found is not None:
+                return found
             if res < best_res * (1.0 - 1e-3):
                 best_res = res
                 best_iter = k
             elif k - best_iter > 300 and k > 400:
-                return FeasibilityOutcome("infeasible", None, k, best_res)
+                return FeasibilityOutcome("infeasible", None, k, best_bound)
             # the box normals of the current iterate as the dual pair
             bound = _dual_bound(inst, p2, p3)
-            inst.best_bound = max(inst.best_bound, bound)
+            best_bound = max(best_bound, bound)
             if bound > c_accept:
-                return FeasibilityOutcome("infeasible", None, k, best_res)
+                return FeasibilityOutcome("infeasible", None, k, best_bound)
 
         # the displacements d_i to the p-ball (p1 - v, 0), the f-box (p2 - v, 0),
         # the T*-box (0, p3 - w) and the graph (vg - v, wg - w), in place
@@ -431,12 +427,8 @@ def feasible(
         w = w + dw
         if move <= 1e-13 * inst.scale:
             # every projection agrees at a fixed point: x itself may be the witness
-            cand = v if sup_mask is None else np.where(sup_mask, v, 0.0)
-            res = _certify(inst, c, cand, Ts(cand))
-            if res <= tol:
-                return FeasibilityOutcome("feasible", GridFunction(cand), k, max(res, 0.0))
-            return FeasibilityOutcome("infeasible", None, k, best_res)
-    return FeasibilityOutcome("inconclusive", None, max_iter, best_res)
+            return witness(v, k)[1] or FeasibilityOutcome("infeasible", None, k, best_bound)
+    return FeasibilityOutcome("inconclusive", None, MAX_ITER, best_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -444,43 +436,45 @@ def feasible(
 # ---------------------------------------------------------------------------
 
 
-def min_constant(inst: DualInstance, tol: float = 1e-2, max_iter: int = MAX_ITER) -> DualResult:
+def min_constant(inst: DualInstance, tol: float = 1e-2) -> DualResult:
     """Bisect on c; sound because the constraint sets are nested in c.
 
     The upper end starts at the directly-certified witness v = f, so the
     geometric growth phase is never needed.  Inconclusive solver verdicts
     are treated as infeasible for upper-bounding only and flag the result.
-    The lower end c_lower is ``inst.best_bound``, the largest weak-duality
-    bound found, less 1e-9 relative for rounding; at r = 0, c* is exact
+    The lower end c_lower is the largest weak-duality bound the feasible
+    calls returned, less 1e-9 relative for rounding; at r = 0, c* is exact
     and c_lower = c*.
     """
-    if not tol > 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
     fv_norm_p = norm(inst.f, inst.p)
 
     if inst.r == 0.0:
-        c_star = max(fv_norm_p / inst.s, 0.0)
+        c_star = fv_norm_p / inst.s
         return _finish(inst, c_star, c_star, inst.f, 0, flagged=False)
 
     hi = fv_norm_p / inst.s  # v = f is feasible here by direct arithmetic
     best_v = inst.f
     lo = 0.0
+    bound = 0.0
     iterations = 0
     flagged = False
-    warm: tuple[np.ndarray, np.ndarray] | None = None
+    warm: np.ndarray | None = None
     while hi - lo > tol * max(hi, 1e-12):
         mid = 0.5 * (lo + hi)
-        out = feasible(inst, mid, max_iter=max_iter, x0=warm)
+        out = feasible(inst, mid, x0=warm)
         iterations += out.iterations
+        bound = max(bound, out.bound)
         if out.is_feasible:
             hi = mid
             best_v = out.v
-            warm = (out.v.values, inst.apply_tstar(out.v.values))
+            warm = out.v.values
         else:
             lo = mid
             if out.status == "inconclusive":
                 flagged = True
-    return _finish(inst, hi, inst.best_bound * (1.0 - 1e-9), best_v, iterations, flagged)
+    return _finish(inst, hi, bound * (1.0 - 1e-9), best_v, iterations, flagged)
 
 
 def _finish(

@@ -94,9 +94,6 @@ class GridFunction:
         if self.n != other.n:
             raise DimensionError(f"grid sizes differ: {self.n} vs {other.n}")
 
-    def to_json(self) -> str:
-        return json.dumps(list(map(float, self.values)))
-
     @classmethod
     def from_json(cls, text: str) -> "GridFunction":
         try:
@@ -205,9 +202,6 @@ class GridSet:
         member = np.zeros(n, dtype=bool)
         member[interval.cell_slice(n)] = True
         return cls(member)
-
-    def to_json(self) -> str:
-        return json.dumps([int(b) for b in self.membership])
 
     @classmethod
     def from_json(cls, text: str) -> "GridSet":

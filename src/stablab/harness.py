@@ -19,15 +19,7 @@ from . import cz as cz_mod
 from . import distance as distance_mod
 from .dual_search import annihilator_pair, duality_pairing, make_instance, min_constant
 from .grid import DyadicInterval, GridFunction, GridSet, dilate_interval, inner, norm
-from .operators import (
-    LinearOperatorSpec,
-    adjoint,
-    apply,
-    haar_transform,
-    hilbert,
-    identity_minus_mean,
-    nyquist_free,
-)
+from .operators import KINDS, LinearOperatorSpec, adjoint, apply, nyquist_free
 from .stability import THEOREM1_DILATION, bourgain_construct
 
 __all__ = [
@@ -106,7 +98,7 @@ class ExperimentConfig:
             if count < 0:
                 raise ConfigError("family counts must be nonnegative")
         for kind in self.operators + self.dual_operators:
-            if kind not in ("hilbert", "haar_transform", "identity_minus_mean"):
+            if kind not in KINDS:
                 raise ConfigError(f"unknown operator kind {kind!r}")
         if self.support not in (None, SUPPORT_LEFT_HALF):
             raise ConfigError(f"unsupported support choice {self.support!r}")
@@ -214,21 +206,16 @@ def make_operator(kind: str, n: int, seed: int = 0) -> LinearOperatorSpec:
     """Operator factory; haar_transform gets seeded +-1 signs per scale/position.
 
     Specs are immutable, so equal calls share one (a Haar spec is 64 KB at n = 4096)."""
-    if kind == "hilbert":
-        return hilbert(n)
-    if kind == "identity_minus_mean":
-        return identity_minus_mean(n)
+    signs = None
     if kind == "haar_transform":
         rng = np.random.default_rng(np.random.SeedSequence([seed, 1713]))
-        signs = rng.choice([-1, 1], size=n - 1)
-        return haar_transform(n, signs)
-    raise ConfigError(f"unknown operator kind {kind!r}")
+        signs = tuple(rng.choice([-1, 1], size=n - 1).tolist())
+    return LinearOperatorSpec(kind, n, signs)
 
 
-def _support_set(cfg: ExperimentConfig) -> GridSet | None:
-    if cfg.support is None:
-        return None
-    return GridSet.from_interval(DyadicInterval(1, 0), cfg.n)
+def left_half(n: int) -> GridSet:
+    """The support set named "left-half": the cells of [0, 1/2)."""
+    return GridSet.from_interval(DyadicInterval(1, 0), n)
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +282,7 @@ def run_theorem1(cfg: ExperimentConfig) -> tuple[str, dict]:
 
 def run_theorem2(cfg: ExperimentConfig) -> tuple[str, dict]:
     """Sweep a (smaller) corpus through the dual feasibility search."""
-    support = _support_set(cfg)
+    support = None if cfg.support is None else left_half(cfg.n)
     per_family = tuple((name, min(count, cfg.dual_corpus_per_family)) for name, count in cfg.corpus_counts)
     corpus = generate_corpus(replace(cfg, corpus_counts=per_family), support)
     rows = []
@@ -414,7 +401,7 @@ def _suite_operators(cfg: ExperimentConfig) -> tuple[int, list[str]]:
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 400]))
     n = cfg.n
     x = np.arange(n) / n
-    H = hilbert(n)
+    H = make_operator("hilbert", n)
     cos_f = GridFunction(np.cos(2 * np.pi * x))
     sin_f = GridFunction(np.sin(2 * np.pi * x))
     checks += 1

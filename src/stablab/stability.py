@@ -108,8 +108,8 @@ def bourgain_construct(
     exactly, so resid_l1 is norm(h, 1).
     """
     s = float(s)
-    if not s > 0:
-        raise ValueError(f"ball radius must be positive, got {s}")
+    if not 0 < s < np.inf:
+        raise ValueError(f"ball radius must be positive and finite, got {s}")
     p = float(p)
     dist_f = dist_l1_to_lp_ball(f, s, p)
     u1 = dist_f.minimizer

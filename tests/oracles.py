@@ -12,7 +12,10 @@ with the projection-based solver it is used to cross-examine.
 ``reference_feasible`` is the averaged-projection loop of ``feasible`` in
 its earlier, allocation-heavy form (``np.mean``, ``np.full``, ``np.clip``,
 fresh arrays for every sum), with no dual bound: it says "infeasible" only
-when the iteration stagnates.  The library's loop must reproduce every
+when the iteration stagnates, and every outcome carries the bound 0.0.  Like
+``feasible``, it reads ``MAX_ITER`` and ``FEAS_TOL`` from
+``stablab.dual_search`` at call time, so a test shortens both loops' budget
+by monkeypatching one name.  The library's loop must reproduce every
 "feasible" outcome of it bit for bit, and may end a call that is not
 feasible earlier.  ``reference_project_lp_ball`` is the projection's earlier
 direct path for p != 2: a linear bisection on the multiplier, with no
@@ -46,7 +49,8 @@ from stablab.distance import (
     _soft_threshold,
     dist_linf_to_lp_ball,
 )
-from stablab.dual_search import MAX_ITER, FEAS_TOL, DualInstance, FeasibilityOutcome, _certify
+from stablab import dual_search
+from stablab.dual_search import DualInstance, FeasibilityOutcome, _certify
 from stablab.grid import DyadicInterval, GridFunction, dyadic_means, norm, power_mean
 from stablab.operators import as_matrix
 
@@ -233,20 +237,15 @@ def _clamp_box(values: np.ndarray, center: np.ndarray, radius: float) -> np.ndar
     return np.clip(values, center - radius, center + radius)
 
 
-def reference_feasible(
-    inst: DualInstance,
-    c: float,
-    max_iter: int = MAX_ITER,
-    tol: float = FEAS_TOL,
-    x0: tuple[np.ndarray, np.ndarray] | None = None,
-) -> FeasibilityOutcome:
+def reference_feasible(inst: DualInstance, c: float, x0: np.ndarray | None = None) -> FeasibilityOutcome:
     c = float(c)
+    max_iter, tol = dual_search.MAX_ITER, dual_search.FEAS_TOL
     fv = inst.f.values
     sup_mask = None if inst.support is None else inst.support.membership
     if inst.r == 0.0:
         out = _certify(inst, c, fv, inst.Tstar_f.values)
         status = "feasible" if out <= tol else "infeasible"
-        return FeasibilityOutcome(status, inst.f if out <= tol else None, 0, max(out, 0.0))
+        return FeasibilityOutcome(status, inst.f if out <= tol else None, 0, 0.0)
 
     bound_p = c * inst.s
     bound_f = c * inst.r
@@ -257,9 +256,9 @@ def reference_feasible(
         v = dist_linf_to_lp_ball(inst.f, inst.s, inst.p).minimizer.values
         if sup_mask is not None:
             v = np.where(sup_mask, v, 0.0)
-        w = Ts(v)
     else:
-        v, w = x0[0].copy(), x0[1].copy()
+        v = x0.copy()
+    w = Ts(v)
 
     best_res = math.inf
     best_iter = 0
@@ -270,12 +269,12 @@ def reference_feasible(
             cand = vg if sup_mask is None else np.where(sup_mask, vg, 0.0)
             res = _certify(inst, c, cand, Ts(cand))
             if res <= tol:
-                return FeasibilityOutcome("feasible", GridFunction(cand), k, max(res, 0.0))
+                return FeasibilityOutcome("feasible", GridFunction(cand), k, 0.0)
             if res < best_res * (1.0 - 1e-3):
                 best_res = res
                 best_iter = k
             elif k - best_iter > 300 and k > 400:
-                return FeasibilityOutcome("infeasible", None, k, best_res)
+                return FeasibilityOutcome("infeasible", None, k, 0.0)
 
         p1 = reference_project_lp_ball(v if sup_mask is None else np.where(sup_mask, v, 0.0), bound_p, inst.p)
         p2 = _clamp_box(v, fv, bound_f)
@@ -285,8 +284,8 @@ def reference_feasible(
         move = max(float(np.abs(v_new - v).max()), float(np.abs(w_new - w).max()))
         v, w = v_new, w_new
         if move <= 1e-13 * scale:
-            return FeasibilityOutcome("infeasible", None, k, best_res)
-    return FeasibilityOutcome("inconclusive", None, max_iter, best_res)
+            return FeasibilityOutcome("infeasible", None, k, 0.0)
+    return FeasibilityOutcome("inconclusive", None, max_iter, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -140,20 +140,23 @@ def test_feasible_dominates_reference_loop(kind, n, with_support, monkeypatch):
         (tiny, MAX_ITER, "infeasible"),
         (0.9 * ref.c_star, 25, "inconclusive"),
     )
-    for c, max_iter, ref_status in cases:
-        out = feasible(inst, c, max_iter=max_iter)
-        ref_out = reference_feasible(inst, c, max_iter=max_iter)
+    for c, budget, ref_status in cases:
+        with monkeypatch.context() as patch:
+            patch.setattr("stablab.dual_search.MAX_ITER", budget)
+            out = feasible(inst, c)
+            ref_out = reference_feasible(inst, c)
         assert ref_out.status == ref_status and ref_out.iterations > 1
         _dominates(inst, c, out, ref_out)
     # far below c*, the dual bound certifies "infeasible" on the first check
     assert feasible(inst, tiny).iterations == 1
 
 
-def test_feasible_dominates_reference_loop_at_p3():
+def test_feasible_dominates_reference_loop_at_p3(monkeypatch):
     inst = _mixture_instance("hilbert", 8, False, p=3)
     c = 0.2 * norm(inst.f, 3) / inst.s
-    out = feasible(inst, c, max_iter=40)
-    ref = reference_feasible(inst, c, max_iter=40)
+    monkeypatch.setattr("stablab.dual_search.MAX_ITER", 40)
+    out = feasible(inst, c)
+    ref = reference_feasible(inst, c)
     assert ref.status == "inconclusive"
     _dominates(inst, c, out, ref)
 
@@ -264,6 +267,41 @@ def test_every_early_exit_carries_a_bound_above_the_accepting_constant(kind, n, 
             # weak duality: no bound passes the certified upper end
             assert bound <= res.c_star * (1 + 1e-9)
     assert early >= 6
+
+
+@pytest.mark.parametrize("with_support", [False, True])
+@pytest.mark.parametrize("n", [8, DENSE_MAX_N])
+@pytest.mark.parametrize("kind", ["hilbert", "haar_transform"])
+def test_c_lower_is_the_largest_bound_the_feasible_calls_returned(kind, n, with_support, monkeypatch):
+    inst = _mixture_instance(kind, n, with_support)
+    bounds = []
+    returned = []
+
+    def recording_bound(inst_, a, b):
+        bound = _dual_bound(inst_, a, b)
+        bounds.append((a.copy(), b.copy(), bound))
+        return bound
+
+    def recording_feasible(inst_, c, x0=None):
+        start = len(bounds)
+        out = feasible(inst_, c, x0=x0)
+        # each call hands back the largest bound it took, 0.0 when it took none
+        assert out.bound == max((bound for _, _, bound in bounds[start:]), default=0.0)
+        returned.append(out.bound)
+        return out
+
+    monkeypatch.setattr("stablab.dual_search._dual_bound", recording_bound)
+    monkeypatch.setattr("stablab.dual_search.feasible", recording_feasible)
+    res = min_constant(inst, tol=0.05)
+    assert res.status == "certified"
+    assert returned and max(returned) > 0.0
+    assert res.c_lower == max(returned) * (1 - 1e-9)
+    assert res.c_lower <= res.c_star
+    for a, b, bound in bounds:
+        if a.any() or b.any():
+            assert bound == pytest.approx(_bound_by_hand(inst, a, b), rel=1e-9)
+        else:
+            assert bound == 0.0  # the zero pair proves nothing
 
 
 def test_feasible_rejects_nonpositive_constant():

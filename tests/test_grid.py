@@ -158,12 +158,11 @@ def test_norm_monotone_in_exponent(rng):
 
 
 def test_json_round_trips():
+    # the CLI's input forms: functions as arrays of numbers, sets as arrays of 0/1
     f = GridFunction([0.5, -1.25, 3.0, 0.0])
-    assert GridFunction.from_json(f.to_json()) == f
-    assert json.loads(f.to_json()) == [0.5, -1.25, 3.0, 0.0]
+    assert GridFunction.from_json(json.dumps(f.values.tolist())) == f
     E = GridSet([True, False, True, True])
-    assert GridSet.from_json(E.to_json()) == E
-    assert json.loads(E.to_json()) == [1, 0, 1, 1]
+    assert GridSet.from_json(json.dumps([1, 0, 1, 1])) == E
 
 
 def test_grid_set_measure_and_ops():

@@ -237,7 +237,7 @@ def test_cli_distance_json():
 
 def test_cli_reads_function_from_file(tmp_path):
     path = tmp_path / "f.json"
-    path.write_text(GridFunction([2.0, 0.0]).to_json())
+    path.write_text(json.dumps([2.0, 0.0]))
     out = run_cli("distance", "--input", str(path), "--s", "1", "--p", "2")
     assert out.returncode == 0
     assert json.loads(out.stdout)["value"] == pytest.approx((2 - 2**0.5) / 2, abs=1e-10)
@@ -305,11 +305,11 @@ def test_cli_dual_support_mode(tmp_path):
         ("distance --input {path}", "[1.0, 2.0, 3.0]", "power of two"),
         ("distance --input {path}", "[1.0, NaN]", "finite"),
         ("distance --input {path}", None, "No such file"),
-        ("distance --s -1", None, "ball radius must be nonnegative, got -1.0"),
-        ("dual --tol 0", None, "tolerance must be positive, got 0.0"),
-        ("cz --level 0", None, "decomposition level must be positive, got 0.0"),
-        ("cz --dilation 0.5", None, "dilation factor must be >= 1, got 0.5"),
-        ("construct --s nan", None, "ball radius must be positive, got nan"),
+        ("distance --s -1", None, "ball radius must be nonnegative and finite, got -1.0"),
+        ("dual --tol 0", None, "tolerance must be positive and finite, got 0.0"),
+        ("cz --level 0", None, "decomposition level must be positive and finite, got 0.0"),
+        ("cz --dilation 0.5", None, "dilation factor must be finite and >= 1, got 0.5"),
+        ("construct --s nan", None, "ball radius must be positive and finite, got nan"),
         # a mask is a dual-only support: the campaigns take the named choice alone
         ("verify --support {path}", "[1, 0]", "unsupported support choice"),
         ("report --support {path} --outdir {path}.d", "[1, 0]", "unsupported support choice"),
@@ -318,11 +318,22 @@ def test_cli_dual_support_mode(tmp_path):
         ("dual --support {path}", "[1, 0, 1, 0]", "support mask has 4 cells, the grid has n=256"),
         ("distance --input {path}", "{}", "grid values must be a JSON array of numbers"),
         ("dual --s inf", None, "ball radius must be positive and finite, got inf"),
+        # non-finite numbers would print as Infinity, which is not JSON, or skip the bisection
+        ("distance --s inf", None, "ball radius must be nonnegative and finite, got inf"),
+        ("construct --s inf", None, "ball radius must be positive and finite, got inf"),
+        ("cz --level inf", None, "decomposition level must be positive and finite, got inf"),
+        ("cz --dilation inf", None, "dilation factor must be finite and >= 1, got inf"),
+        ("dual --tol inf", None, "tolerance must be positive and finite, got inf"),
+        # outputs that cannot be written: a missing directory, and a file where a directory belongs
+        ("distance --out {path}.d/x.json", None, "No such file or directory"),
+        ("report --outdir {path}", "[]", "File exists"),
     ],
     ids=[
         "unknown-config-key", "cz-trials-key", "probe-trials-key", "dilation-key", "s-log-key", "three-values", "nan", "missing-file",
         "negative-radius", "zero-tol", "zero-level", "small-dilation", "nan-radius",
         "verify-mask", "report-mask", "redecompose-grid", "dual-mask-grid", "json-object", "infinite-radius",
+        "distance-infinite-radius", "construct-infinite-radius", "infinite-level", "infinite-dilation", "infinite-tol",
+        "out-missing-dir", "outdir-is-a-file",
     ],
 )
 def test_cli_bad_input_is_a_one_line_error(tmp_path, argv, text, message):
