@@ -12,6 +12,7 @@ import json
 import os
 import sys
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 
@@ -77,13 +78,9 @@ def _load_config(args, keys=("seed", "n", "p", "support")) -> ExperimentConfig:
     else:
         cfg = default_config()
     overrides = {key: getattr(args, key) for key in keys if getattr(args, key, None) is not None}
-    if overrides:
-        from dataclasses import replace
-
-        # the config admits only the named support choices: a mask path is an error
-        with _input_errors():
-            cfg = replace(cfg, **overrides)
-    return cfg
+    # the config admits only the named support choices: a mask path is an error
+    with _input_errors():
+        return replace(cfg, **overrides)
 
 
 def _load_function(args, cfg: ExperimentConfig, support: GridSet | None = None) -> GridFunction:
@@ -129,7 +126,7 @@ def _cmd_cz(args) -> int:
     cfg = _load_config(args)
     f = _load_function(args, cfg)
     with _input_errors():
-        d = cz_decompose(f, args.level, args.dilation)
+        d = cz_decompose(f, args.level)
     _emit(args, d.to_json())
     return 0
 
@@ -158,7 +155,8 @@ def _cmd_redecompose(args) -> int:
 
 
 def _cmd_dual(args) -> int:
-    cfg = _load_config(args, keys=("seed", "n", "p"))  # --support names a set here, not a config choice
+    # --support names a set here, not a config choice; --tol overrides the config's dual.tol
+    cfg = _load_config(args, keys=("seed", "n", "p", "dual_tol"))
     support = _load_support(args, cfg)
     f = _load_function(args, cfg, support)
     if support is not None and args.input:
@@ -170,7 +168,7 @@ def _cmd_dual(args) -> int:
     T = make_operator(args.operator or cfg.dual_operators[0], cfg.n, cfg.seed)
     with _input_errors():
         inst = make_instance(f, T, args.s, cfg.p, support)
-        result = min_constant(inst, tol=args.tol)
+        result = min_constant(inst, tol=cfg.dual_tol)
     _emit(args, result.to_json())
     return 0
 
@@ -207,7 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = _subcommand(subs, "cz", "stopping-time decomposition of f", "config seed n out input")
     sub.add_argument("--level", type=float, default=1.0, help="decomposition level")
-    sub.add_argument("--dilation", type=float, default=10.0)
     sub.set_defaults(func=_cmd_cz)
 
     sub = _subcommand(subs, "construct", "stable near-minimizer construction",
@@ -220,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = _subcommand(subs, "dual", "smallest workable constant by convex feasibility",
         "config seed n p s operator support out input")
-    sub.add_argument("--tol", type=float, default=1e-2)
+    sub.add_argument("--tol", type=float, dest="dual_tol", help="override the config's dual.tol")
     sub.set_defaults(func=_cmd_dual)
 
     sub = _subcommand(subs, "verify", "run every module's invariant suite", "config seed n p support out")

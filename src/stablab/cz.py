@@ -6,7 +6,7 @@ lambda and no larger dyadic interval containing it was selected.
 On each selected interval the good part is the (signed) average of f and
 the bad part is the mean-zero remainder; off the selected intervals the
 good part is f itself.  The exceptional set omega is the union of the
-selected intervals dilated by a fixed factor.
+selected intervals dilated by DILATION, the factor of theorem 1.
 
 Selection is strict (average > lambda), so the parent of every selected
 interval has average at most lambda and the good part is bounded by
@@ -22,9 +22,10 @@ import numpy as np
 
 from .grid import DimensionError, DyadicInterval, GridFunction, GridSet, dilate_interval, dyadic_means, norm
 
-__all__ = ["CzDecomposition", "CheckResult", "cz_decompose", "verify_cz", "ConsistencyError"]
+__all__ = ["CzDecomposition", "CheckResult", "cz_decompose", "verify_cz", "ConsistencyError", "DILATION"]
 
 MEAN_ZERO_TOL = 1e-12
+DILATION = 10.0  # every selected cube is dilated by this factor into omega
 
 
 class ConsistencyError(ValueError):
@@ -45,7 +46,6 @@ class CzDecomposition:
     good: GridFunction
     bad: GridFunction
     omega: GridSet
-    dilation_factor: float
 
     @property
     def n(self) -> int:
@@ -56,53 +56,39 @@ class CzDecomposition:
         return float(sum(q.length for q in self.cubes))
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "lambda": float(self.level),
-                "cubes": [q.to_dict() for q in self.cubes],
-                "dilation_factor": float(self.dilation_factor),
-            }
-        )
+        cubes = [q.to_dict() for q in self.cubes]
+        return json.dumps({"lambda": float(self.level), "cubes": cubes, "dilation_factor": DILATION})
 
 
-def _assemble(
-    f: GridFunction,
-    level: float,
-    cubes: tuple[DyadicInterval, ...],
-    dilation_factor: float,
-) -> CzDecomposition:
-    n = f.n
-    good = f.values.copy()
-    omega = GridSet.empty(n)
-    for q in cubes:
-        sl = q.cell_slice(n)
-        good[sl] = f.values[sl].mean()
-        omega = omega.union(dilate_interval(q, dilation_factor, n))
-    bad = f.values - good
-    return CzDecomposition(level, cubes, GridFunction(good), GridFunction(bad), omega, dilation_factor)
-
-
-def cz_decompose(f: GridFunction, level: float, dilation_factor: float = 10.0) -> CzDecomposition:
+def cz_decompose(f: GridFunction, level: float) -> CzDecomposition:
     """Stopping-time decomposition of f at the given level.
 
     One array pass per level of the dyadic means of |f|, down to single
     cells, so a cell with |f| > level becomes a one-cell cube where the bad
-    part vanishes identically.  The cubes come out left to right.
+    part vanishes identically.  The pass that selects a level's cubes also
+    sets their good part and dilates them into omega.  The cubes come out
+    left to right.
     """
     level = float(level)
     if not 0 < level < np.inf:
         raise ValueError(f"decomposition level must be positive and finite, got {level}")
-    dilation_factor = float(dilation_factor)
-    if not 1.0 <= dilation_factor < np.inf:
-        raise ValueError(f"dilation factor must be finite and >= 1, got {dilation_factor}")
+    good = f.values.copy()
+    omega = np.zeros(f.n, dtype=bool)
     cubes: list[DyadicInterval] = []
     inside = np.zeros(1, dtype=bool)  # per interval of this level: inside a selected cube
     for lev, means in enumerate(dyadic_means(np.abs(f.values))):
         hot = (means > level) & ~inside
-        cubes += [DyadicInterval(lev, int(i)) for i in np.flatnonzero(hot)]
+        picked = np.flatnonzero(hot)
+        if picked.size:
+            # row i of the reshape is the cells of interval (lev, i)
+            good.reshape(2**lev, -1)[picked] = f.values.reshape(2**lev, -1)[picked].mean(axis=1, keepdims=True)
+            for i in picked:
+                q = DyadicInterval(lev, int(i))
+                cubes.append(q)
+                omega |= dilate_interval(q, DILATION, f.n).membership
         inside = np.repeat(inside | hot, 2)
     cubes.sort(key=lambda q: q.left)  # dyadic lefts are exact, and disjoint cubes have distinct lefts
-    return _assemble(f, level, tuple(cubes), dilation_factor)
+    return CzDecomposition(level, tuple(cubes), GridFunction(good), GridFunction(f.values - good), GridSet(omega))
 
 
 def verify_cz(d: CzDecomposition, f: GridFunction, ps=(1.5, 2.0, 3.0, 4.0)) -> list[CheckResult]:
@@ -153,7 +139,7 @@ def verify_cz(d: CzDecomposition, f: GridFunction, ps=(1.5, 2.0, 3.0, 4.0)) -> l
     g1 = norm(d.good, 1)
     checks.append(CheckResult("good_l1_bound", g1 <= f1 * (1 + 1e-12), f1 - g1))
 
-    omega_bound = min(1.0, d.dilation_factor * f1 / lam) + 2.0 * len(d.cubes) / n
+    omega_bound = min(1.0, DILATION * f1 / lam) + 2.0 * len(d.cubes) / n
     checks.append(CheckResult("omega_measure_bound", d.omega.measure <= omega_bound * (1 + 1e-12), omega_bound - d.omega.measure))
 
     if not root_selected:

@@ -137,6 +137,8 @@ def dist_linf_to_lp_ball(f: GridFunction, s: float, p) -> DistanceResult:
     while True:
         x = np.maximum(au - eps, 0.0)
         g = power_mean(x, p)
+        if g == 0.0:  # eps has reached max |f| to rounding: every cell is shrunk to 0
+            break
         new = eps + (g - su) / float(np.mean((x / g) ** (p - 1.0)))
         if not new > eps:  # a rounding overshoot of the root gets one step back
             eps = min(eps, new)

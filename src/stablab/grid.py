@@ -184,15 +184,6 @@ class GridSet:
     def complement(self) -> "GridSet":
         return GridSet(~self.membership)
 
-    def union(self, other: "GridSet") -> "GridSet":
-        if self.n != other.n:
-            raise DimensionError(f"grid sizes differ: {self.n} vs {other.n}")
-        return GridSet(self.membership | other.membership)
-
-    @classmethod
-    def empty(cls, n: int) -> "GridSet":
-        return cls(np.zeros(n, dtype=bool))
-
     @classmethod
     def full(cls, n: int) -> "GridSet":
         return cls(np.ones(n, dtype=bool))

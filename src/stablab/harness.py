@@ -11,6 +11,7 @@ import functools
 import io
 import json
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -20,7 +21,7 @@ from . import distance as distance_mod
 from .dual_search import annihilator_pair, duality_pairing, make_instance, min_constant
 from .grid import DyadicInterval, GridFunction, GridSet, dilate_interval, inner, norm
 from .operators import KINDS, LinearOperatorSpec, adjoint, apply, nyquist_free
-from .stability import THEOREM1_DILATION, bourgain_construct
+from .stability import bourgain_construct
 
 __all__ = [
     "ExperimentConfig",
@@ -66,6 +67,15 @@ def _reject_unknown(obj, known: tuple[str, ...], where: str) -> None:
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(unknown)}")
 
 
+def _check(ok: bool, where: str, rule: str, value) -> None:
+    if not ok:
+        raise ConfigError(f"{where} must be {rule}, got {value!r}")
+
+
+def _is(value, kind=numbers.Real) -> bool:  # JSON's true and false are not numbers here
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     seed: int = 7
@@ -88,18 +98,28 @@ class ExperimentConfig:
     support: str | None = None  # None or "left-half"
 
     def __post_init__(self):
-        if self.n < 2 or (self.n & (self.n - 1)) != 0:
-            raise ConfigError(f"n must be a power of two >= 2, got {self.n}")
-        if not (1.0 < self.p < math.inf):
-            raise ConfigError(f"p must be finite and > 1, got {self.p}")
+        integer = numbers.Integral
+        _check(_is(self.seed, integer) and self.seed >= 0, "seed", "a nonnegative integer", self.seed)
+        _check(_is(self.n, integer) and self.n >= 2 and self.n & (self.n - 1) == 0, "n", "a power of two >= 2", self.n)
+        _check(_is(self.p) and 1.0 < self.p < math.inf, "p", "finite and > 1", self.p)
+        _check(_is(self.s_min) and 0.0 < self.s_min < math.inf, "s_sweep.min", "positive and finite", self.s_min)
+        _check(_is(self.s_max) and self.s_min <= self.s_max < math.inf, "s_sweep.max", "finite and >= s_sweep.min", self.s_max)
+        _check(_is(self.s_count, integer) and self.s_count >= 1, "s_sweep.count", "a positive integer", self.s_count)
         for name, count in self.corpus_counts:
             if name not in FAMILIES:
                 raise ConfigError(f"unknown corpus family {name!r}")
-            if count < 0:
-                raise ConfigError("family counts must be nonnegative")
-        for kind in self.operators + self.dual_operators:
-            if kind not in KINDS:
-                raise ConfigError(f"unknown operator kind {kind!r}")
+            _check(_is(count, integer) and count >= 0, f"corpus.{name}", "a nonnegative integer", count)
+        _check(isinstance(self.dual_s_values, tuple), "dual.s_values", "a list", self.dual_s_values)
+        for s in self.dual_s_values:
+            _check(_is(s) and 0.0 < s < math.inf, "every dual.s_values entry", "positive and finite", s)
+        per_family = self.dual_corpus_per_family
+        _check(_is(per_family, integer) and per_family >= 0, "dual.per_family", "a nonnegative integer", per_family)
+        _check(_is(self.dual_tol) and 0.0 < self.dual_tol < math.inf, "dual.tol", "positive and finite", self.dual_tol)
+        for where, kinds in (("operators", self.operators), ("dual.operators", self.dual_operators)):
+            _check(isinstance(kinds, tuple) and len(kinds) > 0, where, "a non-empty list", kinds)
+            for kind in kinds:
+                if kind not in KINDS:
+                    raise ConfigError(f"unknown operator kind {kind!r}")
         if self.support not in (None, SUPPORT_LEFT_HALF):
             raise ConfigError(f"unsupported support choice {self.support!r}")
 
@@ -121,21 +141,17 @@ class ExperimentConfig:
     def from_json(cls, text: str) -> "ExperimentConfig":
         obj = json.loads(text)
         kwargs = {}
-        try:
-            for section, fields in _LAYOUT.items():  # the top level first
-                part = obj if section is None else obj.get(section, {})
-                _reject_unknown(part, _TOP_KEYS if section is None else tuple(fields), section or "config")
-                for key, name in fields.items():
-                    if key in part:
-                        # sequence fields (those with a tuple default) are held as tuples
-                        kwargs[name] = tuple(part[key]) if isinstance(getattr(cls, name), tuple) else part[key]
-            if "corpus" in obj:
-                _reject_unknown(obj["corpus"], FAMILIES, "corpus")
-                # family order is canonical so configs hash and compare stably
-                kwargs["corpus_counts"] = tuple((name, obj["corpus"][name]) for name in FAMILIES if name in obj["corpus"])
-            return cls(**kwargs)
-        except TypeError as exc:
-            raise ConfigError(str(exc)) from None
+        for section, fields in _LAYOUT.items():  # the top level first
+            part = obj if section is None else obj.get(section, {})
+            _reject_unknown(part, _TOP_KEYS if section is None else tuple(fields), section or "config")
+            for key, name in fields.items():
+                if key in part:  # JSON arrays are held as tuples; the config checks which fields take them
+                    kwargs[name] = tuple(part[key]) if isinstance(part[key], list) else part[key]
+        if "corpus" in obj:
+            _reject_unknown(obj["corpus"], FAMILIES, "corpus")
+            # family order is canonical so configs hash and compare stably
+            kwargs["corpus_counts"] = tuple((name, obj["corpus"][name]) for name in FAMILIES if name in obj["corpus"])
+        return cls(**kwargs)
 
 
 def default_config(**overrides) -> ExperimentConfig:
@@ -387,7 +403,7 @@ def _suite_cz(cfg: ExperimentConfig) -> tuple[int, list[str]]:
         n = int(rng.choice([64, 256]))
         f = GridFunction(rng.standard_normal(n) * np.exp(rng.standard_normal(n)))
         lam = norm(f, 1) * float(10.0 ** rng.uniform(0.0, 2.0))
-        d = cz_mod.cz_decompose(f, lam, THEOREM1_DILATION)
+        d = cz_mod.cz_decompose(f, lam)
         for check in cz_mod.verify_cz(d, f):
             checks += 1
             if not check.passed:

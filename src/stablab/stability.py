@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .cz import ConsistencyError, cz_decompose
+from .cz import ConsistencyError, CzDecomposition, cz_decompose
 from .distance import dist_l1_to_lp_ball
 from .grid import GridFunction, mask, norm
 from .operators import LinearOperatorSpec, apply
@@ -36,11 +36,9 @@ __all__ = [
     "kclosed_redecompose",
     "graph_approx_sequence",
     "DEGENERATE_TOL",
-    "THEOREM1_DILATION",
 ]
 
 DEGENERATE_TOL = 1e-12
-THEOREM1_DILATION = 10.0
 
 
 @dataclass(frozen=True)
@@ -90,6 +88,15 @@ class RedecompositionReport:
         return json.dumps(asdict(self), sort_keys=True)
 
 
+def _split_at_level(u0: GridFunction, a: float, b: float, p: float) -> tuple[float, CzDecomposition]:
+    """The level lam with lam^(p-1) a = b^p, in units of b so b^p is never formed, and u0's split there."""
+    try:
+        lam = b * (b / a) ** (1.0 / (p - 1.0))
+    except OverflowError:  # lam beyond the doubles: cz_decompose rejects it as it does an underflowed 0
+        lam = np.inf
+    return lam, cz_decompose(u0, lam)
+
+
 def _guarded_ratio(numer: float, denom: float) -> tuple[float, bool]:
     if denom > DEGENERATE_TOL:
         return numer / denom, False
@@ -134,8 +141,7 @@ def bourgain_construct(
         )
         return u1, report
 
-    lam = (b**p / a) ** (1.0 / (p - 1.0))
-    d = cz_decompose(u0, lam, THEOREM1_DILATION)
+    lam, d = _split_at_level(u0, a, b, p)
     u = u1 + d.good
     h = d.bad
 
@@ -203,8 +209,7 @@ def kclosed_redecompose(
         )
         return (h, apply(T, h)), (w, Tu), report
 
-    lam = (b**p / a) ** (1.0 / (p - 1.0))
-    d = cz_decompose(u0, lam, THEOREM1_DILATION)
+    lam, d = _split_at_level(u0, a, b, p)
     h = d.bad
     w = u1 + d.good
     Th = apply(T, h)

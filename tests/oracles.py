@@ -30,7 +30,13 @@ library's exact solves must agree with them to within that width.
 its earlier form: a Python stack that visits the dyadic nodes one at a time,
 root first, and stops at the first node whose mean of |f| exceeds the level.
 The library's level-by-level array pass must select the same cubes in the
-same order.
+same order.  ``reference_cz_parts`` is the earlier assembly that followed that
+selection: a second walk over the cubes that sets each one's good part with a
+per-slice mean and unions its dilation into omega.  Its body is unchanged but
+for the two ``GridSet`` helpers it called (the empty set and the union), here
+spelled with membership arrays, and it returns the three parts alone.  The
+library's single pass must reproduce the good and bad parts and omega bit for
+bit.
 """
 
 from __future__ import annotations
@@ -51,7 +57,8 @@ from stablab.distance import (
 )
 from stablab import dual_search
 from stablab.dual_search import DualInstance, FeasibilityOutcome, _certify
-from stablab.grid import DyadicInterval, GridFunction, dyadic_means, norm, power_mean
+from stablab.cz import DILATION
+from stablab.grid import DyadicInterval, GridFunction, GridSet, dilate_interval, dyadic_means, norm, power_mean
 from stablab.operators import as_matrix
 
 
@@ -231,6 +238,21 @@ def reference_cz_cubes(f: GridFunction, level: float) -> tuple[DyadicInterval, .
             stack.append((lev + 1, 2 * idx + 1))
             stack.append((lev + 1, 2 * idx))
     return tuple(cubes)
+
+
+def reference_cz_parts(
+    f: GridFunction, cubes: tuple[DyadicInterval, ...]
+) -> tuple[GridFunction, GridFunction, GridSet]:
+    """(good, bad, omega) of the decomposition of f on the given cubes."""
+    n = f.n
+    good = f.values.copy()
+    omega = GridSet(np.zeros(n, dtype=bool))
+    for q in cubes:
+        sl = q.cell_slice(n)
+        good[sl] = f.values[sl].mean()
+        omega = GridSet(omega.membership | dilate_interval(q, DILATION, n).membership)
+    bad = f.values - good
+    return GridFunction(good), GridFunction(bad), omega
 
 
 def _clamp_box(values: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import reference_cz_cubes
+from oracles import reference_cz_cubes, reference_cz_parts
 from stablab import GridFunction, cz_decompose, norm, verify_cz
 from stablab.cz import ConsistencyError, all_passed
 from stablab.grid import DyadicInterval, dyadic_means
@@ -155,6 +155,11 @@ def test_level_pass_selects_the_reference_cubes(k, magnitude, zeros, tie, ratio,
         level = norm(f, 1) * 10.0**ratio
     d = cz_decompose(f, level)
     assert d.cubes == reference_cz_cubes(f, level)
+    # the parts the single pass builds, bit for bit against the per-cube assembly
+    good, bad, omega = reference_cz_parts(f, d.cubes)
+    assert d.good.values.tobytes() == good.values.tobytes()
+    assert d.bad.values.tobytes() == bad.values.tobytes()
+    assert d.omega == omega
     if tie:
         assert DyadicInterval(lev, idx) not in d.cubes
     failed = [c for c in verify_cz(d, f) if not c.passed]

@@ -65,6 +65,20 @@ def test_zero_radius_forces_zero_minimizer():
     assert res.value == norm(f, np.inf) and res.minimizer == GridFunction.zeros(2)
 
 
+def test_linf_radius_below_rounding_of_the_sup_is_quiet():
+    # Newton reaches eps = max|f| to rounding, where every cell shrinks to 0
+    # and a further step would be 0/0
+    from stablab.harness import default_config, generate_corpus
+
+    f = generate_corpus(default_config())[0][1]
+    sup = norm(f, np.inf)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = dist_linf_to_lp_ball(f, sup * 1e-18, 2)
+    assert res.value == sup
+    assert res.minimizer == GridFunction.zeros(f.n)
+
+
 def test_negative_radius_rejected():
     f = GridFunction([1.0, 0.0])
     with pytest.raises(ValueError):

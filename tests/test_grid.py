@@ -85,7 +85,7 @@ def test_grid_function_immutable():
 def test_mask_identity_zero_and_selection():
     f = GridFunction([1.0, 2.0])
     assert mask(f, GridSet.full(2)) == f
-    assert mask(f, GridSet.empty(2)) == GridFunction.zeros(2)
+    assert mask(f, GridSet([False, False])) == GridFunction.zeros(2)
     picked = mask(f, GridSet([False, True]))
     assert picked == GridFunction([0.0, 2.0])
     with pytest.raises(DimensionError):
@@ -169,4 +169,4 @@ def test_grid_set_measure_and_ops():
     E = GridSet([True, False, False, True])
     assert E.measure == 0.5
     assert E.complement().measure == 0.5
-    assert E.union(E.complement()) == GridSet.full(4)
+    assert GridSet(E.membership | E.complement().membership) == GridSet.full(4)

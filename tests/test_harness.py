@@ -306,9 +306,8 @@ def test_cli_dual_support_mode(tmp_path):
         ("distance --input {path}", "[1.0, NaN]", "finite"),
         ("distance --input {path}", None, "No such file"),
         ("distance --s -1", None, "ball radius must be nonnegative and finite, got -1.0"),
-        ("dual --tol 0", None, "tolerance must be positive and finite, got 0.0"),
+        ("dual --tol 0", None, "dual.tol must be positive and finite, got 0.0"),
         ("cz --level 0", None, "decomposition level must be positive and finite, got 0.0"),
-        ("cz --dilation 0.5", None, "dilation factor must be finite and >= 1, got 0.5"),
         ("construct --s nan", None, "ball radius must be positive and finite, got nan"),
         # a mask is a dual-only support: the campaigns take the named choice alone
         ("verify --support {path}", "[1, 0]", "unsupported support choice"),
@@ -322,17 +321,33 @@ def test_cli_dual_support_mode(tmp_path):
         ("distance --s inf", None, "ball radius must be nonnegative and finite, got inf"),
         ("construct --s inf", None, "ball radius must be positive and finite, got inf"),
         ("cz --level inf", None, "decomposition level must be positive and finite, got inf"),
-        ("cz --dilation inf", None, "dilation factor must be finite and >= 1, got inf"),
-        ("dual --tol inf", None, "tolerance must be positive and finite, got inf"),
+        ("dual --tol inf", None, "dual.tol must be positive and finite, got inf"),
+        # a split level below the doubles: b * (b/a)^(1/(p-1)) is about 1e-400
+        ("construct --n 8 --s 1e-200", None, "decomposition level must be positive and finite, got 0.0"),
+        # config values are checked for type and domain when the config loads
+        ("verify --config {path}", '{"s_sweep": {"min": 0}}', "s_sweep.min must be positive and finite, got 0"),
+        ("verify --config {path}", '{"s_sweep": {"min": 4.0, "max": 2.0}}', "s_sweep.max must be finite and >= s_sweep.min, got 2.0"),
+        ("verify --config {path}", '{"s_sweep": {"count": 0}}', "s_sweep.count must be a positive integer, got 0"),
+        ("verify --config {path}", '{"dual": {"tol": 0}}', "dual.tol must be positive and finite, got 0"),
+        ("verify --config {path}", '{"dual": {"s_values": [-1]}}', "every dual.s_values entry must be positive and finite, got -1"),
+        ("verify --config {path}", '{"dual": {"per_family": -1}}', "dual.per_family must be a nonnegative integer, got -1"),
+        ("verify --config {path}", '{"seed": -1}', "seed must be a nonnegative integer, got -1"),
+        ("verify --config {path}", '{"seed": "x"}', "seed must be a nonnegative integer, got 'x'"),
+        ("verify --config {path}", '{"corpus": {"spikes": 1.5}}', "corpus.spikes must be a nonnegative integer, got 1.5"),
+        ("verify --config {path}", '{"operators": "hilbert"}', "operators must be a non-empty list, got 'hilbert'"),
+        ("verify --config {path}", '{"n": 8.0}', "n must be a power of two >= 2, got 8.0"),
+        ("report --config {path} --outdir {path}.d", '{"dual": {"operators": []}}', "dual.operators must be a non-empty list, got ()"),
         # outputs that cannot be written: a missing directory, and a file where a directory belongs
         ("distance --out {path}.d/x.json", None, "No such file or directory"),
         ("report --outdir {path}", "[]", "File exists"),
     ],
     ids=[
         "unknown-config-key", "cz-trials-key", "probe-trials-key", "dilation-key", "s-log-key", "three-values", "nan", "missing-file",
-        "negative-radius", "zero-tol", "zero-level", "small-dilation", "nan-radius",
+        "negative-radius", "zero-tol", "zero-level", "nan-radius",
         "verify-mask", "report-mask", "redecompose-grid", "dual-mask-grid", "json-object", "infinite-radius",
-        "distance-infinite-radius", "construct-infinite-radius", "infinite-level", "infinite-dilation", "infinite-tol",
+        "distance-infinite-radius", "construct-infinite-radius", "infinite-level", "infinite-tol", "level-underflow",
+        "zero-s-min", "s-max-below-min", "zero-s-count", "zero-dual-tol", "negative-dual-s", "negative-per-family",
+        "negative-seed", "string-seed", "fractional-count", "operators-string", "float-n", "no-dual-operators",
         "out-missing-dir", "outdir-is-a-file",
     ],
 )
@@ -350,7 +365,8 @@ def test_cli_bad_input_is_a_one_line_error(tmp_path, argv, text, message):
 @pytest.mark.parametrize(
     "argv, flag",
     # --outdir keeps what a report that ignored --out would write inside tmp_path
-    [("report --out {tmp} --outdir {tmp}", "--out"), ("verify --s 1", "--s"), ("cz --s 2", "--s")],
+    # cz dilates by the fixed theorem-1 factor, cz.DILATION
+    [("report --out {tmp} --outdir {tmp}", "--out"), ("verify --s 1", "--s"), ("cz --s 2", "--s"), ("cz --dilation 4", "--dilation")],
 )
 def test_cli_rejects_a_flag_the_subcommand_does_not_read(tmp_path, argv, flag):
     out = run_cli(*argv.format(tmp=tmp_path).split())
@@ -377,3 +393,36 @@ def test_cli_redecompose_bytes():
         '"lam": 0.44320156962748186, "ratio_Th": 0.6117741977472833, "ratio_Tw_p": 0.9986970678505735, '
         '"ratio_h": 0.6678890965528577, "ratio_w_p": 1.1982104390802135}\n'
     )
+
+
+@pytest.mark.parametrize("command", ["construct", "redecompose"])
+@pytest.mark.parametrize(
+    "flags, values",
+    # b^p underflows at p = 40, s = 1e-12, and overflows at p = 80, s = 1e5 on the spike pair
+    [("--p 40 --s 1e-12", None), ("--p 80 --s 1e5", [1e10, 0, 0, 0, 0, 0, 0, 3e9])],
+    ids=["b-to-the-p-underflows", "b-to-the-p-overflows"],
+)
+def test_cli_split_level_where_b_to_the_p_is_out_of_range(tmp_path, command, flags, values):
+    argv = [command, "--n", "8", *flags.split()]
+    if values is not None:
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(values))
+        argv += ["--input", str(path)]
+    out = run_cli(*argv)
+    assert out.returncode == 0, out.stderr
+    lam = json.loads(out.stdout)["lam"]
+    assert 0.0 < lam < float("inf")
+
+
+def test_cli_dual_reads_the_config_tol_and_the_flag_overrides_it(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"dual": {"tol": 0.2}}')
+    argv = ("dual", "--n", "16", "--s", "1.5")
+    default = run_cli(*argv)
+    from_config = run_cli(*argv, "--config", str(cfg))
+    from_flag = run_cli(*argv, "--tol", "0.2")
+    overridden = run_cli(*argv, "--config", str(cfg), "--tol", "0.01")
+    for out in (default, from_config, from_flag, overridden):
+        assert out.returncode == 0, out.stderr
+    assert from_config.stdout == from_flag.stdout != default.stdout
+    assert overridden.stdout == default.stdout

@@ -71,6 +71,57 @@ def test_residual_identity_and_level_identity(rng):
             assert rep.ratio_f <= 2.0 * (1 + 1e-9)
 
 
+# b^p leaves the doubles where lam does not: it underflows at p = 40, s = 1e-12 on the
+# default corpus's first function, and overflows at p = 80, s = 1e5 on a spike pair
+LEVEL_RULE_CASES = pytest.mark.parametrize(
+    "p, s, values",
+    [(40.0, 1e-12, None), (80.0, 1e5, [1e10, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 3e9])],
+    ids=["b-to-the-p-underflows", "b-to-the-p-overflows"],
+)
+
+
+def _level_rule_input(values) -> GridFunction:
+    return generate_corpus(default_config(n=8))[0][1] if values is None else GridFunction(values)
+
+
+def _assert_level_identity(rep, p: float) -> None:
+    assert 0.0 < rep.lam < math.inf
+    # lam^(p-1) a = b^p, in logarithms
+    lhs = (p - 1.0) * math.log(rep.lam) + math.log(rep.a)
+    assert lhs == pytest.approx(p * math.log(rep.b), rel=1e-12)
+
+
+@LEVEL_RULE_CASES
+def test_construct_level_where_b_to_the_p_is_out_of_range(p, s, values):
+    f = _level_rule_input(values)
+    _, rep = bourgain_construct(f, make_operator("hilbert", f.n), s, p)
+    assert not rep.degenerate
+    _assert_level_identity(rep, p)
+
+
+@LEVEL_RULE_CASES
+def test_redecompose_level_where_b_to_the_p_is_out_of_range(p, s, values):
+    f = _level_rule_input(values)
+    T = make_operator("hilbert", f.n)
+    Tf = apply(T, f)
+    u1 = dist_l1_to_lp_ball(f, s, p).minimizer
+    v1 = dist_l1_to_lp_ball(Tf, s, p).minimizer
+    _, _, rep = kclosed_redecompose(f, T, (f - u1, Tf - v1, u1, v1), p)
+    _assert_level_identity(rep, p)
+
+
+@pytest.mark.parametrize(
+    "p, s, values, got",
+    # lam = b * (b/a)^(1/(p-1)) is about 1e-400 (below the doubles) and 1e400 (above them)
+    [(2.0, 1e-200, None, "0.0"), (1.01, 1.0, [1.0001, 1.0001], "inf")],
+    ids=["underflow", "overflow"],
+)
+def test_level_beyond_the_doubles_is_rejected(p, s, values, got):
+    f = _level_rule_input(values)
+    with pytest.raises(ValueError, match=f"decomposition level must be positive and finite, got {got}$"):
+        bourgain_construct(f, make_operator("hilbert", f.n), s, p)
+
+
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
 def test_exact_discrete_bounds_across_exponents(p, rng):
     cfg = default_config(n=64, p=p, s_count=5)
