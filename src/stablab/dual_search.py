@@ -280,27 +280,28 @@ def _kkt_root(b: np.ndarray, top: np.ndarray, coef: float, p: float) -> np.ndarr
 # ---------------------------------------------------------------------------
 
 
-def _certify(inst: DualInstance, c: float, v_values: np.ndarray, Tsv: np.ndarray) -> float:
-    """Maximum relative constraint violation of v at constant c (<= 0 is feasible)."""
+def _measure(inst: DualInstance, c: float, v: np.ndarray) -> tuple[float, float, float, float]:
+    """One evaluation of the witness v at constant c.
+
+    Returns its largest relative constraint violation (<= 0 is feasible, inf
+    when v is non-zero off the support), then norm(v, p), norm(f - v, inf)
+    and norm(T*f - T*v, inf).
+    """
+    sizes = (
+        power_mean(np.abs(v), inst.p),
+        float(np.abs(inst.f.values - v).max()),
+        float(np.abs(inst.Tstar_f.values - inst.apply_tstar(v)).max()),
+    )
+    if inst.support is not None and float(np.abs(v[~inst.support.membership]).max(initial=0.0)) > 0.0:
+        return (math.inf, *sizes)
     dust = _ABS_DUST * inst.scale
-    viol = []
-    bound_p = c * inst.s
-    size = power_mean(np.abs(v_values), inst.p)
-    viol.append((size - bound_p - dust) / max(bound_p, dust))
-    bound_f = c * inst.r
-    viol.append((float(np.abs(inst.f.values - v_values).max()) - bound_f - dust) / max(bound_f, dust))
-    bound_T = c * (inst.t + inst.r)
-    viol.append((float(np.abs(inst.Tstar_f.values - Tsv).max()) - bound_T - dust) / max(bound_T, dust))
-    return max(viol)
+    bounds = (c * inst.s, c * inst.r, c * (inst.t + inst.r))
+    return (max((size - bound - dust) / max(bound, dust) for size, bound in zip(sizes, bounds)), *sizes)
 
 
 def certified(inst: DualInstance, c: float, v: GridFunction) -> bool:
     """Direct, solver-independent constraint check at constant c * (1 + FEAS_TOL)."""
-    if inst.support is not None:
-        if float(np.abs(v.values[~inst.support.membership]).max(initial=0.0)) > 0.0:
-            return False
-    Tsv = inst.apply_tstar(v.values)
-    return _certify(inst, c * (1.0 + FEAS_TOL), v.values, Tsv) <= 0.0
+    return _measure(inst, c * (1.0 + FEAS_TOL), v.values)[0] <= 0.0
 
 
 def _dual_bound(inst: DualInstance, a: np.ndarray, b: np.ndarray) -> float:
@@ -353,7 +354,7 @@ def feasible(inst: DualInstance, c: float, x0: np.ndarray | None = None) -> Feas
 
     # r = 0 pins v = f exactly; only the p-ball constraint can still bind.
     if inst.r == 0.0:
-        ok = _certify(inst, c, fv, inst.Tstar_f.values) <= FEAS_TOL
+        ok = _measure(inst, c, fv)[0] <= FEAS_TOL
         return FeasibilityOutcome("feasible" if ok else "infeasible", inst.f if ok else None, 0, 0.0)
 
     bound_p = c * inst.s
@@ -368,7 +369,7 @@ def feasible(inst: DualInstance, c: float, x0: np.ndarray | None = None) -> Feas
     v = inst.v0.values if x0 is None else x0
     w = Ts(v)
 
-    # _certify accepts v at c only if v meets all three constraints at c_accept, so a
+    # _measure accepts v at c only if v meets all three constraints at c_accept, so a
     # weak-duality bound above c_accept (with a rounding margin) rules out any later candidate
     c_accept = (1.0 + FEAS_TOL) * (c + _ABS_DUST * inst.scale / min(inst.s, inst.r, inst.t + inst.r))
     c_accept *= 1.0 + 1e-9
@@ -376,7 +377,7 @@ def feasible(inst: DualInstance, c: float, x0: np.ndarray | None = None) -> Feas
     def witness(x: np.ndarray, k: int) -> tuple[float, FeasibilityOutcome | None]:
         """The direct check of x masked to E: its violation, and the "feasible" outcome if it passes."""
         cand = x if sup_mask is None else np.where(sup_mask, x, 0.0)
-        res = _certify(inst, c, cand, Ts(cand))
+        res = _measure(inst, c, cand)[0]
         if not res <= FEAS_TOL:
             return res, None
         return res, FeasibilityOutcome("feasible", GridFunction(cand), k, best_bound)
@@ -480,21 +481,17 @@ def min_constant(inst: DualInstance, tol: float = 1e-2) -> DualResult:
 def _finish(
     inst: DualInstance, c_star: float, c_lower: float, v: GridFunction, iterations: int, flagged: bool
 ) -> DualResult:
-    ok = certified(inst, c_star, v) if c_star > 0 else norm(v, 1) == 0.0
-    Tsv = inst.apply_tstar(v.values)
-    res_p = norm(v, inst.p) / inst.s
-    res_inf = float(np.abs(inst.f.values - v.values).max()) / inst.r if inst.r > _ABS_DUST else 0.0
+    violation, size_p, dev_f, dev_T = _measure(inst, c_star * (1.0 + FEAS_TOL), v.values)
     denom_T = inst.t + inst.r
-    res_Tinf = float(np.abs(inst.Tstar_f.values - Tsv).max()) / denom_T if denom_T > _ABS_DUST else 0.0
     return DualResult(
         c_star=c_star,
         c_lower=c_lower,
         v=v,
-        res_p=res_p,
-        res_inf=res_inf,
-        res_Tinf=res_Tinf,
+        res_p=size_p / inst.s,
+        res_inf=dev_f / inst.r if inst.r > _ABS_DUST else 0.0,
+        res_Tinf=dev_T / denom_T if denom_T > _ABS_DUST else 0.0,
         iterations=iterations,
-        status="certified" if ok else "uncertified",
+        status="certified" if violation <= 0.0 else "uncertified",
         flagged=flagged,
     )
 

@@ -12,6 +12,7 @@ import io
 import json
 import math
 import numbers
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -328,16 +329,12 @@ def run_theorem2(cfg: ExperimentConfig) -> tuple[str, dict]:
 # ---------------------------------------------------------------------------
 
 
-def _suite_grid(cfg: ExperimentConfig) -> tuple[int, list[str]]:
-    failures = []
-    checks = 0
-    # nesting law, exhaustive through level 6
-    intervals = [DyadicInterval(l, i) for l in range(7) for i in range(1 << l)]
-    for a in intervals:
-        for b in intervals:
-            checks += 1
-            if not a.nested_or_disjoint(b):
-                failures.append(f"nesting:{a}|{b}")
+def _suite_grid(cfg: ExperimentConfig) -> Iterator[tuple[str, bool]]:
+    # nesting law, exhaustive through level 6, with each interval's name formatted once
+    intervals = [(q, str(q)) for q in (DyadicInterval(l, i) for l in range(7) for i in range(1 << l))]
+    for a, name_a in intervals:
+        for b, name_b in intervals:
+            yield f"nesting:{name_a}|{name_b}", not a.nested_or_disjoint(b)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 100]))
     n = 64
     for i in range(50):
@@ -345,27 +342,18 @@ def _suite_grid(cfg: ExperimentConfig) -> tuple[int, list[str]]:
         g = GridFunction(rng.standard_normal(n))
         p = float(rng.uniform(1.1, 4.0))
         q = p / (p - 1.0)
-        checks += 1
-        if abs(inner(f, g)) > norm(f, p) * norm(g, q) * (1 + 1e-12):
-            failures.append(f"holder:{i}")
+        yield f"holder:{i}", abs(inner(f, g)) > norm(f, p) * norm(g, q) * (1 + 1e-12)
         lo, hi = sorted(rng.uniform(1.0, 6.0, size=2))
-        checks += 1
-        if norm(f, lo) > norm(f, hi) * (1 + 1e-12):
-            failures.append(f"norm_monotone:{i}")
+        yield f"norm_monotone:{i}", norm(f, lo) > norm(f, hi) * (1 + 1e-12)
     for level in range(7):
         for index in range(1 << level):
             q_int = DyadicInterval(level, index)
             for factor in (1.0, 2.0, 3.5, 10.0):
-                checks += 1
                 got = dilate_interval(q_int, factor, n).measure
-                if got > min(1.0, factor * q_int.length) + 2.0 / n + 1e-12:
-                    failures.append(f"dilate:{q_int}x{factor}")
-    return checks, failures
+                yield f"dilate:{q_int}x{factor}", got > min(1.0, factor * q_int.length) + 2.0 / n + 1e-12
 
 
-def _suite_distance(cfg: ExperimentConfig) -> tuple[int, list[str]]:
-    failures = []
-    checks = 0
+def _suite_distance(cfg: ExperimentConfig) -> Iterator[tuple[str, bool]]:
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 200]))
     n = 64
     for i in range(30):
@@ -377,27 +365,17 @@ def _suite_distance(cfg: ExperimentConfig) -> tuple[int, list[str]]:
             (distance_mod.dist_linf_to_lp_ball, math.inf),
         ):
             res = solver(f, s, p)
-            checks += 3
-            if norm(res.minimizer, p) > s * (1 + distance_mod.FEAS_TOL):
-                failures.append(f"feasibility:{i}:{ambient}")
-            if norm(f - res.minimizer, ambient) > res.value * (1 + distance_mod.FEAS_TOL) + 1e-12:
-                failures.append(f"attainment:{i}:{ambient}")
+            yield f"feasibility:{i}:{ambient}", norm(res.minimizer, p) > s * (1 + distance_mod.FEAS_TOL)
+            yield f"attainment:{i}:{ambient}", norm(f - res.minimizer, ambient) > res.value * (1 + distance_mod.FEAS_TOL) + 1e-12
             lam = float(rng.uniform(0.5, 2.0))
             scaled = solver(lam * f, lam * s, p)
-            if abs(scaled.value - lam * res.value) > 1e-8 * max(1.0, res.value):
-                failures.append(f"scaling:{i}:{ambient}")
+            yield f"scaling:{i}:{ambient}", abs(scaled.value - lam * res.value) > 1e-8 * max(1.0, res.value)
             # monotone in s and vanishing at the norm
-            checks += 2
-            if solver(f, s * 1.5, p).value > res.value * (1 + 1e-9) + 1e-12:
-                failures.append(f"monotone:{i}:{ambient}")
-            if solver(f, norm(f, p), p).value > 1e-12:
-                failures.append(f"vanishing:{i}:{ambient}")
-    return checks, failures
+            yield f"monotone:{i}:{ambient}", solver(f, s * 1.5, p).value > res.value * (1 + 1e-9) + 1e-12
+            yield f"vanishing:{i}:{ambient}", solver(f, norm(f, p), p).value > 1e-12
 
 
-def _suite_cz(cfg: ExperimentConfig) -> tuple[int, list[str]]:
-    failures = []
-    checks = 0
+def _suite_cz(cfg: ExperimentConfig) -> Iterator[tuple[str, bool]]:
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 300]))
     for i in range(CZ_TRIALS):
         n = int(rng.choice([64, 256]))
@@ -405,24 +383,17 @@ def _suite_cz(cfg: ExperimentConfig) -> tuple[int, list[str]]:
         lam = norm(f, 1) * float(10.0 ** rng.uniform(0.0, 2.0))
         d = cz_mod.cz_decompose(f, lam)
         for check in cz_mod.verify_cz(d, f):
-            checks += 1
-            if not check.passed:
-                failures.append(f"cz:{i}:{check.name}")
-    return checks, failures
+            yield f"cz:{i}:{check.name}", not check.passed
 
 
-def _suite_operators(cfg: ExperimentConfig) -> tuple[int, list[str]]:
-    failures = []
-    checks = 0
+def _suite_operators(cfg: ExperimentConfig) -> Iterator[tuple[str, bool]]:
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 400]))
     n = cfg.n
     x = np.arange(n) / n
     H = make_operator("hilbert", n)
     cos_f = GridFunction(np.cos(2 * np.pi * x))
     sin_f = GridFunction(np.sin(2 * np.pi * x))
-    checks += 1
-    if norm(apply(H, cos_f) - sin_f, np.inf) > 1e-10:
-        failures.append("hilbert_cos_to_sin")
+    yield "hilbert_cos_to_sin", norm(apply(H, cos_f) - sin_f, np.inf) > 1e-10
     for kind in cfg.operators:
         T = make_operator(kind, n, cfg.seed)
         Ts = adjoint(T)
@@ -431,28 +402,19 @@ def _suite_operators(cfg: ExperimentConfig) -> tuple[int, list[str]]:
             gp = GridFunction(rng.standard_normal(n))
             lhs = inner(apply(T, fp), gp)
             rhs = inner(fp, apply(Ts, gp))
-            checks += 1
-            if abs(lhs - rhs) > 1e-10 * max(1.0, abs(lhs)):
-                failures.append(f"adjoint_pairing:{kind}:{i}")
-            checks += 1
+            yield f"adjoint_pairing:{kind}:{i}", abs(lhs - rhs) > 1e-10 * max(1.0, abs(lhs))
             a, b = rng.standard_normal(2)
             lin = apply(T, GridFunction(a * fp.values + b * gp.values))
             lin_ref = a * apply(T, fp) + b * apply(T, gp)
-            if norm(lin - lin_ref, np.inf) > 1e-10 * max(1.0, norm(lin_ref, np.inf)):
-                failures.append(f"linearity:{kind}:{i}")
-        checks += 1
+            yield f"linearity:{kind}:{i}", norm(lin - lin_ref, np.inf) > 1e-10 * max(1.0, norm(lin_ref, np.inf))
         probe = nyquist_free(GridFunction(rng.standard_normal(n)))
         twice = apply(T, apply(T, probe))
         demeaned = probe.values - probe.values.mean()
         target = -demeaned if kind == "hilbert" else demeaned
-        if norm(twice - GridFunction(target), np.inf) > 1e-9:
-            failures.append(f"involution:{kind}")
-    return checks, failures
+        yield f"involution:{kind}", norm(twice - GridFunction(target), np.inf) > 1e-9
 
 
-def _suite_stability(cfg: ExperimentConfig) -> tuple[int, list[str]]:
-    failures = []
-    checks = 0
+def _suite_stability(cfg: ExperimentConfig) -> Iterator[tuple[str, bool]]:
     small = replace(cfg, corpus_counts=tuple((name, min(1, cnt)) for name, cnt in cfg.corpus_counts), s_count=5)
     corpus = generate_corpus(small)
     bound_p = 1.0 + 2.0 ** ((small.p - 1.0) / small.p)
@@ -461,21 +423,17 @@ def _suite_stability(cfg: ExperimentConfig) -> tuple[int, list[str]]:
             T = make_operator(kind, small.n, small.seed)
             for s in small.s_values():
                 _, rep = bourgain_construct(f, T, s, small.p)
-                checks += 3
-                if rep.ratio_p > bound_p * (1 + 1e-9):
-                    failures.append(f"ratio_p:{label}:{kind}:{s:g}")
-                if rep.ratio_f > 2.0 * (1 + 1e-9):
-                    failures.append(f"ratio_f:{label}:{kind}:{s:g}")
-                if rep.a > distance_mod.BISECTION_TOL and rep.lam > 0:
-                    ident = rep.lam ** (small.p - 1.0) * rep.a
-                    if abs(ident - rep.b**small.p) > 1e-9 * max(1.0, rep.b**small.p):
-                        failures.append(f"level_identity:{label}:{kind}:{s:g}")
-    return checks, failures
+                yield f"ratio_p:{label}:{kind}:{s:g}", rep.ratio_p > bound_p * (1 + 1e-9)
+                yield f"ratio_f:{label}:{kind}:{s:g}", rep.ratio_f > 2.0 * (1 + 1e-9)
+                # counted also where it is skipped: no mass to split, or no level
+                yield f"level_identity:{label}:{kind}:{s:g}", (
+                    rep.a > distance_mod.BISECTION_TOL
+                    and rep.lam > 0
+                    and abs(rep.lam ** (small.p - 1.0) * rep.a - rep.b**small.p) > 1e-9 * max(1.0, rep.b**small.p)
+                )
 
 
-def _suite_dual(cfg: ExperimentConfig) -> tuple[int, list[str]]:
-    failures = []
-    checks = 0
+def _suite_dual(cfg: ExperimentConfig) -> Iterator[tuple[str, bool]]:
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 600]))
     n = 64
     for kind in cfg.dual_operators:
@@ -484,35 +442,31 @@ def _suite_dual(cfg: ExperimentConfig) -> tuple[int, list[str]]:
             beta = GridFunction(rng.standard_normal(n))
             g = GridFunction(rng.standard_normal(n))
             pair = annihilator_pair(beta, T)
-            checks += 1
-            if abs(duality_pairing((g, apply(T, g)), pair)) > 1e-9:
-                failures.append(f"annihilation:{kind}:{i}")
+            yield f"annihilation:{kind}:{i}", abs(duality_pairing((g, apply(T, g)), pair)) > 1e-9
         f = GridFunction(np.abs(rng.standard_normal(n)) + 0.5)
         f = f * (1.0 / norm(f, 1))
         inst = make_instance(f, T, 0.5 * norm(f, cfg.p), cfg.p)
         result = min_constant(inst, tol=cfg.dual_tol)
-        checks += 1
-        if result.status != "certified":
-            failures.append(f"dual_certification:{kind}")
-    return checks, failures
+        yield f"dual_certification:{kind}", result.status != "certified"
+
+
+# every suite yields one (name, failed) pair per check; verify_all counts them
+_SUITES = {
+    "grid": _suite_grid,
+    "distance": _suite_distance,
+    "cz": _suite_cz,
+    "operators": _suite_operators,
+    "stability": _suite_stability,
+    "dual": _suite_dual,
+}
 
 
 def verify_all(cfg: ExperimentConfig) -> dict:
     """Run every module's invariant suite; returns a JSON-ready summary."""
-    suites = {
-        "grid": _suite_grid(cfg),
-        "distance": _suite_distance(cfg),
-        "cz": _suite_cz(cfg),
-        "operators": _suite_operators(cfg),
-        "stability": _suite_stability(cfg),
-        "dual": _suite_dual(cfg),
-    }
-    summary = {
-        "config": json.loads(cfg.to_json()),
-        "suites": {
-            name: {"checks": checks, "failures": len(fails), "failed": fails[:20]}
-            for name, (checks, fails) in suites.items()
-        },
-    }
-    summary["ok"] = all(len(fails) == 0 for _, fails in suites.values())
-    return summary
+    suites = {}
+    for name, suite in _SUITES.items():
+        checks = list(suite(cfg))
+        failed = [check for check, bad in checks if bad]
+        suites[name] = {"checks": len(checks), "failures": len(failed), "failed": failed[:20]}
+    ok = all(summary["failures"] == 0 for summary in suites.values())
+    return {"config": json.loads(cfg.to_json()), "suites": suites, "ok": ok}

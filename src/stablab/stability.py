@@ -26,7 +26,7 @@ import numpy as np
 
 from .cz import ConsistencyError, CzDecomposition, cz_decompose
 from .distance import dist_l1_to_lp_ball
-from .grid import GridFunction, mask, norm
+from .grid import DyadicInterval, GridFunction, mask, norm
 from .operators import LinearOperatorSpec, apply
 
 __all__ = [
@@ -46,7 +46,9 @@ class StabilityReport:
     """Bookkeeping constants and the three inequality ratios of one run.
 
     Ratios whose denominator falls below DEGENERATE_TOL are reported as 0.0
-    and the run is flagged degenerate.
+    and the run is flagged degenerate.  So is a split that selects the root
+    cube (s < a puts lam below mean |u0|): the good part is then the mean of
+    u0 on the whole circle and the ratio_p bound 1 + 2^((p-1)/p) does not hold.
     """
 
     s: float
@@ -159,7 +161,8 @@ def bourgain_construct(
         resid_T=resid_T,
         cube_count=len(d.cubes),
         omega_measure=d.omega.measure,
-        degenerate=deg_f or deg_T,
+        # a selected root is the only cube; read off the cubes, as the dyadic means and norm(u0, 1) round differently
+        degenerate=deg_f or deg_T or d.cubes[:1] == (DyadicInterval(0, 0),),
     )
     return u, report
 

@@ -56,7 +56,7 @@ from stablab.distance import (
     dist_linf_to_lp_ball,
 )
 from stablab import dual_search
-from stablab.dual_search import DualInstance, FeasibilityOutcome, _certify
+from stablab.dual_search import DualInstance, FeasibilityOutcome
 from stablab.cz import DILATION
 from stablab.grid import DyadicInterval, GridFunction, GridSet, dilate_interval, dyadic_means, norm, power_mean
 from stablab.operators import as_matrix
@@ -257,6 +257,20 @@ def reference_cz_parts(
 
 def _clamp_box(values: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:
     return np.clip(values, center - radius, center + radius)
+
+
+def _certify(inst: DualInstance, c: float, v_values: np.ndarray, Tsv: np.ndarray) -> float:
+    """Maximum relative constraint violation of v at constant c (<= 0 is feasible)."""
+    dust = dual_search._ABS_DUST * inst.scale
+    viol = []
+    bound_p = c * inst.s
+    size = power_mean(np.abs(v_values), inst.p)
+    viol.append((size - bound_p - dust) / max(bound_p, dust))
+    bound_f = c * inst.r
+    viol.append((float(np.abs(inst.f.values - v_values).max()) - bound_f - dust) / max(bound_f, dust))
+    bound_T = c * (inst.t + inst.r)
+    viol.append((float(np.abs(inst.Tstar_f.values - Tsv).max()) - bound_T - dust) / max(bound_T, dust))
+    return max(viol)
 
 
 def reference_feasible(inst: DualInstance, c: float, x0: np.ndarray | None = None) -> FeasibilityOutcome:

@@ -17,7 +17,9 @@ def test_demos_exist():
 
 @pytest.mark.parametrize("path", DEMOS, ids=[os.path.basename(p) for p in DEMOS])
 def test_demo_runs(path):
+    # pytest's filterwarnings does not reach a subprocess: numpy warnings fail the demo through -W
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [os.path.join(ROOT, "src"), env.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, path], capture_output=True, text=True, cwd=ROOT, env=env, timeout=120)
+    argv = [sys.executable, "-W", "error::RuntimeWarning", path]
+    out = subprocess.run(argv, capture_output=True, text=True, cwd=ROOT, env=env, timeout=120)
     assert out.returncode == 0, out.stderr

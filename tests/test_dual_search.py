@@ -25,7 +25,7 @@ from stablab import (
     norm,
     project_lp_ball,
 )
-from stablab.dual_search import DENSE_MAX_N, FEAS_TOL, MAX_ITER, SupportError, _certify, _dual_bound, certified
+from stablab.dual_search import DENSE_MAX_N, FEAS_TOL, MAX_ITER, SupportError, _dual_bound, _measure, certified
 from stablab.grid import power_mean
 from stablab.harness import default_config, generate_corpus, make_operator
 from stablab.operators import adjoint, as_matrix, hilbert
@@ -560,9 +560,20 @@ def test_certify_p_term_survives_overflow():
     )
     expect = max((size - bound - dust) / max(bound, dust) for size, bound in sizes_and_bounds)
     with np.errstate(over="ignore"):
-        got = _certify(inst, 1.0, v, Tsv)
+        got = _measure(inst, 1.0, v)[0]
     assert np.isfinite(got)
     assert got == pytest.approx(expect, rel=1e-12)
+
+
+@pytest.mark.parametrize("with_support", [False, True])
+def test_residuals_are_the_witness_norms(with_support):
+    # T* v by the instance's own applier: at n <= DENSE_MAX_N a dense matvec, whose bits differ from apply's
+    inst = _mixture_instance("haar_transform", 64, with_support)
+    res = min_constant(inst, tol=1e-2)
+    Tsv = GridFunction(inst.apply_tstar(res.v.values))
+    assert res.res_p == norm(res.v, inst.p) / inst.s
+    assert res.res_inf == norm(inst.f - res.v, np.inf) / inst.r
+    assert res.res_Tinf == norm(inst.Tstar_f - Tsv, np.inf) / (inst.t + inst.r)
 
 
 def test_result_serialization():

@@ -184,6 +184,13 @@ def test_frozen_compares_and_never_writes(frozen):
         assert fh.read() == before
 
 
+def test_verify_all_counts_every_check():
+    # one (name, failed) pair per check: a dropped or doubled yield moves a count
+    suites = verify_all(default_config())["suites"]
+    counts = {name: suite["checks"] for name, suite in suites.items()}
+    assert counts == {"grid": 16737, "distance": 300, "cz": 2600, "operators": 604, "stability": 120, "dual": 42}
+
+
 def test_verify_all_green_and_fault_injection(monkeypatch):
     cfg = small_config()
     summary = verify_all(cfg)
@@ -410,8 +417,10 @@ def test_cli_split_level_where_b_to_the_p_is_out_of_range(tmp_path, command, fla
         argv += ["--input", str(path)]
     out = run_cli(*argv)
     assert out.returncode == 0, out.stderr
-    lam = json.loads(out.stdout)["lam"]
-    assert 0.0 < lam < float("inf")
+    payload = json.loads(out.stdout)
+    assert 0.0 < payload["lam"] < float("inf")
+    if command == "construct":  # both inputs select the root cube
+        assert payload["degenerate"] is True
 
 
 def test_cli_dual_reads_the_config_tol_and_the_flag_overrides_it(tmp_path):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from stablab import (
+    DyadicInterval,
     GridFunction,
     apply,
     bourgain_construct,
@@ -13,7 +14,7 @@ from stablab import (
     kclosed_redecompose,
     norm,
 )
-from stablab.cz import ConsistencyError
+from stablab.cz import ConsistencyError, cz_decompose
 from stablab.harness import default_config, generate_corpus, make_operator
 from stablab.stability import DEGENERATE_TOL
 
@@ -95,7 +96,10 @@ def _assert_level_identity(rep, p: float) -> None:
 def test_construct_level_where_b_to_the_p_is_out_of_range(p, s, values):
     f = _level_rule_input(values)
     _, rep = bourgain_construct(f, make_operator("hilbert", f.n), s, p)
-    assert not rep.degenerate
+    # s < a puts lam below mean |u0|: the root cube is selected and the ratio_p bound does not apply
+    u0 = f - dist_l1_to_lp_ball(f, s, p).minimizer
+    assert cz_decompose(u0, rep.lam).cubes == (DyadicInterval(0, 0),)
+    assert rep.degenerate
     _assert_level_identity(rep, p)
 
 
