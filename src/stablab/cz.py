@@ -52,6 +52,11 @@ class CzDecomposition:
         return self.good.n
 
     @property
+    def root_selected(self) -> bool:
+        # read off the cubes: the dyadic means and a separately summed norm(f, 1) round differently
+        return any(q.level == 0 for q in self.cubes)
+
+    @property
     def cube_measure(self) -> float:
         return float(sum(q.length for q in self.cubes))
 
@@ -110,7 +115,6 @@ def verify_cz(d: CzDecomposition, f: GridFunction, ps=(1.5, 2.0, 3.0, 4.0)) -> l
     lam = d.level
     n = f.n
     f1 = norm(f, 1)
-    root_selected = any(q.level == 0 for q in d.cubes)
     checks = [CheckResult("additivity", resid <= MEAN_ZERO_TOL * scale, MEAN_ZERO_TOL * scale - resid)]
 
     worst_mean = 0.0
@@ -131,7 +135,7 @@ def verify_cz(d: CzDecomposition, f: GridFunction, ps=(1.5, 2.0, 3.0, 4.0)) -> l
     bad_off = float(np.abs(d.bad.values[off]).max()) if off.any() else 0.0
     checks.append(CheckResult("bad_vanishes_off_cubes", bad_off == 0.0, -bad_off))
 
-    if not root_selected:
+    if not d.root_selected:
         sup_g = norm(d.good, np.inf)
         checks.append(CheckResult("good_sup_bound", sup_g <= 2 * lam * (1 + 1e-12), 2 * lam - sup_g))
     cube_mass = d.cube_measure
@@ -142,7 +146,7 @@ def verify_cz(d: CzDecomposition, f: GridFunction, ps=(1.5, 2.0, 3.0, 4.0)) -> l
     omega_bound = min(1.0, DILATION * f1 / lam) + 2.0 * len(d.cubes) / n
     checks.append(CheckResult("omega_measure_bound", d.omega.measure <= omega_bound * (1 + 1e-12), omega_bound - d.omega.measure))
 
-    if not root_selected:
+    if not d.root_selected:
         for p in ps:
             # in units of 2 lambda, where both sides are O(1) and cannot overflow
             lhs = (norm(d.good, p) / (2 * lam)) ** p

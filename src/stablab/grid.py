@@ -196,7 +196,10 @@ class GridSet:
 
     @classmethod
     def from_json(cls, text: str) -> "GridSet":
-        return cls(np.asarray(json.loads(text), dtype=bool))
+        cells = json.loads(text)
+        if not isinstance(cells, list) or any(x not in (0, 1) for x in cells):  # true and false are 1 and 0
+            raise ValueError("a set must be a JSON array of 0/1 values")
+        return cls(np.asarray(cells, dtype=bool))
 
 
 def _as_p(p) -> float:

@@ -283,13 +283,7 @@ def run_theorem1(cfg: ExperimentConfig) -> tuple[str, dict]:
             T = make_operator(kind, cfg.n, cfg.seed)
             for s in cfg.s_values():
                 _, rep = bourgain_construct(f, T, s, cfg.p)
-                rows.append([
-                    label, kind, cfg.n, cfg.p, s,
-                    rep.a, rep.b, rep.c, rep.lam, rep.cube_count,
-                    rep.omega_measure,
-                    rep.ratio_p, rep.ratio_f, rep.ratio_T, rep.resid_l1, rep.resid_T,
-                    rep.degenerate,
-                ])
+                rows.append([label, kind, cfg.n, cfg.p, s, *(getattr(rep, key) for key in THEOREM1_HEADER[5:])])
                 for key in max_ratios:
                     max_ratios[key] = max(max_ratios[key], getattr(rep, key))
     csv_text = _write_csv("theorem1", THEOREM1_HEADER, rows)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .cz import ConsistencyError, CzDecomposition, cz_decompose
 from .distance import dist_l1_to_lp_ball
-from .grid import DyadicInterval, GridFunction, mask, norm
+from .grid import GridFunction, GridSet, mask, norm
 from .operators import LinearOperatorSpec, apply
 
 __all__ = [
@@ -45,10 +45,12 @@ DEGENERATE_TOL = 1e-12
 class StabilityReport:
     """Bookkeeping constants and the three inequality ratios of one run.
 
-    Ratios whose denominator falls below DEGENERATE_TOL are reported as 0.0
-    and the run is flagged degenerate.  So is a split that selects the root
-    cube (s < a puts lam below mean |u0|): the good part is then the mean of
-    u0 on the whole circle and the ratio_p bound 1 + 2^((p-1)/p) does not hold.
+    A run is degenerate when it has no mass to split (a <= DEGENERATE_TOL),
+    no ball part (b = 0; neither leaves a level, so lam = 0 and all of u0 is
+    good), a split that selects the root cube, or a ratio whose denominator
+    falls below DEGENERATE_TOL (that ratio reads 0.0).  A selected root
+    (s < a puts lam below mean |u0|) makes the good part the mean of u0 on
+    the whole circle, and the ratio_p bound 1 + 2^((p-1)/p) does not hold.
     """
 
     s: float
@@ -72,7 +74,7 @@ class StabilityReport:
 
 @dataclass(frozen=True)
 class RedecompositionReport:
-    """Measured norms for one graph-splitting redecomposition."""
+    """Measured norms for one graph-splitting redecomposition, degenerate as a StabilityReport is."""
 
     a: float
     b: float
@@ -90,13 +92,22 @@ class RedecompositionReport:
         return json.dumps(asdict(self), sort_keys=True)
 
 
-def _split_at_level(u0: GridFunction, a: float, b: float, p: float) -> tuple[float, CzDecomposition]:
-    """The level lam with lam^(p-1) a = b^p, in units of b so b^p is never formed, and u0's split there."""
+def _split_at_level(u0: GridFunction, a: float, b: float, p: float) -> tuple[float, CzDecomposition, bool]:
+    """Split u0 at lam with lam^(p-1) a = b^p, in units of b so b^p is never formed.
+
+    Returns (lam, split, degenerate).  No mass (a <= DEGENERATE_TOL) or no
+    ball part (b = 0) leaves no level: lam = 0, all of u0 is good and the
+    split is degenerate, as is one that selects the root cube.
+    """
+    if a <= DEGENERATE_TOL or b == 0.0:
+        empty = GridSet(np.zeros(u0.n, dtype=bool))
+        return 0.0, CzDecomposition(0.0, (), u0, GridFunction.zeros(u0.n), empty), True
     try:
         lam = b * (b / a) ** (1.0 / (p - 1.0))
     except OverflowError:  # lam beyond the doubles: cz_decompose rejects it as it does an underflowed 0
         lam = np.inf
-    return lam, cz_decompose(u0, lam)
+    d = cz_decompose(u0, lam)
+    return lam, d, d.root_selected
 
 
 def _guarded_ratio(numer: float, denom: float) -> tuple[float, bool]:
@@ -128,22 +139,7 @@ def bourgain_construct(
     Tf = apply(T, f)
     c = dist_l1_to_lp_ball(Tf, s, p).value
 
-    if a <= DEGENERATE_TOL:
-        report = StabilityReport(
-            s=s, p=p, a=a, b=b, c=c,
-            lam=0.0,
-            ratio_p=norm(u1, p) / s,
-            ratio_f=0.0,
-            ratio_T=0.0,
-            resid_l1=norm(f - u1, 1),
-            resid_T=norm(Tf - apply(T, u1), 1),
-            cube_count=0,
-            omega_measure=0.0,
-            degenerate=True,
-        )
-        return u1, report
-
-    lam, d = _split_at_level(u0, a, b, p)
+    lam, d, degenerate = _split_at_level(u0, a, b, p)
     u = u1 + d.good
     h = d.bad
 
@@ -161,8 +157,7 @@ def bourgain_construct(
         resid_T=resid_T,
         cube_count=len(d.cubes),
         omega_measure=d.omega.measure,
-        # a selected root is the only cube; read off the cubes, as the dyadic means and norm(u0, 1) round differently
-        degenerate=deg_f or deg_T or d.cubes[:1] == (DyadicInterval(0, 0),),
+        degenerate=degenerate or deg_f or deg_T,
     )
     return u, report
 
@@ -183,8 +178,9 @@ def kclosed_redecompose(
     The report carries the measured norm ratios and, separately, the two
     sides of the restricted-to-omega estimate
     norm(Th,1 on omega) <= c + |omega|^(1/p') (norm(v1,p) + norm(Tw,p)).
-    When a or b is at most DEGENERATE_TOL there is no level to split at:
-    the split is h = 0, w = u and the report is flagged degenerate.
+    It is degenerate by the rules of bourgain_construct: no mass (a <=
+    DEGENERATE_TOL) or no ball part (b = 0), where h = 0 and w = u1 + u0;
+    a selected root cube; or a ratio with denominator at most DEGENERATE_TOL.
     """
     p = float(p)
     u0, v0, u1, v1 = split
@@ -199,20 +195,7 @@ def kclosed_redecompose(
     b = max(norm(u1, p), norm(v1, p))
     c = norm(v0, 1)
 
-    # no mass to split off (a = 0), or no level to split at (b = 0 makes lam = 0)
-    if a <= DEGENERATE_TOL or b <= DEGENERATE_TOL:
-        h = GridFunction.zeros(u.n)
-        w = u
-        report = RedecompositionReport(
-            a=a, b=b, c=c, lam=0.0,
-            ratio_h=0.0, ratio_w_p=0.0 if b <= DEGENERATE_TOL else norm(w, p) / b,
-            ratio_Tw_p=0.0 if b <= DEGENERATE_TOL else norm(Tu, p) / b,
-            ratio_Th=0.0, holder_lhs=0.0, holder_rhs=c,
-            degenerate=True,
-        )
-        return (h, apply(T, h)), (w, Tu), report
-
-    lam, d = _split_at_level(u0, a, b, p)
+    lam, d, degenerate = _split_at_level(u0, a, b, p)
     h = d.bad
     w = u1 + d.good
     Th = apply(T, h)
@@ -229,7 +212,7 @@ def kclosed_redecompose(
         a=a, b=b, c=c, lam=lam,
         ratio_h=ratio_h, ratio_w_p=ratio_w, ratio_Tw_p=ratio_Tw, ratio_Th=ratio_Th,
         holder_lhs=holder_lhs, holder_rhs=holder_rhs,
-        degenerate=deg_h or deg_w or deg_Tw or deg_Th,
+        degenerate=degenerate or deg_h or deg_w or deg_Tw or deg_Th,
     )
     return (h, Th), (w, Tw), report
 

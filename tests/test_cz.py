@@ -46,6 +46,15 @@ def test_ties_do_not_select():
     assert d.cubes == ()
 
 
+def test_root_selected_below_the_mean():
+    # mean |f| is 2: a level below it selects the root, which is then the only cube
+    f = GridFunction([8.0, 0, 0, 0])
+    below = cz_decompose(f, 1.5)
+    assert below.cubes == (DyadicInterval(0, 0),) and below.root_selected
+    assert not cz_decompose(f, 2.0).root_selected
+    assert not cz_decompose(f, 10.0).root_selected  # no cube at all
+
+
 def test_single_cell_floor():
     # a lone huge cell becomes a one-cell cube with zero bad part there
     # (parent [1/2, 1) has average 8 <= 10 < 16)

@@ -163,6 +163,10 @@ def test_json_round_trips():
     assert GridFunction.from_json(json.dumps(f.values.tolist())) == f
     E = GridSet([True, False, True, True])
     assert GridSet.from_json(json.dumps([1, 0, 1, 1])) == E
+    assert GridSet.from_json("[true, false, true, 1.0]") == E
+    for text in ("[0.5, 0, 1, 1]", '["x", "", 1, 1]', "[-1, 0, 1, 1]", "[null, 0, 1, 1]", "{}", "1"):
+        with pytest.raises(ValueError, match="a set must be a JSON array of 0/1 values"):
+            GridSet.from_json(text)
 
 
 def test_grid_set_measure_and_ops():

@@ -331,6 +331,11 @@ def test_cli_dual_support_mode(tmp_path):
         ("dual --tol inf", None, "dual.tol must be positive and finite, got inf"),
         # a split level below the doubles: b * (b/a)^(1/(p-1)) is about 1e-400
         ("construct --n 8 --s 1e-200", None, "decomposition level must be positive and finite, got 0.0"),
+        ("redecompose --s 1e-200", None, "decomposition level must be positive and finite, got 0.0"),
+        # a set holds only 0 and 1 (or false and true)
+        ("dual --n 8 --support {path}", "[0.5, 2, 0, 1, 0, 0, 0, 0]", "a set must be a JSON array of 0/1 values"),
+        ("dual --n 8 --support {path}", '["x", "", "y", "", 0, 0, 0, 0]', "a set must be a JSON array of 0/1 values"),
+        ("dual --n 8 --support {path}", "[-1, 0, 0, 0, 0, 0, 0, 0]", "a set must be a JSON array of 0/1 values"),
         # config values are checked for type and domain when the config loads
         ("verify --config {path}", '{"s_sweep": {"min": 0}}', "s_sweep.min must be positive and finite, got 0"),
         ("verify --config {path}", '{"s_sweep": {"min": 4.0, "max": 2.0}}', "s_sweep.max must be finite and >= s_sweep.min, got 2.0"),
@@ -353,6 +358,7 @@ def test_cli_dual_support_mode(tmp_path):
         "negative-radius", "zero-tol", "zero-level", "nan-radius",
         "verify-mask", "report-mask", "redecompose-grid", "dual-mask-grid", "json-object", "infinite-radius",
         "distance-infinite-radius", "construct-infinite-radius", "infinite-level", "infinite-tol", "level-underflow",
+        "redecompose-level-underflow", "mask-fraction-and-two", "mask-strings", "mask-negative",
         "zero-s-min", "s-max-below-min", "zero-s-count", "zero-dual-tol", "negative-dual-s", "negative-per-family",
         "negative-seed", "string-seed", "fractional-count", "operators-string", "float-n", "no-dual-operators",
         "out-missing-dir", "outdir-is-a-file",
@@ -391,12 +397,13 @@ def test_cli_redecompose_zero_radius_is_degenerate():
 
 
 def test_cli_redecompose_bytes():
-    # the default config's output; "b" reads 1.0 since the clip level is solved exactly
+    # the default config's output; "b" reads 1.0 since the clip level is solved exactly,
+    # and lam = 0.443 lies below mean |u0|, so the root cube is selected and the split is degenerate
     out = run_cli("redecompose")
     assert out.returncode == 0, out.stderr
     assert out.stdout == (
         '{"a": 2.2563096986333244, "b": 1.0, "c": 2.2563096986333244, '
-        '"degenerate": false, "holder_lhs": 2.760704111501633, "holder_rhs": 4.255006766483898, '
+        '"degenerate": true, "holder_lhs": 2.760704111501633, "holder_rhs": 4.255006766483898, '
         '"lam": 0.44320156962748186, "ratio_Th": 0.6117741977472833, "ratio_Tw_p": 0.9986970678505735, '
         '"ratio_h": 0.6678890965528577, "ratio_w_p": 1.1982104390802135}\n'
     )
@@ -419,8 +426,7 @@ def test_cli_split_level_where_b_to_the_p_is_out_of_range(tmp_path, command, fla
     assert out.returncode == 0, out.stderr
     payload = json.loads(out.stdout)
     assert 0.0 < payload["lam"] < float("inf")
-    if command == "construct":  # both inputs select the root cube
-        assert payload["degenerate"] is True
+    assert payload["degenerate"] is True  # both inputs select the root cube
 
 
 def test_cli_dual_reads_the_config_tol_and_the_flag_overrides_it(tmp_path):

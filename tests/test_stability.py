@@ -111,7 +111,40 @@ def test_redecompose_level_where_b_to_the_p_is_out_of_range(p, s, values):
     u1 = dist_l1_to_lp_ball(f, s, p).minimizer
     v1 = dist_l1_to_lp_ball(Tf, s, p).minimizer
     _, _, rep = kclosed_redecompose(f, T, (f - u1, Tf - v1, u1, v1), p)
+    # b < a puts lam below mean |u0| here too: the root cube is selected
+    assert cz_decompose(f - u1, rep.lam).cubes == (DyadicInterval(0, 0),)
+    assert rep.degenerate
     _assert_level_identity(rep, p)
+
+
+def test_redecompose_tiny_ball_part_still_splits():
+    # 0 < b <= DEGENERATE_TOL has a level, as in bourgain_construct: only b = 0 has none
+    f = _level_rule_input(None)
+    T = make_operator("hilbert", f.n)
+    Tf = apply(T, f)
+    u1 = dist_l1_to_lp_ball(f, 1e-13, 2.0).minimizer
+    v1 = dist_l1_to_lp_ball(Tf, 1e-13, 2.0).minimizer
+    (h, _), _, rep = kclosed_redecompose(f, T, (f - u1, Tf - v1, u1, v1), 2.0)
+    assert 0.0 < rep.b <= DEGENERATE_TOL
+    assert rep.lam > 0.0 and rep.degenerate
+    d = cz_decompose(f - u1, rep.lam)
+    assert d.root_selected and h == d.bad
+
+
+def test_tiny_mass_is_left_whole():
+    # 0 < a <= DEGENERATE_TOL: no level, all of u0 is good, and both constructions return u1 + u0
+    f = GridFunction([1.0 + 1e-13, 1.0, 1.0, 1.0])
+    T = make_operator("hilbert", f.n)
+    u1 = dist_l1_to_lp_ball(f, 1.0, 2.0).minimizer
+    u0 = f - u1
+    assert 0.0 < norm(u0, 1) <= DEGENERATE_TOL
+    u, rep = bourgain_construct(f, T, 1.0, 2.0)
+    assert u == u1 + u0
+    assert rep.degenerate and rep.lam == 0.0 and rep.cube_count == 0 and rep.resid_l1 == 0.0
+    zero = GridFunction.zeros(f.n)
+    (h, _), (w, _), rep2 = kclosed_redecompose(f, T, (u0, zero, u1, apply(T, f)), 2.0)
+    assert h == zero and w == u1 + u0
+    assert rep2.degenerate and rep2.lam == 0.0
 
 
 @pytest.mark.parametrize(
