@@ -33,7 +33,7 @@ __all__ = [
     "dist_linf_to_lp_ball",
 ]
 
-BISECTION_TOL = 1e-12  # the stability suite's degeneracy threshold; no solve here bisects
+BISECTION_TOL = 1e-12  # no solve here bisects; perfbench/workloads.py reads it until the benchmark reads stability.DEGENERATE_TOL
 FEAS_TOL = 1e-9
 
 

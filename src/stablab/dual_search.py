@@ -18,16 +18,15 @@ projection agrees, so the iterate is checked directly before the run may
 stop as stagnant.  The smallest workable c is then located by bisection,
 which is sound because the constraint sets are nested in c.
 
-The graph projection has a closed form.  For every unrestricted operator
-kind T T* is the orthogonal projection onto the complement of ker T*, so
+The graph projection has a closed form.  For every operator kind, T T*
+is the orthogonal projection onto the complement of ker T*, so
 (I + T T*)^{-1} = (I + Pi) / 2 with Pi the projection onto ker T*: the
 constants, plus the alternating top Fourier mode for ``hilbert``.  The
 projection of (v, w) is then (u + Pi u) / 2 with partner T* u / 2, where
 u = v + T w.  T and T* are applied as dense matvecs up to n = DENSE_MAX_N
-and by the operators' own transforms above it.  A restricted operator
-chi_E T is not a partial isometry, so ``make_instance`` rejects it.
-The iteration is allocation-light: sums for means, box bounds computed
-once per call, clamps and displacements in place.
+and by the operators' own transforms above it.  The iteration is
+allocation-light: sums for means, box bounds computed once per call,
+clamps and displacements in place.
 
 Every reported witness is re-checked against the constraints by direct
 norm evaluation; the solver is never trusted for the final verdict.
@@ -205,8 +204,6 @@ def make_instance(
     s = float(s)
     if not 0 < s < math.inf:
         raise ValueError(f"ball radius must be positive and finite, got {s}")
-    if T.restriction is not None:
-        raise ValueError("the dual search needs an unrestricted operator: chi_E T has no closed-form graph projection")
     p = float(p)
     if support is not None:
         if support.n != f.n:

@@ -96,10 +96,13 @@ class GridFunction:
 
     @classmethod
     def from_json(cls, text: str) -> "GridFunction":
+        values = json.loads(text)
+        if not isinstance(values, list) or any(type(x) not in (int, float) for x in values):  # a bool is no number
+            raise ValueError("grid values must be a JSON array of numbers")
         try:
-            return cls(np.asarray(json.loads(text), dtype=float))
-        except TypeError as exc:  # a JSON object, or an array holding one
-            raise ValueError(f"grid values must be a JSON array of numbers: {exc}") from None
+            return cls(values)
+        except OverflowError:  # a JSON integer beyond the largest double
+            raise ValueError("grid values must be finite") from None
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from . import distance as distance_mod
 from .dual_search import annihilator_pair, duality_pairing, make_instance, min_constant
 from .grid import DyadicInterval, GridFunction, GridSet, dilate_interval, inner, norm
 from .operators import KINDS, LinearOperatorSpec, adjoint, apply, nyquist_free
-from .stability import bourgain_construct
+from .stability import DEGENERATE_TOL, bourgain_construct
 
 __all__ = [
     "ExperimentConfig",
@@ -165,7 +165,7 @@ def default_config(**overrides) -> ExperimentConfig:
 
 
 def _spike(rng: np.random.Generator, n: int) -> np.ndarray:
-    count = int(rng.integers(1, 4))
+    count = int(rng.integers(1, min(3, n) + 1))
     cells = rng.choice(n, size=count, replace=False)
     out = np.zeros(n)
     out[cells] = rng.choice([-1.0, 1.0], size=count) * rng.lognormal(0.0, 0.5, size=count)
@@ -421,7 +421,7 @@ def _suite_stability(cfg: ExperimentConfig) -> Iterator[tuple[str, bool]]:
                 yield f"ratio_f:{label}:{kind}:{s:g}", rep.ratio_f > 2.0 * (1 + 1e-9)
                 # counted also where it is skipped: no mass to split, or no level
                 yield f"level_identity:{label}:{kind}:{s:g}", (
-                    rep.a > distance_mod.BISECTION_TOL
+                    rep.a > DEGENERATE_TOL
                     and rep.lam > 0
                     and abs(rep.lam ** (small.p - 1.0) * rep.a - rep.b**small.p) > 1e-9 * max(1.0, rep.b**small.p)
                 )

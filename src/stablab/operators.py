@@ -11,9 +11,6 @@ Three kinds are provided, all linear maps on a fixed grid of n cells:
   over the dyadic Haar system, one sign per scale/position; all signs +1
   reproduces f - mean(f).
 * ``identity_minus_mean`` -- the mean-zero projection f - mean(f).
-
-An optional restriction set realizes chi_E T (mask applied to the output);
-taking adjoints moves the mask to the input side.
 """
 
 from __future__ import annotations
@@ -23,7 +20,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .cz import CzDecomposition
-from .grid import DimensionError, GridFunction, GridSet, dyadic_means, mask, norm
+from .grid import DimensionError, GridFunction, dyadic_means, mask, norm
 
 __all__ = [
     "LinearOperatorSpec",
@@ -45,18 +42,16 @@ MATRIX_BLOCK = 64  # columns per transform call in as_matrix
 
 @dataclass(frozen=True, eq=False)
 class LinearOperatorSpec:
-    """A named operator T on a grid of n cells, possibly masked by a set E.
+    """A named operator T on a grid of n cells.
 
-    ``negate`` tracks the sign flip picked up by the conjugate-function
-    multiplier under adjunction; ``restriction_side`` records whether the
-    mask acts on the output (chi_E T) or on the input (T chi_E).
+    ``signs`` holds the haar_transform's eps_Q, one per Haar function
+    (n - 1 of them); ``negate`` records the sign flip the conjugate-function
+    multiplier picks up under adjunction.
     """
 
     kind: str
     n: int
     signs: tuple[int, ...] | None = None
-    restriction: GridSet | None = None
-    restriction_side: str = "output"
     negate: bool = False
     # haar_transform signs per level as float arrays, level l holding 2^l of them
     level_signs: tuple[np.ndarray, ...] | None = field(default=None, init=False, repr=False)
@@ -78,23 +73,19 @@ class LinearOperatorSpec:
             object.__setattr__(self, "level_signs", levels)
         elif self.signs is not None:
             raise ValueError(f"{self.kind} takes no signs")
-        if self.restriction is not None and self.restriction.n != self.n:
-            raise DimensionError("restriction set lives on a different grid")
-        if self.restriction_side not in ("output", "input"):
-            raise ValueError(f"restriction_side must be 'output' or 'input', got {self.restriction_side!r}")
 
 
-def hilbert(n: int, restriction: GridSet | None = None) -> LinearOperatorSpec:
-    return LinearOperatorSpec("hilbert", n, restriction=restriction)
+def hilbert(n: int) -> LinearOperatorSpec:
+    return LinearOperatorSpec("hilbert", n)
 
 
-def haar_transform(n: int, signs=None, restriction: GridSet | None = None) -> LinearOperatorSpec:
+def haar_transform(n: int, signs=None) -> LinearOperatorSpec:
     signs = None if signs is None else tuple(int(s) for s in signs)
-    return LinearOperatorSpec("haar_transform", n, signs=signs, restriction=restriction)
+    return LinearOperatorSpec("haar_transform", n, signs=signs)
 
 
-def identity_minus_mean(n: int, restriction: GridSet | None = None) -> LinearOperatorSpec:
-    return LinearOperatorSpec("identity_minus_mean", n, restriction=restriction)
+def identity_minus_mean(n: int) -> LinearOperatorSpec:
+    return LinearOperatorSpec("identity_minus_mean", n)
 
 
 def _by_cell(a: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -126,7 +117,7 @@ def _apply_haar(values: np.ndarray, level_signs: tuple[np.ndarray, ...]) -> np.n
 
 
 def apply(T: LinearOperatorSpec, f: GridFunction) -> GridFunction:
-    """Evaluate T f; the restriction mask is applied on its recorded side."""
+    """Evaluate T f on a function of T's grid."""
     if T.n != f.n:
         raise DimensionError(f"operator on n={T.n} applied to f with n={f.n}")
     return GridFunction(apply_values(T, f.values))
@@ -135,37 +126,25 @@ def apply(T: LinearOperatorSpec, f: GridFunction) -> GridFunction:
 def apply_values(T: LinearOperatorSpec, values: np.ndarray) -> np.ndarray:
     """The arithmetic of ``apply`` on a raw array of length T.n, unchecked.
 
-    A 2-D array is transformed column by column (along axis 0).
+    A 2-D array is transformed column by column (along axis 0); the result
+    is negated when ``T.negate`` is set.
     """
-    if T.restriction is not None and T.restriction_side == "input":
-        values = np.where(_by_cell(T.restriction.membership, values), values, 0.0)
     if T.kind == "hilbert":
         out = _apply_hilbert(values)
     elif T.kind == "haar_transform":
         out = _apply_haar(values, T.level_signs)
     else:
         out = values - values.mean(axis=0)
-    if T.negate:
-        out = -out
-    if T.restriction is not None and T.restriction_side == "output":
-        out = np.where(_by_cell(T.restriction.membership, out), out, 0.0)
-    return out
+    return -out if T.negate else out
 
 
 def adjoint(T: LinearOperatorSpec) -> LinearOperatorSpec:
     """The adjoint under the normalized pairing; an involution.
 
     The conjugate-function multiplier flips sign; the Haar expansion and the
-    mean-zero projection are self-adjoint; a restriction mask moves to the
-    other side.
+    mean-zero projection are self-adjoint.
     """
-    out = T
-    if T.kind == "hilbert":
-        out = replace(out, negate=not T.negate)
-    if T.restriction is not None:
-        side = "input" if T.restriction_side == "output" else "output"
-        out = replace(out, restriction_side=side)
-    return out
+    return replace(T, negate=not T.negate) if T.kind == "hilbert" else T
 
 
 def as_matrix(T: LinearOperatorSpec) -> np.ndarray:

@@ -58,13 +58,6 @@ def test_make_instance_support_check():
         make_instance(bad, make_operator("hilbert", 8), 1.0, 2, E)
 
 
-def test_make_instance_rejects_restricted_operator():
-    E = GridSet.from_interval(DyadicInterval(1, 0), 8)
-    f = GridFunction.constant(2.0, 8)
-    with pytest.raises(ValueError, match="unrestricted"):
-        make_instance(f, hilbert(8, restriction=E), 1.0, 2)
-
-
 @pytest.mark.parametrize("s", [0.0, -1.0, math.inf, math.nan])
 def test_make_instance_rejects_a_radius_that_is_not_positive_and_finite(s):
     # an infinite radius would otherwise give c* = 0, reported as "uncertified"

@@ -161,6 +161,12 @@ def test_json_round_trips():
     # the CLI's input forms: functions as arrays of numbers, sets as arrays of 0/1
     f = GridFunction([0.5, -1.25, 3.0, 0.0])
     assert GridFunction.from_json(json.dumps(f.values.tolist())) == f
+    assert GridFunction.from_json("[1, 2, 3.5, 0]") == GridFunction([1.0, 2.0, 3.5, 0.0])
+    for text in ('["1", "2", true, false]', "[1, 2, 3, true]", "[1, 2, 3, null]", "[[1, 2], [3, 4]]", "{}", "1"):
+        with pytest.raises(ValueError, match="grid values must be a JSON array of numbers"):
+            GridFunction.from_json(text)
+    with pytest.raises(ValueError, match="grid values must be finite"):
+        GridFunction.from_json("[" + "9" * 400 + ", 0, 1, 1]")  # beyond the largest double
     E = GridSet([True, False, True, True])
     assert GridSet.from_json(json.dumps([1, 0, 1, 1])) == E
     assert GridSet.from_json("[true, false, true, 1.0]") == E

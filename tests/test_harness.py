@@ -89,6 +89,15 @@ def test_spike_family_is_sparse():
         assert np.count_nonzero(f.values) <= 3
 
 
+def test_corpus_on_the_two_cell_grid():
+    # a spike draws up to three distinct cells, and n = 2 has two
+    corpus = generate_corpus(default_config(n=2))
+    assert len(corpus) == 12
+    for _, f in corpus:
+        assert f.n == 2 and np.all(np.isfinite(f.values))
+        assert norm(f, 1) == pytest.approx(1.0, rel=1e-12)
+
+
 def test_corpus_respects_support():
     E = GridSet.from_interval(DyadicInterval(1, 0), 64)
     cfg = default_config(n=64)
@@ -242,6 +251,12 @@ def test_cli_distance_json():
     assert set(payload) == {"value", "threshold", "s", "p", "ambient"}
 
 
+def test_cli_dual_on_the_two_cell_grid():
+    out = run_cli("dual", "--n", "2")
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["status"] == "certified"
+
+
 def test_cli_reads_function_from_file(tmp_path):
     path = tmp_path / "f.json"
     path.write_text(json.dumps([2.0, 0.0]))
@@ -323,6 +338,9 @@ def test_cli_dual_support_mode(tmp_path):
         ("redecompose --input {path} --n 16", "[1, 2, 3, 4, 5, 6, 7, 8]", "operator on n=16 applied to f with n=8"),
         ("dual --support {path}", "[1, 0, 1, 0]", "support mask has 4 cells, the grid has n=256"),
         ("distance --input {path}", "{}", "grid values must be a JSON array of numbers"),
+        # a function holds JSON numbers only, each within the doubles
+        ("distance --input {path}", '["1", "2", true, false]', "grid values must be a JSON array of numbers"),
+        ("distance --input {path}", "[" + "9" * 400 + ", 0, 1, 1]", "grid values must be finite"),
         ("dual --s inf", None, "ball radius must be positive and finite, got inf"),
         # non-finite numbers would print as Infinity, which is not JSON, or skip the bisection
         ("distance --s inf", None, "ball radius must be nonnegative and finite, got inf"),
@@ -356,7 +374,8 @@ def test_cli_dual_support_mode(tmp_path):
     ids=[
         "unknown-config-key", "cz-trials-key", "probe-trials-key", "dilation-key", "s-log-key", "three-values", "nan", "missing-file",
         "negative-radius", "zero-tol", "zero-level", "nan-radius",
-        "verify-mask", "report-mask", "redecompose-grid", "dual-mask-grid", "json-object", "infinite-radius",
+        "verify-mask", "report-mask", "redecompose-grid", "dual-mask-grid", "json-object", "input-strings-and-bools",
+        "input-integer-overflow", "infinite-radius",
         "distance-infinite-radius", "construct-infinite-radius", "infinite-level", "infinite-tol", "level-underflow",
         "redecompose-level-underflow", "mask-fraction-and-two", "mask-strings", "mask-negative",
         "zero-s-min", "s-max-below-min", "zero-s-count", "zero-dual-tol", "negative-dual-s", "negative-per-family",
