@@ -16,7 +16,8 @@ of its four projection displacements, by EXTRAPOLATION * L times d with
 L = mean |d_i|^2 / |d|^2 >= 1 rather than by d itself.  When d = 0 every
 projection agrees, so the iterate is checked directly before the run may
 stop as stagnant.  The smallest workable c is then located by bisection,
-which is sound because the constraint sets are nested in c.
+which is sound because the constraint sets are nested in c, over the
+bracket that the verdicts and the weak-duality bounds below certify.
 
 The graph projection has a closed form.  For every operator kind, T T*
 is the orthogonal projection onto the complement of ker T*, so
@@ -45,7 +46,8 @@ neither finds a witness, nor a bound, nor stagnates ends "inconclusive".
 Every bound is a certified lower bound on c*: ``feasible`` returns the
 largest one it found, and ``min_constant`` reports the largest over its calls
 as the lower end ``c_lower`` of a bracket whose upper end is the certified
-``c_star``.
+``c_star``.  The bisection raises its lower end to ``c_lower`` after every
+call, so no constant below a bound is ever tried.
 """
 
 from __future__ import annotations
@@ -437,12 +439,17 @@ def feasible(inst: DualInstance, c: float, x0: np.ndarray | None = None) -> Feas
 def min_constant(inst: DualInstance, tol: float = 1e-2) -> DualResult:
     """Bisect on c; sound because the constraint sets are nested in c.
 
-    The upper end starts at the directly-certified witness v = f, so the
-    geometric growth phase is never needed.  Inconclusive solver verdicts
-    are treated as infeasible for upper-bounding only and flag the result.
-    The lower end c_lower is the largest weak-duality bound the feasible
-    calls returned, less 1e-9 relative for rounding; at r = 0, c* is exact
-    and c_lower = c*.
+    The upper end hi starts at the directly-certified witness v = f, so the
+    geometric growth phase is never needed, and moves to every constant
+    with a certified witness.  The lower end lo moves to every constant
+    that is not feasible; inconclusive solver verdicts count as infeasible
+    here only and flag the result.  After every call lo also rises to
+    c_lower, the largest weak-duality bound the calls returned less 1e-9
+    relative for rounding, so the next midpoint is never below a bound.
+    The search ends once hi - lo <= tol * hi, that is as soon as either the
+    certified bracket [c_lower, hi] or the verdicts' bracket is within tol,
+    or once lo and hi are adjacent doubles.  At r = 0, c* is exact and
+    c_lower = c*.
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"tolerance must be positive and finite, got {tol}")
@@ -454,16 +461,17 @@ def min_constant(inst: DualInstance, tol: float = 1e-2) -> DualResult:
 
     hi = fv_norm_p / inst.s  # v = f is feasible here by direct arithmetic
     best_v = inst.f
-    lo = 0.0
-    bound = 0.0
+    lo = c_lower = 0.0
     iterations = 0
     flagged = False
     warm: np.ndarray | None = None
     while hi - lo > tol * max(hi, 1e-12):
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # lo and hi are adjacent doubles
+            break
         out = feasible(inst, mid, x0=warm)
         iterations += out.iterations
-        bound = max(bound, out.bound)
+        c_lower = max(c_lower, out.bound * (1.0 - 1e-9))
         if out.is_feasible:
             hi = mid
             best_v = out.v
@@ -472,7 +480,9 @@ def min_constant(inst: DualInstance, tol: float = 1e-2) -> DualResult:
             lo = mid
             if out.status == "inconclusive":
                 flagged = True
-    return _finish(inst, hi, bound * (1.0 - 1e-9), best_v, iterations, flagged)
+        # no constant below a weak-duality bound is workable: skip the midpoints under it
+        lo = max(lo, c_lower)
+    return _finish(inst, hi, c_lower, best_v, iterations, flagged)
 
 
 def _finish(

@@ -36,7 +36,7 @@ __all__ = [
 ]
 
 # schema line of each CSV, bumped when its columns change
-CSV_SCHEMAS = {"theorem1": "stablab-csv-v2", "theorem2": "stablab-csv-v3"}
+CSV_SCHEMAS = {"theorem1": "stablab-csv-v2", "theorem2": "stablab-csv-v4"}
 FAMILIES = ("spikes", "steps", "smooth", "mixture")
 SUPPORT_LEFT_HALF = "left-half"
 # trials of verify's cz suite and of its operator probes per kind
@@ -265,7 +265,7 @@ THEOREM1_HEADER = [
 
 THEOREM2_HEADER = [
     "instance", "operator", "n", "p", "s", "r", "t",
-    "c_star", "c_lower", "res_p", "res_inf", "res_Tinf", "iterations", "status", "flagged", "support",
+    "c_star", "c_lower", "gap", "res_p", "res_inf", "res_Tinf", "iterations", "status", "flagged", "support",
 ]
 
 
@@ -298,6 +298,7 @@ def run_theorem2(cfg: ExperimentConfig) -> tuple[str, dict]:
     corpus = generate_corpus(replace(cfg, corpus_counts=per_family), support)
     rows = []
     c_max = 0.0
+    gap_max = 0.0
     uncertified = 0
     for label, f in corpus:
         for kind in cfg.dual_operators:
@@ -305,16 +306,18 @@ def run_theorem2(cfg: ExperimentConfig) -> tuple[str, dict]:
             for s in cfg.dual_s_values:
                 inst = make_instance(f, T, s, cfg.p, support)
                 result = min_constant(inst, tol=cfg.dual_tol)
+                gap = (result.c_star - result.c_lower) / result.c_star  # corpus members are never 0, so c* > 0
                 rows.append([
                     label, kind, cfg.n, cfg.p, s, inst.r, inst.t,
-                    result.c_star, result.c_lower, result.res_p, result.res_inf, result.res_Tinf,
+                    result.c_star, result.c_lower, gap, result.res_p, result.res_inf, result.res_Tinf,
                     result.iterations, result.status, result.flagged,
                     cfg.support or "none",
                 ])
                 c_max = max(c_max, result.c_star)
+                gap_max = max(gap_max, gap)
                 uncertified += int(result.status != "certified")
     csv_text = _write_csv("theorem2", THEOREM2_HEADER, rows)
-    summary = {"rows": len(rows), "max_c_star": c_max, "uncertified": uncertified}
+    summary = {"rows": len(rows), "max_c_star": c_max, "max_gap": gap_max, "uncertified": uncertified}
     return csv_text, summary
 
 

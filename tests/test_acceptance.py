@@ -183,9 +183,10 @@ def test_criterion_6_theorem2_certified_and_oracle_checked(theorem2_campaign, fr
         assert res.c_star - res.c_lower <= 0.02 * res.c_star, (label, kind, s)
         worst_c = max(worst_c, res.c_star)
     # work-count guard: the stagnation rule alone needs 167,498 iterations here,
-    # the weak-duality exits about 82,000 and the extrapolated step about 7,200
+    # the weak-duality exits about 82,000, the extrapolated step about 7,200 and
+    # the bisection that skips the midpoints below its bound about 1,800
     iterations = sum(res.iterations for *_, res in results)
-    assert iterations <= 15_000, iterations
+    assert iterations <= 3_000, iterations
     frozen("theorem2_max_c_star", worst_c)
 
     # the worked instance: constant 2, radius 1

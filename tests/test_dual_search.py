@@ -2,6 +2,7 @@ import functools
 import json
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -119,13 +120,25 @@ def _dominates(inst, c, out, ref):
 @pytest.mark.parametrize("kind", ["hilbert", "haar_transform"])
 def test_feasible_dominates_reference_loop(kind, n, with_support, monkeypatch):
     inst = _mixture_instance(kind, n, with_support)
-    res = min_constant(inst, tol=0.1)
-    # the whole bisection with the reference loop swapped in: covers the warm starts
+    calls = []
+
+    def recording_feasible(inst_, c, x0=None):
+        calls.append((c, None if x0 is None else x0.copy()))
+        return feasible(inst_, c, x0=x0)
+
+    with monkeypatch.context() as patch:
+        patch.setattr("stablab.dual_search.feasible", recording_feasible)
+        res = min_constant(inst, tol=0.1)
+    # the reference loop at every (c, warm start) the bisection visited
+    for c, x0 in calls:
+        _dominates(inst, c, feasible(inst, c, x0=x0), reference_feasible(inst, c, x0=x0))
+    # the whole bisection with the reference loop swapped in: its bound is 0, so
+    # its bracket never jumps, and no weak-duality bound passes its certified c*
     with monkeypatch.context() as patch:
         patch.setattr("stablab.dual_search.feasible", reference_feasible)
         ref = min_constant(inst, tol=0.1)
     assert res.status == ref.status == "certified"
-    assert res.c_star <= ref.c_star
+    assert res.c_lower <= ref.c_star
     assert res.iterations <= ref.iterations and res.flagged <= ref.flagged
     tiny = 1e-3 * norm(inst.f, 2) / inst.s
     cases = (
@@ -295,6 +308,66 @@ def test_c_lower_is_the_largest_bound_the_feasible_calls_returned(kind, n, with_
             assert bound == pytest.approx(_bound_by_hand(inst, a, b), rel=1e-9)
         else:
             assert bound == 0.0  # the zero pair proves nothing
+
+
+def _report_row(label, kind, s):
+    """A row of the default theorem-2 campaign (the dual rows of `stablab report`) and its tol."""
+    cfg = default_config()
+    corpus = dict(generate_corpus(replace(cfg, corpus_counts=tuple((k, 1) for k, _ in cfg.corpus_counts))))
+    return make_instance(corpus[label], make_operator(kind, cfg.n, cfg.seed), s, cfg.p), cfg.dual_tol
+
+
+def test_the_certified_bracket_drives_the_bisection(monkeypatch):
+    # row 13 of the campaign, where the bounds skip most midpoints: the bisection
+    # on verdicts alone spends 3,228 iterations here, mostly in stagnating calls
+    inst, tol = _report_row("steps:0", "haar_transform", 1.0)
+    calls = []
+
+    def recording_feasible(inst_, c, x0=None):
+        out = feasible(inst_, c, x0=x0)
+        calls.append((c, out))
+        return out
+
+    monkeypatch.setattr("stablab.dual_search.feasible", recording_feasible)
+    res = min_constant(inst, tol=tol)
+    assert res.status == "certified"
+    lo, hi, c_lower, jumps = 0.0, norm(inst.f, inst.p) / inst.s, 0.0, 0
+    for c, out in calls:
+        low = max(lo, c_lower)
+        # the loop was still running, and evaluates the middle of the certified bracket
+        assert hi - low > tol * hi
+        assert low < c < hi and c == 0.5 * (low + hi)
+        jumps += c_lower > lo
+        if out.is_feasible:
+            hi = c
+        else:
+            lo = c
+        c_lower = max(c_lower, out.bound * (1 - 1e-9))
+    # it ends at the first point where the bracket is within tol
+    assert hi - max(lo, c_lower) <= tol * hi
+    assert (res.c_star, res.c_lower) == (hi, c_lower)
+    assert res.c_lower <= res.c_star
+    assert jumps > 0
+    assert res.iterations <= 300
+
+
+def test_min_constant_ends_below_the_spacing_of_the_doubles(monkeypatch):
+    # the instance of `stablab dual` at its defaults: the bracket closes down to
+    # adjacent doubles, whose midpoint rounds onto hi, where feasible says yes again
+    cfg = default_config()
+    inst = make_instance(generate_corpus(cfg)[0][1], make_operator(cfg.dual_operators[0], cfg.n, cfg.seed), 1.0, cfg.p)
+    calls = []
+
+    def counting_feasible(inst_, c, x0=None):
+        calls.append(c)
+        assert len(calls) <= 200, f"min_constant is still calling feasible, at c = {c!r}"
+        return feasible(inst_, c, x0=x0)
+
+    monkeypatch.setattr("stablab.dual_search.feasible", counting_feasible)
+    res = min_constant(inst, tol=1e-300)
+    assert res.status == "certified"
+    assert res.c_lower <= res.c_star
+    assert len(calls) == len(set(calls))  # no constant is tried twice
 
 
 def test_feasible_rejects_nonpositive_constant():

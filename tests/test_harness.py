@@ -144,14 +144,19 @@ def test_theorem2_rows_and_certification():
     cfg = small_config()
     csv_text, summary = run_theorem2(cfg)
     lines = csv_text.strip().splitlines()
-    assert lines[0].startswith("# stablab-csv-v3 theorem2")
+    assert lines[0].startswith("# stablab-csv-v4 theorem2")
     assert summary["rows"] == 4 * 1 * 2  # corpus x dual_operators x dual_s_values
     assert summary["uncertified"] == 0
     header = lines[1].split(",")
-    assert header[header.index("c_star") + 1] == "c_lower"
+    assert header[header.index("c_star") + 1 : header.index("c_star") + 3] == ["c_lower", "gap"]
+    gaps = []
     for line in lines[2:]:
         row = dict(zip(header, line.split(",")))
-        assert 0.0 <= float(row["c_lower"]) <= float(row["c_star"])
+        c_star, c_lower = float(row["c_star"]), float(row["c_lower"])
+        assert 0.0 <= c_lower <= c_star
+        gaps.append(float(row["gap"]))
+        assert gaps[-1] == (c_star - c_lower) / c_star
+    assert summary["max_gap"] == max(gaps)
 
 
 def test_empty_corpus_gives_header_only():
@@ -240,8 +245,8 @@ print(one["rows"], two["rows"])
     assert out.stdout.split() == ["12", "2"]
 
 
-def run_cli(*args):
-    return subprocess.run([sys.executable, "-m", "stablab", *args], capture_output=True, text=True)
+def run_cli(*args, timeout=None):
+    return subprocess.run([sys.executable, "-m", "stablab", *args], capture_output=True, text=True, timeout=timeout)
 
 
 def test_cli_distance_json():
@@ -253,6 +258,13 @@ def test_cli_distance_json():
 
 def test_cli_dual_on_the_two_cell_grid():
     out = run_cli("dual", "--n", "2")
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["status"] == "certified"
+
+
+def test_cli_dual_with_a_tol_below_the_spacing_of_the_doubles():
+    # the bracket closes down to adjacent doubles, and the search still ends
+    out = run_cli("dual", "--tol", "1e-300", timeout=120)
     assert out.returncode == 0, out.stderr
     assert json.loads(out.stdout)["status"] == "certified"
 
