@@ -25,9 +25,18 @@ is the orthogonal projection onto the complement of ker T*, so
 constants, plus the alternating top Fourier mode for ``hilbert``.  The
 projection of (v, w) is then (u + Pi u) / 2 with partner T* u / 2, where
 u = v + T w.  T and T* are applied as dense matvecs up to n = DENSE_MAX_N
-and by the operators' own transforms above it.  The iteration is
-allocation-light: sums for means, box bounds computed once per call,
-clamps and displacements in place.
+and by the operators' own transforms above it.  The dense T* belongs to the
+operator, not to the instance: it is built once per operator and shared,
+read-only, by every instance and call on it.  The iteration runs on
+preallocated stacked buffers, each of length 2n and holding a (v, w) pair:
+the iterate, the box displacements and the graph projection.  The box
+bounds are stacked the same way once per call, so the clamp, the step and
+its size are one numpy call each.  Outside the matvecs, the p-ball
+projection, the support mask and the checks on every fifth iteration, the
+loop allocates nothing.  Where the squared norms of the step or the terms
+of a dual bound leave the normal range, at the far ends of the double
+range, they are recomputed in units scaled by a power of two, so the
+search gives the same answer at every magnitude of f.
 
 Every reported witness is re-checked against the constraints by direct
 norm evaluation; the solver is never trusted for the final verdict.
@@ -55,13 +64,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable
 
 import numpy as np
 
 from .distance import dist_linf_to_lp_ball
-from .grid import DimensionError, GridFunction, GridSet, inner, mask, norm, power_mean
+from .grid import _TINY, DimensionError, GridFunction, GridSet, inner, mask, norm, power_mean
 from .operators import LinearOperatorSpec, adjoint, apply, apply_values, as_matrix
 
 __all__ = [
@@ -87,8 +96,15 @@ _ABS_DUST = 1e-12
 EXTRAPOLATION = 1.9
 # T and T* are dense matvecs up to this n and transforms above it.  Per graph
 # step on one BLAS thread, dense wins at n = 256 for both kinds, the FFT wins
-# from n = 512 and the Haar pyramid from n = 1024.
+# from n = 512 and the Haar pyramid from n = 1024.  The dense T* is built once
+# per operator and kept, read-only, for the last DENSE_CACHE_SIZE operators
+# (at most 512 KB each).
 DENSE_MAX_N = 256
+DENSE_CACHE_SIZE = 8
+# feasible's step ratio is recomputed in rescaled units when its sum of squares
+# leaves [_TINY, _SQ_MAX]; below _SQ_MAX the square of the summed step, at most
+# three times that sum, cannot overflow
+_SQ_MAX = 0.25 * float(np.finfo(float).max)
 
 
 class SupportError(ValueError):
@@ -106,51 +122,81 @@ class DualInstance:
     Tstar_f: GridFunction
     v0: GridFunction  # feasible's cold start: the sup-distance minimizer of f, zero off the support
     support: GridSet | None = None
-    _appliers: tuple[Callable, Callable] | None = field(default=None, repr=False)
-    scale: float = field(init=False, repr=False)  # max(1, norm(f, inf)): the size the tolerances scale with
+    scale: float = field(init=False, repr=False)  # norm(f, inf), or 1 when f = 0: the size the tolerances scale with
 
     def __post_init__(self):
-        self.scale = max(1.0, norm(self.f, np.inf))
+        self.scale = norm(self.f, np.inf) or 1.0
 
     @property
     def n(self) -> int:
         return self.f.n
 
     def appliers(self) -> tuple[Callable, Callable]:
-        """(T, T*) on raw arrays, built on first use.
+        """(T, T*) on raw arrays.
 
-        Dense matvecs against as_matrix(T*) up to DENSE_MAX_N cells, the
-        operators' own FFT or Haar transforms above.
+        Up to DENSE_MAX_N cells, matvecs against the operator's shared
+        read-only as_matrix(T*), built on the first call for that operator;
+        above it, the operators' own FFT or Haar transforms.
         """
-        if self._appliers is None:
-            if self.n <= DENSE_MAX_N:
-                M = as_matrix(self.Tstar)
-                self._appliers = (M.T.__matmul__, M.__matmul__)
-            else:
-                self._appliers = (partial(apply_values, adjoint(self.Tstar)), partial(apply_values, self.Tstar))
-        return self._appliers
+        return _appliers(self.Tstar)
 
     def apply_tstar(self, x: np.ndarray) -> np.ndarray:
         return self.appliers()[1](x)
 
-    def graph_step(self, v: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Exact projection of (v, w) onto the graph {(x, T*x)}, in closed form."""
+    def graph_step(
+        self, v: np.ndarray, w: np.ndarray, out: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Exact projection of (v, w) onto the graph {(x, T*x)}, in closed form.
+
+        Returns (vg, wg), written to out[:n] and out[n:] when a buffer of
+        length 2n is given.
+        """
         T, Ts = self.appliers()
-        u = v + T(w)
+        u = T(w)
+        u += v
+        n = u.size
+        if out is None:
+            out = np.empty(2 * n)
+        vg, wg = out[:n], out[n:]
         # add the kernel part of u: its mean, plus its alternating top mode for hilbert
-        m = u.sum() / u.size
+        m = u.sum() / n
         if self.Tstar.kind == "hilbert":
             even, odd = u[0::2], u[1::2]
             top = 0.5 * (even.sum() / even.size - odd.sum() / odd.size)
-            vg = np.empty_like(u)
             np.add(even, m + top, out=vg[0::2])
             np.add(odd, m - top, out=vg[1::2])
         else:
-            vg = u + m
+            np.add(u, m, out=vg)
         vg *= 0.5
-        wg = Ts(u)
-        wg *= 0.5
+        np.multiply(Ts(u), 0.5, out=wg)
         return vg, wg
+
+
+@lru_cache(maxsize=DENSE_CACHE_SIZE)
+def _appliers(Ts: LinearOperatorSpec) -> tuple[Callable, Callable]:
+    """DualInstance.appliers of the spec object Ts.
+
+    Specs hash by identity, so a lookup here costs a fraction of a
+    microsecond.  Every feasible iteration looks up, and without this the
+    lookup hashed the haar signs (3 us at n = 256) or, above DENSE_MAX_N,
+    built adjoint's fresh hilbert spec (6 us).
+    """
+    if Ts.n <= DENSE_MAX_N:
+        M = _dense_matrix(Ts.kind, Ts.n, Ts.signs, Ts.negate)
+        return M.T.__matmul__, M.__matmul__
+    return partial(apply_values, adjoint(Ts)), partial(apply_values, Ts)
+
+
+@lru_cache(maxsize=DENSE_CACHE_SIZE)
+def _dense_matrix(kind: str, n: int, signs: tuple[int, ...] | None, negate: bool) -> np.ndarray:
+    """as_matrix of the operator with these defining fields, read-only.
+
+    Keyed by the fields rather than the spec: specs compare by identity, and
+    adjoint builds a fresh hilbert spec on every call.
+    """
+    M = as_matrix(LinearOperatorSpec(kind, n, signs, negate))
+    M.flags.writeable = False
+    return M
 
 
 @dataclass(frozen=True)
@@ -313,18 +359,54 @@ def _dual_bound(inst: DualInstance, a: np.ndarray, b: np.ndarray) -> float:
               <= c (r |a|_1 + (t + r) |b|_1 + s |chi_E z|_p'),
 
     so c >= |<z, f>| / (r |a|_1 + (t + r) |b|_1 + s |chi_E z|_p').
+
+    The bound is unchanged when (a, b) is scaled, or f with r, t and s.
+    When the pairing or the denominator of a non-zero pair leaves the
+    normal range (f near either end of the double range), both are
+    recomputed with (a, b) and f scaled by powers of two, which is exact
+    wherever the direct values were normal.  The direct terms overflow
+    there with a numpy warning, which feasible, the caller, turns off.
     """
+    fv = inst.f.values
+    pairing, denom = _bound_terms(inst, a, b, fv, inst.r, inst.t, inst.s)
+    normal = _TINY <= pairing < math.inf and _TINY <= denom < math.inf
+    if not normal and (a.any() or b.any()):
+        ab, fs = _unit(a, b), _unit(fv)
+        pairing, denom = _bound_terms(inst, ab * a, ab * b, fs * fv, fs * inst.r, fs * inst.t, fs * inst.s)
+    return pairing / denom if denom > 0.0 else 0.0
+
+
+def _bound_terms(
+    inst: DualInstance, a: np.ndarray, b: np.ndarray, fv: np.ndarray, r: float, t: float, s: float
+) -> tuple[float, float]:
+    """The pairing |<z, f>| and the denominator of _dual_bound, for the given f, r, t and s."""
     n = a.size
     z = a + inst.appliers()[0](b)
-    pairing = abs(float(z @ inst.f.values)) / n
+    pairing = abs(float(z @ fv)) / n
     if inst.support is not None:
         z[~inst.support.membership] = 0.0
     az = np.abs(z)
     size = power_mean(az, inst.p / (inst.p - 1.0))
-    denom = inst.r * float(np.abs(a).sum()) / n + (inst.t + inst.r) * float(np.abs(b).sum()) / n + inst.s * size
-    return pairing / denom if denom > 0.0 else 0.0
+    denom = r * float(np.abs(a).sum()) / n + (t + r) * float(np.abs(b).sum()) / n + s * size
+    return pairing, denom
 
 
+def _unit(*arrays: np.ndarray) -> float:
+    """The power of two that scales the largest |entry| of the arrays into [0.5, 1), 1 if there is none."""
+    top = max(float(np.abs(a).max()) for a in arrays)
+    if not 0.0 < top < math.inf:
+        return 1.0
+    return math.ldexp(1.0, min(-math.frexp(top)[1], 1000))
+
+
+def _sum_sq(unit: float, *segments: np.ndarray) -> float:
+    """The sum of the squared norms of the segments scaled by unit, in order."""
+    return float(sum((unit * y) @ (unit * y) for y in segments))
+
+
+# the step's squared norms and the dual bound's terms overflow near the top of the
+# double range: both are recomputed then, and the direct check rejects non-finite candidates
+@np.errstate(over="ignore")
 def feasible(inst: DualInstance, c: float, x0: np.ndarray | None = None) -> FeasibilityOutcome:
     """Search the intersection of the three constraint sets at constant c.
 
@@ -360,22 +442,28 @@ def feasible(inst: DualInstance, c: float, x0: np.ndarray | None = None) -> Feas
     bound_f = c * inst.r
     bound_T = c * (inst.t + inst.r)
     tsf = inst.Tstar_f.values
-    # the two sup-norm boxes, and scratch for their clamps (np.clip's arithmetic on finite input)
-    lo_f, hi_f = fv - bound_f, fv + bound_f
-    lo_T, hi_T = tsf - bound_T, tsf + bound_T
-    p2, p3 = np.empty_like(fv), np.empty_like(tsf)
-    Ts = inst.apply_tstar
-    v = inst.v0.values if x0 is None else x0
-    w = Ts(v)
+    n = fv.size
+    # stacked (v, w) buffers: the iterate x, the box displacements, the graph
+    # projection, and the two sup-norm boxes (np.clip's arithmetic on finite input)
+    x, box, graph, lo, hi = np.empty((5, 2 * n))
+    v, w = x[:n], x[n:]
+    p2, p3 = box[:n], box[n:]
+    vg, wg = graph[:n], graph[n:]
+    v[:] = inst.v0.values if x0 is None else x0
+    w[:] = inst.apply_tstar(v)
+    np.subtract(fv, bound_f, out=lo[:n])
+    np.subtract(tsf, bound_T, out=lo[n:])
+    np.add(fv, bound_f, out=hi[:n])
+    np.add(tsf, bound_T, out=hi[n:])
 
     # _measure accepts v at c only if v meets all three constraints at c_accept, so a
     # weak-duality bound above c_accept (with a rounding margin) rules out any later candidate
     c_accept = (1.0 + FEAS_TOL) * (c + _ABS_DUST * inst.scale / min(inst.s, inst.r, inst.t + inst.r))
     c_accept *= 1.0 + 1e-9
 
-    def witness(x: np.ndarray, k: int) -> tuple[float, FeasibilityOutcome | None]:
-        """The direct check of x masked to E: its violation, and the "feasible" outcome if it passes."""
-        cand = x if sup_mask is None else np.where(sup_mask, x, 0.0)
+    def witness(y: np.ndarray, k: int) -> tuple[float, FeasibilityOutcome | None]:
+        """The direct check of y masked to E: its violation, and the "feasible" outcome if it passes."""
+        cand = y if sup_mask is None else np.where(sup_mask, y, 0.0)
         res = _measure(inst, c, cand)[0]
         if not res <= FEAS_TOL:
             return res, None
@@ -385,12 +473,10 @@ def feasible(inst: DualInstance, c: float, x0: np.ndarray | None = None) -> Feas
     best_res = math.inf
     best_iter = 0
     for k in range(1, MAX_ITER + 1):
-        vg, wg = inst.graph_step(v, w)
+        inst.graph_step(v, w, out=graph)
         # the box displacements p2 - v and p3 - w, which are also the box normals
-        np.minimum(np.maximum(v, lo_f, out=p2), hi_f, out=p2)
-        np.minimum(np.maximum(w, lo_T, out=p3), hi_T, out=p3)
-        p2 -= v
-        p3 -= w
+        np.minimum(np.maximum(x, lo, out=box), hi, out=box)
+        box -= x
         if k % 5 == 1:
             res, found = witness(vg, k)
             if found is not None:
@@ -407,24 +493,26 @@ def feasible(inst: DualInstance, c: float, x0: np.ndarray | None = None) -> Feas
                 return FeasibilityOutcome("infeasible", None, k, best_bound)
 
         # the displacements d_i to the p-ball (p1 - v, 0), the f-box (p2 - v, 0),
-        # the T*-box (0, p3 - w) and the graph (vg - v, wg - w), in place
+        # the T*-box (0, p3 - w) and the graph (vg - v, wg - w)
         d1 = project_lp_ball(v if sup_mask is None else np.where(sup_mask, v, 0.0), bound_p, inst.p)
         d1 -= v
-        vg -= v
-        wg -= w
+        graph -= x
         spread = float(d1 @ d1 + p2 @ p2 + p3 @ p3 + vg @ vg + wg @ wg)  # 4 mean |d_i|^2
-        dv = d1
-        dv += p2
-        dv += vg
-        dw = np.add(p3, wg, out=p3)
-        mean_sq = float(dv @ dv + dw @ dw)  # 16 |d|^2, with d = (dv, dw) / 4
+        unit = 1.0
+        if not _TINY <= spread <= _SQ_MAX:
+            # the squares left the normal range: take the ratio in units of the largest displacement
+            unit = _unit(d1, box, graph)
+            spread = _sum_sq(unit, d1, p2, p3, vg, wg)
+        # (dv, dw) = (d1 + p2 + vg, p3 + wg) in box; p2 += d1 gives d1 + p2 bit for bit
+        p2 += d1
+        box += graph
+        # 16 |d|^2, with d = (dv, dw) / 4
+        mean_sq = float(p2 @ p2 + p3 @ p3) if unit == 1.0 else _sum_sq(unit, p2, p3)
         # EXTRAPOLATION * L * d = EXTRAPOLATION * (spread / mean_sq) * (dv, dw)
         step = EXTRAPOLATION * spread / mean_sq if mean_sq > 0.0 else 0.0
-        dv *= step
-        dw *= step
-        move = float(max(np.abs(dv).max(), np.abs(dw).max()))
-        v = v + dv
-        w = w + dw
+        box *= step
+        move = float(np.abs(box, out=graph).max())  # graph is free until the next step
+        x += box
         if move <= 1e-13 * inst.scale:
             # every projection agrees at a fixed point: x itself may be the witness
             return witness(v, k)[1] or FeasibilityOutcome("infeasible", None, k, best_bound)
@@ -495,8 +583,8 @@ def _finish(
         c_lower=c_lower,
         v=v,
         res_p=size_p / inst.s,
-        res_inf=dev_f / inst.r if inst.r > _ABS_DUST else 0.0,
-        res_Tinf=dev_T / denom_T if denom_T > _ABS_DUST else 0.0,
+        res_inf=dev_f / inst.r if inst.r > _ABS_DUST * inst.scale else 0.0,
+        res_Tinf=dev_T / denom_T if denom_T > _ABS_DUST * inst.scale else 0.0,
         iterations=iterations,
         status="certified" if violation <= 0.0 else "uncertified",
         flagged=flagged,

@@ -21,6 +21,14 @@ feasible earlier.  ``reference_project_lp_ball`` is the projection's earlier
 direct path for p != 2: a linear bisection on the multiplier, with no
 rescaling, so it is a reference at unit scale only.
 
+``unfused_feasible`` and ``unfused_graph_step`` are verbatim copies of the
+extrapolated loop of ``feasible`` and of ``DualInstance.graph_step`` before
+the loop moved onto stacked buffers: v and w as separate arrays, fresh arrays
+for the graph projection and every update, and the step's size taken over v
+and w apart.  They call the library's ``_measure``, ``_dual_bound`` and
+``project_lp_ball`` and read its constants at call time.  The stacked loop must
+reproduce every outcome of them bit for bit wherever norm(f, inf) >= 1.
+
 ``reference_dist_l1_to_lp_ball`` and ``reference_dist_linf_to_lp_ball`` are
 verbatim copies of the earlier distance solvers, which bisected the clip and
 shrink levels with an absolute stopping width (``_reference_bisect``).  The
@@ -322,6 +330,115 @@ def reference_feasible(inst: DualInstance, c: float, x0: np.ndarray | None = Non
         if move <= 1e-13 * scale:
             return FeasibilityOutcome("infeasible", None, k, 0.0)
     return FeasibilityOutcome("inconclusive", None, max_iter, 0.0)
+
+
+def unfused_graph_step(inst: DualInstance, v: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    T, Ts = inst.appliers()
+    u = v + T(w)
+    # add the kernel part of u: its mean, plus its alternating top mode for hilbert
+    m = u.sum() / u.size
+    if inst.Tstar.kind == "hilbert":
+        even, odd = u[0::2], u[1::2]
+        top = 0.5 * (even.sum() / even.size - odd.sum() / odd.size)
+        vg = np.empty_like(u)
+        np.add(even, m + top, out=vg[0::2])
+        np.add(odd, m - top, out=vg[1::2])
+    else:
+        vg = u + m
+    vg *= 0.5
+    wg = Ts(u)
+    wg *= 0.5
+    return vg, wg
+
+
+def unfused_feasible(inst: DualInstance, c: float, x0: np.ndarray | None = None) -> FeasibilityOutcome:
+    MAX_ITER, FEAS_TOL = dual_search.MAX_ITER, dual_search.FEAS_TOL
+    _ABS_DUST, EXTRAPOLATION = dual_search._ABS_DUST, dual_search.EXTRAPOLATION
+    _measure, _dual_bound, project_lp_ball = dual_search._measure, dual_search._dual_bound, dual_search.project_lp_ball
+    c = float(c)
+    if not c > 0:
+        raise ValueError(f"constant must be positive, got {c}")
+    fv = inst.f.values
+    sup_mask = None if inst.support is None else inst.support.membership
+
+    # r = 0 pins v = f exactly; only the p-ball constraint can still bind.
+    if inst.r == 0.0:
+        ok = _measure(inst, c, fv)[0] <= FEAS_TOL
+        return FeasibilityOutcome("feasible" if ok else "infeasible", inst.f if ok else None, 0, 0.0)
+
+    bound_p = c * inst.s
+    bound_f = c * inst.r
+    bound_T = c * (inst.t + inst.r)
+    tsf = inst.Tstar_f.values
+    # the two sup-norm boxes, and scratch for their clamps (np.clip's arithmetic on finite input)
+    lo_f, hi_f = fv - bound_f, fv + bound_f
+    lo_T, hi_T = tsf - bound_T, tsf + bound_T
+    p2, p3 = np.empty_like(fv), np.empty_like(tsf)
+    Ts = inst.apply_tstar
+    v = inst.v0.values if x0 is None else x0
+    w = Ts(v)
+
+    # _measure accepts v at c only if v meets all three constraints at c_accept, so a
+    # weak-duality bound above c_accept (with a rounding margin) rules out any later candidate
+    c_accept = (1.0 + FEAS_TOL) * (c + _ABS_DUST * inst.scale / min(inst.s, inst.r, inst.t + inst.r))
+    c_accept *= 1.0 + 1e-9
+
+    def witness(x: np.ndarray, k: int) -> tuple[float, FeasibilityOutcome | None]:
+        """The direct check of x masked to E: its violation, and the "feasible" outcome if it passes."""
+        cand = x if sup_mask is None else np.where(sup_mask, x, 0.0)
+        res = _measure(inst, c, cand)[0]
+        if not res <= FEAS_TOL:
+            return res, None
+        return res, FeasibilityOutcome("feasible", GridFunction(cand), k, best_bound)
+
+    best_bound = 0.0
+    best_res = math.inf
+    best_iter = 0
+    for k in range(1, MAX_ITER + 1):
+        vg, wg = unfused_graph_step(inst, v, w)
+        # the box displacements p2 - v and p3 - w, which are also the box normals
+        np.minimum(np.maximum(v, lo_f, out=p2), hi_f, out=p2)
+        np.minimum(np.maximum(w, lo_T, out=p3), hi_T, out=p3)
+        p2 -= v
+        p3 -= w
+        if k % 5 == 1:
+            res, found = witness(vg, k)
+            if found is not None:
+                return found
+            if res < best_res * (1.0 - 1e-3):
+                best_res = res
+                best_iter = k
+            elif k - best_iter > 300 and k > 400:
+                return FeasibilityOutcome("infeasible", None, k, best_bound)
+            # the box normals of the current iterate as the dual pair
+            bound = _dual_bound(inst, p2, p3)
+            best_bound = max(best_bound, bound)
+            if bound > c_accept:
+                return FeasibilityOutcome("infeasible", None, k, best_bound)
+
+        # the displacements d_i to the p-ball (p1 - v, 0), the f-box (p2 - v, 0),
+        # the T*-box (0, p3 - w) and the graph (vg - v, wg - w), in place
+        d1 = project_lp_ball(v if sup_mask is None else np.where(sup_mask, v, 0.0), bound_p, inst.p)
+        d1 -= v
+        vg -= v
+        wg -= w
+        spread = float(d1 @ d1 + p2 @ p2 + p3 @ p3 + vg @ vg + wg @ wg)  # 4 mean |d_i|^2
+        dv = d1
+        dv += p2
+        dv += vg
+        dw = np.add(p3, wg, out=p3)
+        mean_sq = float(dv @ dv + dw @ dw)  # 16 |d|^2, with d = (dv, dw) / 4
+        # EXTRAPOLATION * L * d = EXTRAPOLATION * (spread / mean_sq) * (dv, dw)
+        step = EXTRAPOLATION * spread / mean_sq if mean_sq > 0.0 else 0.0
+        dv *= step
+        dw *= step
+        move = float(max(np.abs(dv).max(), np.abs(dw).max()))
+        v = v + dv
+        w = w + dw
+        if move <= 1e-13 * inst.scale:
+            # every projection agrees at a fixed point: x itself may be the witness
+            return witness(v, k)[1] or FeasibilityOutcome("infeasible", None, k, best_bound)
+    return FeasibilityOutcome("inconclusive", None, MAX_ITER, best_bound)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import penalty_feasible, reference_feasible, reference_project_lp_ball
+from oracles import penalty_feasible, reference_feasible, reference_project_lp_ball, unfused_feasible
 from stablab import (
     DyadicInterval,
     GridFunction,
@@ -26,10 +26,11 @@ from stablab import (
     norm,
     project_lp_ball,
 )
+from stablab import dual_search
 from stablab.dual_search import DENSE_MAX_N, FEAS_TOL, MAX_ITER, SupportError, _dual_bound, _measure, certified
 from stablab.grid import power_mean
-from stablab.harness import default_config, generate_corpus, make_operator
-from stablab.operators import adjoint, as_matrix, hilbert
+from stablab.harness import default_config, generate_corpus, make_operator, run_theorem2
+from stablab.operators import adjoint, as_matrix, haar_transform, hilbert, identity_minus_mean
 
 
 def test_make_instance_inside_ball_gives_zero_gaps():
@@ -106,6 +107,20 @@ def _mixture_instance(kind, n, with_support, p=2):
     return make_instance(f, make_operator(kind, n, seed=7), 1.0, p, E)
 
 
+def _bisection_calls(inst, monkeypatch, tol):
+    """min_constant's result, and the (c, warm start) of every feasible call it made."""
+    calls = []
+
+    def recording_feasible(inst_, c, x0=None):
+        calls.append((c, None if x0 is None else x0.copy()))
+        return feasible(inst_, c, x0=x0)
+
+    with monkeypatch.context() as patch:
+        patch.setattr("stablab.dual_search.feasible", recording_feasible)
+        res = min_constant(inst, tol=tol)
+    return res, calls
+
+
 def _dominates(inst, c, out, ref):
     """The extrapolated loop against the plain averaged one: feasible wherever
     the reference is, with a certified witness, and ends no later."""
@@ -120,15 +135,7 @@ def _dominates(inst, c, out, ref):
 @pytest.mark.parametrize("kind", ["hilbert", "haar_transform"])
 def test_feasible_dominates_reference_loop(kind, n, with_support, monkeypatch):
     inst = _mixture_instance(kind, n, with_support)
-    calls = []
-
-    def recording_feasible(inst_, c, x0=None):
-        calls.append((c, None if x0 is None else x0.copy()))
-        return feasible(inst_, c, x0=x0)
-
-    with monkeypatch.context() as patch:
-        patch.setattr("stablab.dual_search.feasible", recording_feasible)
-        res = min_constant(inst, tol=0.1)
+    res, calls = _bisection_calls(inst, monkeypatch, tol=0.1)
     # the reference loop at every (c, warm start) the bisection visited
     for c, x0 in calls:
         _dominates(inst, c, feasible(inst, c, x0=x0), reference_feasible(inst, c, x0=x0))
@@ -650,3 +657,124 @@ def test_result_serialization():
     assert set(obj) == {"c_star", "c_lower", "residuals", "iterations", "status", "flagged"}
     assert 0.0 < obj["c_lower"] <= obj["c_star"]
     assert set(obj["residuals"]) == {"p", "inf", "T_inf"}
+
+
+# ---------------------------------------------------------------------------
+# the stacked loop, the shared dense matrix and scale covariance
+# ---------------------------------------------------------------------------
+
+
+def _same_outcome(out, ref):
+    assert (out.status, out.iterations) == (ref.status, ref.iterations)
+    assert np.float64(out.bound).tobytes() == np.float64(ref.bound).tobytes()
+    assert (out.v is None) == (ref.v is None)
+    if out.v is not None:
+        assert out.v.values.tobytes() == ref.v.values.tobytes()
+
+
+def _gaussian_instance(kind, n, with_support, p=2):
+    """A Gaussian draw at s = 0.35 norm(f, 2): bisections with calls of hundreds of iterations."""
+    rng = np.random.default_rng(n)
+    f = rng.standard_normal(n) * 3.0
+    E = None
+    if with_support:
+        E = GridSet.from_interval(DyadicInterval(1, 0), n)
+        f[~E.membership] = 0.0
+    f = GridFunction(f)
+    return make_instance(f, make_operator(kind, n, seed=7), 0.35 * norm(f, 2), p, E)
+
+
+@pytest.mark.parametrize("with_support", [False, True])
+@pytest.mark.parametrize("n", [8, DENSE_MAX_N, 2 * DENSE_MAX_N])
+@pytest.mark.parametrize("kind", ["hilbert", "haar_transform", "identity_minus_mean"])
+def test_stacked_loop_is_the_unfused_loop_bit_for_bit(kind, n, with_support, monkeypatch):
+    inst = _gaussian_instance(kind, n, with_support)
+    assert norm(inst.f, np.inf) >= 1.0
+    _, calls = _bisection_calls(inst, monkeypatch, tol=3e-3)
+    assert any(x0 is None for _, x0 in calls) and any(x0 is not None for _, x0 in calls)
+    for c, x0 in calls:
+        _same_outcome(feasible(inst, c, x0=x0), unfused_feasible(inst, c, x0=x0))
+
+
+def test_stacked_loop_is_the_unfused_loop_at_p3(monkeypatch):
+    inst = _gaussian_instance("hilbert", 8, False, p=3)
+    hi = norm(inst.f, inst.p) / inst.s
+    monkeypatch.setattr("stablab.dual_search.MAX_ITER", 40)
+    cold = feasible(inst, 0.198 * hi)
+    assert cold.is_feasible and cold.iterations > 30
+    cases = [(0.198 * hi, None), (0.16 * hi, None), (0.19 * hi, cold.v.values), (0.25 * hi, cold.v.values)]
+    # at the 40-iteration budget, and at one the first case runs out of
+    for budget in (40, 20):
+        monkeypatch.setattr("stablab.dual_search.MAX_ITER", budget)
+        for c, x0 in cases:
+            _same_outcome(feasible(inst, c, x0=x0), unfused_feasible(inst, c, x0=x0))
+    assert feasible(inst, 0.198 * hi).status == "inconclusive"
+
+
+def _counting_as_matrix(monkeypatch):
+    built = []
+
+    def counting(T):
+        built.append(T)
+        return as_matrix(T)
+
+    monkeypatch.setattr("stablab.dual_search.as_matrix", counting)
+    _clear_dense_caches()
+    return built
+
+
+def _clear_dense_caches():
+    dual_search._appliers.cache_clear()
+    dual_search._dense_matrix.cache_clear()
+
+
+def test_dense_matrix_is_built_once_per_operator(monkeypatch):
+    built = _counting_as_matrix(monkeypatch)
+    cfg = default_config()
+    run_theorem2(cfg)
+    assert len(built) == len(cfg.dual_operators) == 2
+    _clear_dense_caches()
+
+
+def test_no_dense_matrix_above_dense_max_n(monkeypatch):
+    built = _counting_as_matrix(monkeypatch)
+    res = min_constant(_mixture_instance("hilbert", 2 * DENSE_MAX_N, False), tol=0.1)
+    assert res.status == "certified"
+    assert built == []
+
+
+@pytest.mark.parametrize("kind", ["hilbert", "haar_transform", "identity_minus_mean"])
+def test_dense_matrix_is_shared_read_only_and_exact(kind):
+    # two instances on separately built operators share one matrix
+    insts = [_mixture_instance(kind, 64, with_support) for with_support in (False, True)]
+    M, M2 = (inst.appliers()[1].__self__ for inst in insts)
+    assert M is M2
+    assert not M.flags.writeable
+    with pytest.raises(ValueError):
+        M[0, 0] = 1.0
+    assert M.tobytes() == as_matrix(insts[0].Tstar).tobytes()
+
+
+SCALE_CASES = [
+    (hilbert(8), 2, None),
+    (haar_transform(8, [1, -1, 1, 1, -1, 1, -1]), 2, None),
+    (hilbert(8), 2, GridSet(np.array([1, 1, 1, 0, 0, 1, 1, 1], dtype=bool))),
+    (identity_minus_mean(8), 3, None),
+]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("case", range(len(SCALE_CASES)))
+def test_min_constant_is_scale_covariant_at_extreme_magnitudes(case):
+    T, p, support = SCALE_CASES[case]
+    f = np.array([3.0, 0.0, 1.0, 0.0, 0.0, 2.0, 0.0, 0.5])
+    unit = min_constant(make_instance(GridFunction(f), T, 0.5, p, support))
+    assert unit.status == "certified"
+    for k in [2.0**-990, 1e-300, 1e-150, 2.0**-500, 2.0**500, 1e160, 1e300, 2.0**990]:
+        res = min_constant(make_instance(GridFunction(f * k), T, 0.5 * k, p, support))
+        assert res.status == "certified", k
+        assert res.c_star == pytest.approx(unit.c_star, rel=1e-9), k
+        assert res.c_lower == pytest.approx(unit.c_lower, rel=1e-9), k
+        assert res.iterations == unit.iterations, k
+        assert (res.res_inf, res.res_Tinf) == pytest.approx((unit.res_inf, unit.res_Tinf), rel=1e-9), k
+        np.testing.assert_allclose(res.v.values / k, unit.v.values, rtol=1e-9, atol=1e-9 * norm(unit.v, np.inf))
