@@ -220,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--tol", type=float, dest="dual_tol", help="override the config's dual.tol")
     sub.set_defaults(func=_cmd_dual)
 
-    sub = _subcommand(subs, "verify", "run every module's invariant suite", "config seed n p support out")
+    sub = _subcommand(subs, "verify", "run every module's invariant suite", "config seed n p out")
     sub.set_defaults(func=_cmd_verify)
 
     sub = _subcommand(subs, "report", "run both campaigns and write CSV reports", "config seed n p support")

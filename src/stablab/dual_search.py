@@ -33,10 +33,11 @@ the iterate, the box displacements and the graph projection.  The box
 bounds are stacked the same way once per call, so the clamp, the step and
 its size are one numpy call each.  Outside the matvecs, the p-ball
 projection, the support mask and the checks on every fifth iteration, the
-loop allocates nothing.  Where the squared norms of the step or the terms
-of a dual bound leave the normal range, at the far ends of the double
-range, they are recomputed in units scaled by a power of two, so the
-search gives the same answer at every magnitude of f.
+loop allocates nothing.  Each instance settles once the unit the search
+computes in: 1 unless norm(f, inf) lies outside [2^-400, 2^400], and beyond
+that the power of two that brings norm(f, inf) into [0.5, 1).  No square,
+sum or pairing of the search then leaves the normal range, so it gives the
+same answer at every magnitude of f.
 
 Every reported witness is re-checked against the constraints by direct
 norm evaluation; the solver is never trusted for the final verdict.
@@ -70,7 +71,7 @@ from typing import Callable
 import numpy as np
 
 from .distance import dist_linf_to_lp_ball
-from .grid import _TINY, DimensionError, GridFunction, GridSet, inner, mask, norm, power_mean
+from .grid import DimensionError, GridFunction, GridSet, inner, mask, norm, power_mean
 from .operators import LinearOperatorSpec, adjoint, apply, apply_values, as_matrix
 
 __all__ = [
@@ -101,10 +102,6 @@ EXTRAPOLATION = 1.9
 # (at most 512 KB each).
 DENSE_MAX_N = 256
 DENSE_CACHE_SIZE = 8
-# feasible's step ratio is recomputed in rescaled units when its sum of squares
-# leaves [_TINY, _SQ_MAX]; below _SQ_MAX the square of the summed step, at most
-# three times that sum, cannot overflow
-_SQ_MAX = 0.25 * float(np.finfo(float).max)
 
 
 class SupportError(ValueError):
@@ -122,26 +119,34 @@ class DualInstance:
     Tstar_f: GridFunction
     v0: GridFunction  # feasible's cold start: the sup-distance minimizer of f, zero off the support
     support: GridSet | None = None
+    # settled once, in __post_init__
     scale: float = field(init=False, repr=False)  # norm(f, inf), or 1 when f = 0: the size the tolerances scale with
+    unit: float = field(init=False, repr=False)  # what feasible and _dual_bound multiply f and every length by
+    appliers: tuple[Callable, Callable] = field(init=False, repr=False)  # (T, T*) on raw arrays
 
     def __post_init__(self):
         self.scale = norm(self.f, np.inf) or 1.0
+        # Inside [2^-400, 2^400] no square, sum or pairing of the search leaves the
+        # normal range, and the unit stays 1: rescaling there would move output bits,
+        # since power_mean's float ** (1/p) is not exactly homogeneous.  Beyond it,
+        # the power of two that brings norm(f, inf) into [0.5, 1), at most 2^1023.
+        in_range = 2.0**-400 <= self.scale <= 2.0**400
+        self.unit = 1.0 if in_range else math.ldexp(1.0, min(-math.frexp(self.scale)[1], 1023))
+        # matvecs against the operator's shared read-only as_matrix(T*) up to
+        # DENSE_MAX_N cells; above it, the operators' own FFT or Haar transforms
+        Ts = self.Tstar
+        if Ts.n <= DENSE_MAX_N:
+            M = _dense_matrix(Ts.kind, Ts.n, Ts.signs, Ts.negate)
+            self.appliers = (M.T.__matmul__, M.__matmul__)
+        else:
+            self.appliers = (partial(apply_values, adjoint(Ts)), partial(apply_values, Ts))
 
     @property
     def n(self) -> int:
         return self.f.n
 
-    def appliers(self) -> tuple[Callable, Callable]:
-        """(T, T*) on raw arrays.
-
-        Up to DENSE_MAX_N cells, matvecs against the operator's shared
-        read-only as_matrix(T*), built on the first call for that operator;
-        above it, the operators' own FFT or Haar transforms.
-        """
-        return _appliers(self.Tstar)
-
     def apply_tstar(self, x: np.ndarray) -> np.ndarray:
-        return self.appliers()[1](x)
+        return self.appliers[1](x)
 
     def graph_step(
         self, v: np.ndarray, w: np.ndarray, out: np.ndarray | None = None
@@ -151,7 +156,7 @@ class DualInstance:
         Returns (vg, wg), written to out[:n] and out[n:] when a buffer of
         length 2n is given.
         """
-        T, Ts = self.appliers()
+        T, Ts = self.appliers
         u = T(w)
         u += v
         n = u.size
@@ -170,21 +175,6 @@ class DualInstance:
         vg *= 0.5
         np.multiply(Ts(u), 0.5, out=wg)
         return vg, wg
-
-
-@lru_cache(maxsize=DENSE_CACHE_SIZE)
-def _appliers(Ts: LinearOperatorSpec) -> tuple[Callable, Callable]:
-    """DualInstance.appliers of the spec object Ts.
-
-    Specs hash by identity, so a lookup here costs a fraction of a
-    microsecond.  Every feasible iteration looks up, and without this the
-    lookup hashed the haar signs (3 us at n = 256) or, above DENSE_MAX_N,
-    built adjoint's fresh hilbert spec (6 us).
-    """
-    if Ts.n <= DENSE_MAX_N:
-        M = _dense_matrix(Ts.kind, Ts.n, Ts.signs, Ts.negate)
-        return M.T.__matmul__, M.__matmul__
-    return partial(apply_values, adjoint(Ts)), partial(apply_values, Ts)
 
 
 @lru_cache(maxsize=DENSE_CACHE_SIZE)
@@ -360,53 +350,21 @@ def _dual_bound(inst: DualInstance, a: np.ndarray, b: np.ndarray) -> float:
 
     so c >= |<z, f>| / (r |a|_1 + (t + r) |b|_1 + s |chi_E z|_p').
 
-    The bound is unchanged when (a, b) is scaled, or f with r, t and s.
-    When the pairing or the denominator of a non-zero pair leaves the
-    normal range (f near either end of the double range), both are
-    recomputed with (a, b) and f scaled by powers of two, which is exact
-    wherever the direct values were normal.  The direct terms overflow
-    there with a numpy warning, which feasible, the caller, turns off.
+    The bound is unchanged when (a, b) is scaled, or f with r, t and s, so
+    f, r, t and s enter in units of inst.unit, the units feasible's pairs
+    come in.
     """
-    fv = inst.f.values
-    pairing, denom = _bound_terms(inst, a, b, fv, inst.r, inst.t, inst.s)
-    normal = _TINY <= pairing < math.inf and _TINY <= denom < math.inf
-    if not normal and (a.any() or b.any()):
-        ab, fs = _unit(a, b), _unit(fv)
-        pairing, denom = _bound_terms(inst, ab * a, ab * b, fs * fv, fs * inst.r, fs * inst.t, fs * inst.s)
+    n, unit = a.size, inst.unit
+    z = a + inst.appliers[0](b)
+    pairing = abs(float(z @ (unit * inst.f.values))) / n
+    if inst.support is not None:
+        z[~inst.support.membership] = 0.0
+    size = power_mean(np.abs(z), inst.p / (inst.p - 1.0))
+    r, t, s = unit * inst.r, unit * inst.t, unit * inst.s
+    denom = r * float(np.abs(a).sum()) / n + (t + r) * float(np.abs(b).sum()) / n + s * size
     return pairing / denom if denom > 0.0 else 0.0
 
 
-def _bound_terms(
-    inst: DualInstance, a: np.ndarray, b: np.ndarray, fv: np.ndarray, r: float, t: float, s: float
-) -> tuple[float, float]:
-    """The pairing |<z, f>| and the denominator of _dual_bound, for the given f, r, t and s."""
-    n = a.size
-    z = a + inst.appliers()[0](b)
-    pairing = abs(float(z @ fv)) / n
-    if inst.support is not None:
-        z[~inst.support.membership] = 0.0
-    az = np.abs(z)
-    size = power_mean(az, inst.p / (inst.p - 1.0))
-    denom = r * float(np.abs(a).sum()) / n + (t + r) * float(np.abs(b).sum()) / n + s * size
-    return pairing, denom
-
-
-def _unit(*arrays: np.ndarray) -> float:
-    """The power of two that scales the largest |entry| of the arrays into [0.5, 1), 1 if there is none."""
-    top = max(float(np.abs(a).max()) for a in arrays)
-    if not 0.0 < top < math.inf:
-        return 1.0
-    return math.ldexp(1.0, min(-math.frexp(top)[1], 1000))
-
-
-def _sum_sq(unit: float, *segments: np.ndarray) -> float:
-    """The sum of the squared norms of the segments scaled by unit, in order."""
-    return float(sum((unit * y) @ (unit * y) for y in segments))
-
-
-# the step's squared norms and the dual bound's terms overflow near the top of the
-# double range: both are recomputed then, and the direct check rejects non-finite candidates
-@np.errstate(over="ignore")
 def feasible(inst: DualInstance, c: float, x0: np.ndarray | None = None) -> FeasibilityOutcome:
     """Search the intersection of the three constraint sets at constant c.
 
@@ -425,36 +383,38 @@ def feasible(inst: DualInstance, c: float, x0: np.ndarray | None = None) -> Feas
     projection agrees and x is a witness.
     Otherwise such a run, or one that stops improving while still violated,
     reports "infeasible" (at tolerance), and MAX_ITER iterations exhausted
-    by every rule report "inconclusive".
+    by every rule report "inconclusive".  The iteration runs in units of
+    inst.unit; witnesses are checked and returned in the caller's units.
     """
     c = float(c)
-    if not c > 0:
-        raise ValueError(f"constant must be positive, got {c}")
-    fv = inst.f.values
+    if not 0 < c < math.inf:
+        raise ValueError(f"constant must be positive and finite, got {c}")
     sup_mask = None if inst.support is None else inst.support.membership
 
     # r = 0 pins v = f exactly; only the p-ball constraint can still bind.
     if inst.r == 0.0:
-        ok = _measure(inst, c, fv)[0] <= FEAS_TOL
+        ok = _measure(inst, c, inst.f.values)[0] <= FEAS_TOL
         return FeasibilityOutcome("feasible" if ok else "infeasible", inst.f if ok else None, 0, 0.0)
 
-    bound_p = c * inst.s
-    bound_f = c * inst.r
-    bound_T = c * (inst.t + inst.r)
-    tsf = inst.Tstar_f.values
-    n = fv.size
+    # the iteration runs in units of inst.unit: f, T*f, the radii and x0 are scaled by it
+    unit, n = inst.unit, inst.n
+    fv, tsf = unit * inst.f.values, unit * inst.Tstar_f.values
+    bound_p = c * (unit * inst.s)
+    bound_f = c * (unit * inst.r)
+    bound_T = c * (unit * (inst.t + inst.r))
     # stacked (v, w) buffers: the iterate x, the box displacements, the graph
     # projection, and the two sup-norm boxes (np.clip's arithmetic on finite input)
     x, box, graph, lo, hi = np.empty((5, 2 * n))
     v, w = x[:n], x[n:]
     p2, p3 = box[:n], box[n:]
     vg, wg = graph[:n], graph[n:]
-    v[:] = inst.v0.values if x0 is None else x0
+    np.multiply(inst.v0.values if x0 is None else x0, unit, out=v)
     w[:] = inst.apply_tstar(v)
     np.subtract(fv, bound_f, out=lo[:n])
     np.subtract(tsf, bound_T, out=lo[n:])
     np.add(fv, bound_f, out=hi[:n])
     np.add(tsf, bound_T, out=hi[n:])
+    stop = 1e-13 * (inst.scale * unit)
 
     # _measure accepts v at c only if v meets all three constraints at c_accept, so a
     # weak-duality bound above c_accept (with a rounding margin) rules out any later candidate
@@ -462,8 +422,9 @@ def feasible(inst: DualInstance, c: float, x0: np.ndarray | None = None) -> Feas
     c_accept *= 1.0 + 1e-9
 
     def witness(y: np.ndarray, k: int) -> tuple[float, FeasibilityOutcome | None]:
-        """The direct check of y masked to E: its violation, and the "feasible" outcome if it passes."""
-        cand = y if sup_mask is None else np.where(sup_mask, y, 0.0)
+        """The direct check of y masked to E, in the caller's units: its violation,
+        and the "feasible" outcome if it passes."""
+        cand = (y if sup_mask is None else np.where(sup_mask, y, 0.0)) / unit
         res = _measure(inst, c, cand)[0]
         if not res <= FEAS_TOL:
             return res, None
@@ -498,22 +459,16 @@ def feasible(inst: DualInstance, c: float, x0: np.ndarray | None = None) -> Feas
         d1 -= v
         graph -= x
         spread = float(d1 @ d1 + p2 @ p2 + p3 @ p3 + vg @ vg + wg @ wg)  # 4 mean |d_i|^2
-        unit = 1.0
-        if not _TINY <= spread <= _SQ_MAX:
-            # the squares left the normal range: take the ratio in units of the largest displacement
-            unit = _unit(d1, box, graph)
-            spread = _sum_sq(unit, d1, p2, p3, vg, wg)
         # (dv, dw) = (d1 + p2 + vg, p3 + wg) in box; p2 += d1 gives d1 + p2 bit for bit
         p2 += d1
         box += graph
-        # 16 |d|^2, with d = (dv, dw) / 4
-        mean_sq = float(p2 @ p2 + p3 @ p3) if unit == 1.0 else _sum_sq(unit, p2, p3)
+        mean_sq = float(p2 @ p2 + p3 @ p3)  # 16 |d|^2, with d = (dv, dw) / 4
         # EXTRAPOLATION * L * d = EXTRAPOLATION * (spread / mean_sq) * (dv, dw)
         step = EXTRAPOLATION * spread / mean_sq if mean_sq > 0.0 else 0.0
         box *= step
         move = float(np.abs(box, out=graph).max())  # graph is free until the next step
         x += box
-        if move <= 1e-13 * inst.scale:
+        if move <= stop:
             # every projection agrees at a fixed point: x itself may be the witness
             return witness(v, k)[1] or FeasibilityOutcome("infeasible", None, k, best_bound)
     return FeasibilityOutcome("inconclusive", None, MAX_ITER, best_bound)

@@ -118,7 +118,7 @@ def penalty_feasible(inst: DualInstance, c: float, tol: float = 1e-6) -> bool:
 
 
 def reference_graph_step(inst: DualInstance, v: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    T, Ts = inst.appliers()
+    T, Ts = inst.appliers
     u = v + T(w)
     ker = np.full(u.size, u.mean())
     if inst.Tstar.kind == "hilbert":
@@ -333,7 +333,7 @@ def reference_feasible(inst: DualInstance, c: float, x0: np.ndarray | None = Non
 
 
 def unfused_graph_step(inst: DualInstance, v: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    T, Ts = inst.appliers()
+    T, Ts = inst.appliers
     u = v + T(w)
     # add the kernel part of u: its mean, plus its alternating top mode for hilbert
     m = u.sum() / u.size

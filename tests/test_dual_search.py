@@ -91,7 +91,7 @@ def test_graph_step_matches_dense_inverse(name, n):
     inst = make_instance(f, GRAPH_OPERATORS[name](n), 0.5, 2)
     M = as_matrix(inst.Tstar)
     K = np.linalg.inv(np.eye(n) + M.T @ M)
-    T, Ts = inst.appliers()
+    T, Ts = inst.appliers
     v, w, x = (rng.standard_normal(n) for _ in range(3))
     np.testing.assert_allclose(T(x), M.T @ x, rtol=0, atol=1e-12)
     np.testing.assert_allclose(Ts(x), M @ x, rtol=0, atol=1e-12)
@@ -377,11 +377,12 @@ def test_min_constant_ends_below_the_spacing_of_the_doubles(monkeypatch):
     assert len(calls) == len(set(calls))  # no constant is tried twice
 
 
-def test_feasible_rejects_nonpositive_constant():
+@pytest.mark.parametrize("c", [math.inf, math.nan, 0.0, -1.0])
+def test_feasible_rejects_a_constant_that_is_not_positive_and_finite(c):
     f = GridFunction.constant(2.0, 8)
     inst = make_instance(f, make_operator("hilbert", 8), 1.0, 2)
-    with pytest.raises(ValueError):
-        feasible(inst, 0.0)
+    with pytest.raises(ValueError, match="constant must be positive and finite"):
+        feasible(inst, c)
 
 
 def test_feasible_large_constant_soft_threshold_witness():
@@ -724,7 +725,6 @@ def _counting_as_matrix(monkeypatch):
 
 
 def _clear_dense_caches():
-    dual_search._appliers.cache_clear()
     dual_search._dense_matrix.cache_clear()
 
 
@@ -734,6 +734,21 @@ def test_dense_matrix_is_built_once_per_operator(monkeypatch):
     run_theorem2(cfg)
     assert len(built) == len(cfg.dual_operators) == 2
     _clear_dense_caches()
+
+
+def test_every_report_instance_computes_in_unit_one():
+    # the theorem-2 rows of `stablab report` lie inside the window where feasible's unit is 1
+    cfg = default_config()
+    per_family = tuple((name, min(count, cfg.dual_corpus_per_family)) for name, count in cfg.corpus_counts)
+    corpus = generate_corpus(replace(cfg, corpus_counts=per_family))
+    insts = [
+        make_instance(f, make_operator(kind, cfg.n, cfg.seed), s, cfg.p)
+        for _, f in corpus
+        for kind in cfg.dual_operators
+        for s in cfg.dual_s_values
+    ]
+    assert len(insts) == 32
+    assert all(inst.unit == 1.0 for inst in insts)
 
 
 def test_no_dense_matrix_above_dense_max_n(monkeypatch):
@@ -747,7 +762,7 @@ def test_no_dense_matrix_above_dense_max_n(monkeypatch):
 def test_dense_matrix_is_shared_read_only_and_exact(kind):
     # two instances on separately built operators share one matrix
     insts = [_mixture_instance(kind, 64, with_support) for with_support in (False, True)]
-    M, M2 = (inst.appliers()[1].__self__ for inst in insts)
+    M, M2 = (inst.appliers[1].__self__ for inst in insts)
     assert M is M2
     assert not M.flags.writeable
     with pytest.raises(ValueError):
@@ -770,8 +785,12 @@ def test_min_constant_is_scale_covariant_at_extreme_magnitudes(case):
     f = np.array([3.0, 0.0, 1.0, 0.0, 0.0, 2.0, 0.0, 0.5])
     unit = min_constant(make_instance(GridFunction(f), T, 0.5, p, support))
     assert unit.status == "certified"
-    for k in [2.0**-990, 1e-300, 1e-150, 2.0**-500, 2.0**500, 1e160, 1e300, 2.0**990]:
-        res = min_constant(make_instance(GridFunction(f * k), T, 0.5 * k, p, support))
+    # norm(f * k, inf) = 3k, so the unit is 1 from k = 2^-401 to 2^398 and a power of two beyond
+    ks = [2.0**-990, 1e-300, 1e-150, 2.0**-500, 2.0**-402, 2.0**-401, 2.0**-399, 2.0**398, 2.0**399, 2.0**401]
+    for k in ks + [2.0**500, 1e160, 1e300, 2.0**990]:
+        inst = make_instance(GridFunction(f * k), T, 0.5 * k, p, support)
+        assert (inst.unit == 1.0) == (2.0**-400 <= 3.0 * k <= 2.0**400), k
+        res = min_constant(inst)
         assert res.status == "certified", k
         assert res.c_star == pytest.approx(unit.c_star, rel=1e-9), k
         assert res.c_lower == pytest.approx(unit.c_lower, rel=1e-9), k

@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import json
 import os
 import subprocess
@@ -7,6 +9,7 @@ import numpy as np
 import pytest
 
 from stablab import GridFunction, GridSet, harness, norm
+from stablab.cli import build_parser
 from stablab.grid import DyadicInterval
 from stablab.harness import (
     ConfigError,
@@ -343,8 +346,7 @@ def test_cli_dual_support_mode(tmp_path):
         ("dual --tol 0", None, "dual.tol must be positive and finite, got 0.0"),
         ("cz --level 0", None, "decomposition level must be positive and finite, got 0.0"),
         ("construct --s nan", None, "ball radius must be positive and finite, got nan"),
-        # a mask is a dual-only support: the campaigns take the named choice alone
-        ("verify --support {path}", "[1, 0]", "unsupported support choice"),
+        # a mask is a dual-only support: the report campaign takes the named choice alone
         ("report --support {path} --outdir {path}.d", "[1, 0]", "unsupported support choice"),
         # inputs on the wrong grid, and a JSON object where an array belongs
         ("redecompose --input {path} --n 16", "[1, 2, 3, 4, 5, 6, 7, 8]", "operator on n=16 applied to f with n=8"),
@@ -386,7 +388,7 @@ def test_cli_dual_support_mode(tmp_path):
     ids=[
         "unknown-config-key", "cz-trials-key", "probe-trials-key", "dilation-key", "s-log-key", "three-values", "nan", "missing-file",
         "negative-radius", "zero-tol", "zero-level", "nan-radius",
-        "verify-mask", "report-mask", "redecompose-grid", "dual-mask-grid", "json-object", "input-strings-and-bools",
+        "report-mask", "redecompose-grid", "dual-mask-grid", "json-object", "input-strings-and-bools",
         "input-integer-overflow", "infinite-radius",
         "distance-infinite-radius", "construct-infinite-radius", "infinite-level", "infinite-tol", "level-underflow",
         "redecompose-level-underflow", "mask-fraction-and-two", "mask-strings", "mask-negative",
@@ -409,14 +411,26 @@ def test_cli_bad_input_is_a_one_line_error(tmp_path, argv, text, message):
 @pytest.mark.parametrize(
     "argv, flag",
     # --outdir keeps what a report that ignored --out would write inside tmp_path
-    # cz dilates by the fixed theorem-1 factor, cz.DILATION
-    [("report --out {tmp} --outdir {tmp}", "--out"), ("verify --s 1", "--s"), ("cz --s 2", "--s"), ("cz --dilation 4", "--dilation")],
+    # cz dilates by the fixed theorem-1 factor, cz.DILATION; no verify suite reads a support set
+    [
+        ("report --out {tmp} --outdir {tmp}", "--out"), ("verify --s 1", "--s"), ("cz --s 2", "--s"),
+        ("cz --dilation 4", "--dilation"), ("verify --support left-half", "--support"),
+    ],
 )
 def test_cli_rejects_a_flag_the_subcommand_does_not_read(tmp_path, argv, flag):
     out = run_cli(*argv.format(tmp=tmp_path).split())
     assert out.returncode == 2
     assert out.stdout == ""
     assert f"unrecognized arguments: {flag} " in out.stderr
+
+
+def test_knob_counts_are_pinned():
+    # every settable flag of every subcommand, and every config field: a new knob
+    # fails here until the pin is moved on purpose
+    subs = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    flags = [a for sub in subs.choices.values() for a in sub._actions if a.option_strings and a.dest != "help"]
+    assert len(flags) == 51
+    assert len(dataclasses.fields(ExperimentConfig)) == 13
 
 
 def test_cli_redecompose_zero_radius_is_degenerate():
