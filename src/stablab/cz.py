@@ -1,8 +1,10 @@
 """Dyadic stopping-time decomposition at a level lambda.
 
-The dyadic intervals of [0, 1) are scanned one level at a time from the
-root; an interval is selected when the average of |f| over it exceeds
-lambda and no larger dyadic interval containing it was selected.
+The averages of |f| over the dyadic intervals of [0, 1) form one
+heap-ordered pyramid (grid.dyadic_pyramid).  An interval is hot when its
+average exceeds lambda, and the selected intervals are the hot ones with no
+hot ancestor, chosen in heap order: the largest hot interval on every path
+from the root.
 On each selected interval the good part is the (signed) average of f and
 the bad part is the mean-zero remainder; off the selected intervals the
 good part is f itself.  The exceptional set omega is the union of the
@@ -16,11 +18,13 @@ interval has average at most lambda and the good part is bounded by
 from __future__ import annotations
 
 import json
+import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import DimensionError, DyadicInterval, GridFunction, GridSet, dilate_interval, dyadic_means, norm
+from .grid import DimensionError, DyadicInterval, GridFunction, GridSet, dyadic_means, dyadic_pyramid, norm
 
 __all__ = ["CzDecomposition", "CheckResult", "cz_decompose", "verify_cz", "ConsistencyError", "DILATION"]
 
@@ -65,33 +69,67 @@ class CzDecomposition:
         return json.dumps({"lambda": float(self.level), "cubes": cubes, "dilation_factor": DILATION})
 
 
+def _stopping_nodes(av: np.ndarray, level: float) -> np.ndarray:
+    """Heap indices (see dyadic_pyramid) of the nodes hot for av with no hot ancestor, ascending.
+
+    A node is hot when its mean of av exceeds level; hot nodes are found by
+    one comparison over the pyramid and then drop out, one generation of
+    ancestors at a time, when an ancestor is hot.
+    """
+    if float(av.max()) <= level:  # no mean exceeds max av, so no node is hot
+        return np.empty(0, dtype=np.intp)
+    hot = dyadic_pyramid(av) > level  # entry 0 is 0 and never hot
+    nodes = np.flatnonzero(hot)
+    above = nodes >> 1
+    while above.size and above[-1]:  # ascending, so the last has the deepest ancestors left
+        keep = ~hot[above]
+        nodes, above = nodes[keep], above[keep] >> 1
+    return nodes
+
+
 def cz_decompose(f: GridFunction, level: float) -> CzDecomposition:
     """Stopping-time decomposition of f at the given level.
 
-    One array pass per level of the dyadic means of |f|, down to single
-    cells, so a cell with |f| > level becomes a one-cell cube where the bad
-    part vanishes identically.  The pass that selects a level's cubes also
-    sets their good part and dilates them into omega.  The cubes come out
-    left to right.
+    The cubes are the hot nodes of the dyadic pyramid of |f| (mean above
+    the level) that have no hot ancestor, chosen in heap order, down to
+    single cells, so a cell with |f| > level becomes a one-cell cube where
+    the bad part vanishes identically.  Each level's cubes get their good
+    part in one assignment and are dilated into omega as integer cell
+    ranges: dyadic endpoints are exact doubles, so these are the cells
+    dilate_interval gives.  When max |f| <= level nothing is selected and no
+    pyramid is built.  The cubes come out left to right.
     """
     level = float(level)
     if not 0 < level < np.inf:
         raise ValueError(f"decomposition level must be positive and finite, got {level}")
+    n = f.n
+    nodes = _stopping_nodes(np.abs(f.values), level)
+    heap_order = nodes.tolist()
     good = f.values.copy()
-    omega = np.zeros(f.n, dtype=bool)
+    edges = np.zeros(n + 1)  # +1 where a dilated cube starts, -1 one past its end
+    whole_circle = False
     cubes: list[DyadicInterval] = []
-    inside = np.zeros(1, dtype=bool)  # per interval of this level: inside a selected cube
-    for lev, means in enumerate(dyadic_means(np.abs(f.values))):
-        hot = (means > level) & ~inside
-        picked = np.flatnonzero(hot)
-        if picked.size:
+    for lev in sorted({node.bit_length() - 1 for node in heap_order}):
+        picked = nodes[bisect_left(heap_order, 1 << lev) : bisect_left(heap_order, 2 << lev)] - (1 << lev)
+        cubes += [DyadicInterval(lev, i) for i in picked.tolist()]
+        per = n >> lev
+        if per > 1:  # a one-cell cube's mean is its cell, which good already holds
             # row i of the reshape is the cells of interval (lev, i)
             good.reshape(2**lev, -1)[picked] = f.values.reshape(2**lev, -1)[picked].mean(axis=1, keepdims=True)
-            for i in picked:
-                q = DyadicInterval(lev, int(i))
-                cubes.append(q)
-                omega |= dilate_interval(q, DILATION, f.n).membership
-        inside = np.repeat(inside | hot, 2)
+        if DILATION * per >= n:
+            whole_circle = True
+            continue
+        # the cells meeting the open interval of DILATION * per cells centred on each cube;
+        # a level's cubes are disjoint, so no index repeats within one statement below
+        reach = math.ceil((DILATION - 1.0) * per / 2.0)
+        lo = (picked * per - reach) % n
+        hi = lo + (per + 2 * reach)
+        edges[lo] += 1.0
+        edges[np.minimum(hi, n)] -= 1.0  # edges[n] is never read, so ranges may share it
+        wraps = hi > n  # these go on from cell 0
+        edges[0] += np.count_nonzero(wraps)
+        edges[hi[wraps] - n] -= 1.0
+    omega = np.ones(n, dtype=bool) if whole_circle else np.cumsum(edges[:n]) > 0
     cubes.sort(key=lambda q: q.left)  # dyadic lefts are exact, and disjoint cubes have distinct lefts
     return CzDecomposition(level, tuple(cubes), GridFunction(good), GridFunction(f.values - good), GridSet(omega))
 

@@ -106,14 +106,23 @@ def dist_l1_to_lp_ball(f: GridFunction, s: float, p) -> DistanceResult:
         return DistanceResult(norm(f, 1), g, s, p, 1.0, 0.0)
     if norm(f, p) <= s:
         return DistanceResult(0.0, f, s, p, 1.0, sup)
+    # ascending, in place: with the cells from m on clipped, tau^p = (n - sum of bp below m) / (n - m)
+    bp = np.sort(av)
+    bp /= s
+    tau_p = np.empty(f.n)
+    tau_p[0] = 0.0
     with np.errstate(over="ignore"):
-        bp = (np.sort(av)[::-1] / s) ** p
-        tail = np.append(np.cumsum(bp[:0:-1])[::-1], 0.0)  # sum of bp past the k-th cell
-    tau_p = (f.n - tail) / np.arange(1, f.n + 1)
-    k = int(np.argmax(tau_p >= np.append(bp[1:], 0.0)))
-    tau = s * float(tau_p[k]) ** (1.0 / p)
+        bp **= p
+        np.cumsum(bp[:-1], out=tau_p[1:])
+    np.subtract(f.n, tau_p, out=tau_p)
+    tau_p /= np.arange(f.n, 0, -1)
+    # the fewest clipped cells whose level reaches the largest unclipped one (m = 0 always does)
+    reaches = tau_p[1:] >= bp[:-1]
+    m = reaches.size - int(np.argmax(reaches[::-1]))  # one past the last that reaches, if any
+    tau = s * float(tau_p[m if reaches[m - 1] else 0]) ** (1.0 / p)
     g = GridFunction(_hard_clip(f.values, tau))
-    value = float(np.mean(np.maximum(av - tau, 0.0)))
+    removed = av - tau
+    value = power_mean(np.maximum(removed, 0.0, out=removed), 1.0)  # norm(f - g, 1), cell for cell
     return DistanceResult(value, g, s, p, 1.0, tau)
 
 

@@ -492,17 +492,17 @@ def min_constant(inst: DualInstance, tol: float = 1e-2) -> DualResult:
     The search ends once hi - lo <= tol * hi, that is as soon as either the
     certified bracket [c_lower, hi] or the verdicts' bracket is within tol,
     or once lo and hi are adjacent doubles.  At r = 0, c* is exact and
-    c_lower = c*.
+    c_lower = c*.  Raises ValueError when the start norm(f, p) / s is not a
+    finite double, as no certified constant can then be reported.
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"tolerance must be positive and finite, got {tol}")
-    fv_norm_p = norm(inst.f, inst.p)
-
+    hi = norm(inst.f, inst.p) / inst.s  # v = f is feasible here by direct arithmetic
+    if not math.isfinite(hi):
+        raise ValueError(f"the starting constant norm(f, p) / s overflows the doubles at s = {inst.s!r}")
     if inst.r == 0.0:
-        c_star = fv_norm_p / inst.s
-        return _finish(inst, c_star, c_star, inst.f, 0, flagged=False)
+        return _finish(inst, hi, hi, inst.f, 0, flagged=False)
 
-    hi = fv_norm_p / inst.s  # v = f is feasible here by direct arithmetic
     best_v = inst.f
     lo = c_lower = 0.0
     iterations = 0

@@ -25,6 +25,7 @@ __all__ = [
     "inner",
     "mask",
     "dilate_interval",
+    "dyadic_pyramid",
     "dyadic_means",
 ]
 
@@ -227,20 +228,28 @@ def norm(f: GridFunction, p) -> float:
     return power_mean(a, p)
 
 
-# the decorator form costs about 1.3 us a call against 2.3 us for a with-statement, and
-# np.add.reduce(x) / x.size is np.mean's arithmetic for a 1-D x without its 5 us of Python
-# (numpy 2.4, x86-64); norm and each p = 2 projection step of the dual search call this
-@np.errstate(over="ignore")
+# log2 of a bound on n * max(a)^p below which mean a_i^p cannot overflow: the sum of
+# n terms each at most max(a)^p stays under 2^1000, far from the largest double
+_LOG2_SAFE_SUM = 1000.0
+
+
+# np.add.reduce(x) / x.size is np.mean's arithmetic for a 1-D x without its 5 us of
+# Python (numpy 2.4, x86-64); norm and each p = 2 projection step of the dual search call this
 def power_mean(a: np.ndarray, p: float) -> float:
     """(mean a_i^p)^(1/p) of a 1-D non-negative array, without overflow warnings.
 
     When the direct value overflows, or mean a_i^p falls below the normal
     range for a non-zero a, it is recomputed as m * (mean (a_i/m)^p)^(1/p)
-    with m = max a_i.
+    with m = max a_i.  The overflow warning is switched off (np.errstate)
+    only when m is large enough for a_i^p or their sum to overflow.
     """
-    direct = (float(np.add.reduce(a**p)) / a.size) ** (1.0 / p)
+    m = float(np.maximum.reduce(a))
+    if m <= 1.0 or p * math.log2(m) + math.log2(a.size) < _LOG2_SAFE_SUM:
+        direct = (float(np.add.reduce(a**p)) / a.size) ** (1.0 / p)
+    else:  # also a NaN or infinite m
+        with np.errstate(over="ignore"):
+            direct = (float(np.add.reduce(a**p)) / a.size) ** (1.0 / p)
     if math.isinf(direct) or (direct < 1.0 and direct**p < _TINY):
-        m = float(a.max())
         if m > 0.0:
             return m * (float(np.add.reduce((a / m) ** p)) / a.size) ** (1.0 / p)
     return direct
@@ -284,14 +293,33 @@ def dilate_interval(Q: DyadicInterval, factor: float, n: int) -> GridSet:
     return GridSet(member)
 
 
+def dyadic_pyramid(values: np.ndarray) -> np.ndarray:
+    """The dyadic means of values as one heap: entry 2^l + j is the mean over (l, j).
+
+    The n = 2^k cells run along axis 0, so a 2-D array gives the means of
+    each column.  Entries n .. 2n - 1 are the cells themselves, entry 1 is the
+    mean over the circle and entry 0, which names no interval, is 0.  The
+    parent of entry i is entry i // 2, and it is filled in place, coarsest
+    level last, with 0.5 * (left + right) of its two children.
+    """
+    n = values.shape[0]
+    heap = np.empty((2 * n,) + values.shape[1:])
+    heap[0] = 0.0
+    heap[n:] = values
+    width = n // 2
+    while width:
+        level = heap[width : 2 * width]
+        np.add(heap[2 * width : 4 * width : 2], heap[2 * width + 1 : 4 * width : 2], out=level)
+        level *= 0.5
+        width //= 2
+    return heap
+
+
 def dyadic_means(values: np.ndarray) -> list[np.ndarray]:
     """means[l][j] = mean of values over the dyadic interval (l, j), built from the cells up.
 
-    The cells run along axis 0, so a 2-D array gives the means of each column.
+    The levels are views of one dyadic_pyramid, coarsest first.  The cells
+    run along axis 0, so a 2-D array gives the means of each column.
     """
-    levels = [values.astype(float)]
-    while len(levels[-1]) > 1:
-        prev = levels[-1]
-        levels.append(0.5 * (prev[0::2] + prev[1::2]))
-    levels.reverse()
-    return levels
+    heap = dyadic_pyramid(values)
+    return [heap[1 << lev : 2 << lev] for lev in range(values.shape[0].bit_length())]

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .cz import CzDecomposition
-from .grid import DimensionError, GridFunction, dyadic_means, mask, norm
+from .grid import DimensionError, GridFunction, dyadic_pyramid, mask, norm
 
 __all__ = [
     "LinearOperatorSpec",
@@ -53,8 +53,8 @@ class LinearOperatorSpec:
     n: int
     signs: tuple[int, ...] | None = None
     negate: bool = False
-    # haar_transform signs per level as float arrays, level l holding 2^l of them
-    level_signs: tuple[np.ndarray, ...] | None = field(default=None, init=False, repr=False)
+    # haar_transform signs as a read-only float array, entry i - 1 for the heap node i of dyadic_pyramid
+    sign_values: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -69,8 +69,7 @@ class LinearOperatorSpec:
                 raise ValueError(f"haar_transform needs {want} signs in {{-1, +1}}")
             flat = np.asarray(self.signs, dtype=float)
             flat.flags.writeable = False
-            levels = tuple(flat[(1 << lev) - 1 : (2 << lev) - 1] for lev in range(self.n.bit_length() - 1))
-            object.__setattr__(self, "level_signs", levels)
+            object.__setattr__(self, "sign_values", flat)
         elif self.signs is not None:
             raise ValueError(f"{self.kind} takes no signs")
 
@@ -102,18 +101,28 @@ def _apply_hilbert(values: np.ndarray) -> np.ndarray:
     return np.fft.irfft(spec * _by_cell(mult, spec), n, axis=0)
 
 
-def _apply_haar(values: np.ndarray, level_signs: tuple[np.ndarray, ...]) -> np.ndarray:
-    """Pyramid evaluation of sum_Q eps_Q <f, h_Q> h_Q in O(n) per level."""
-    means = dyadic_means(values)
-    out = np.zeros((1,) + values.shape[1:])
-    for lev, eps in enumerate(level_signs):
-        fine = means[lev + 1]
-        half_diff = _by_cell(eps, fine) * (0.5 * (fine[0::2] - fine[1::2]))
-        expanded = np.empty((2 << lev,) + values.shape[1:])
-        expanded[0::2] = out + half_diff
-        expanded[1::2] = out - half_diff
-        out = expanded
-    return out
+def _apply_haar(values: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """sum_Q eps_Q <f, h_Q> h_Q, on one dyadic pyramid of f, in O(n).
+
+    Node i's term is eps_i times half the difference of its children's
+    means, formed for all n - 1 nodes in one pass.  The pyramid is then
+    overwritten from the root down with the partial sums: the root holds 0
+    (the transform has mean zero) and each child holds its parent's sum
+    plus (left) or minus (right) the parent's signed half-difference.
+    """
+    n = values.shape[0]
+    heap = dyadic_pyramid(values)
+    half_diff = np.subtract(heap[2::2], heap[3::2])
+    half_diff *= 0.5
+    half_diff *= _by_cell(signs, half_diff)
+    heap[1] = 0.0
+    width = 1
+    while width < n:
+        sums, diffs = heap[width : 2 * width], half_diff[width - 1 : 2 * width - 1]
+        np.add(sums, diffs, out=heap[2 * width : 4 * width : 2])
+        np.subtract(sums, diffs, out=heap[2 * width + 1 : 4 * width : 2])
+        width *= 2
+    return heap[n:]
 
 
 def apply(T: LinearOperatorSpec, f: GridFunction) -> GridFunction:
@@ -132,7 +141,7 @@ def apply_values(T: LinearOperatorSpec, values: np.ndarray) -> np.ndarray:
     if T.kind == "hilbert":
         out = _apply_hilbert(values)
     elif T.kind == "haar_transform":
-        out = _apply_haar(values, T.level_signs)
+        out = _apply_haar(values, T.sign_values)
     else:
         out = values - values.mean(axis=0)
     return -out if T.negate else out

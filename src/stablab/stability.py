@@ -134,7 +134,7 @@ def bourgain_construct(
     dist_f = dist_l1_to_lp_ball(f, s, p)
     u1 = dist_f.minimizer
     u0 = f - u1
-    a = norm(u0, 1)
+    a = dist_f.value  # |f - clip(f)| is (|f| - tau)_+ cell by cell, so this is norm(u0, 1) to the bit
     b = s
     Tf = apply(T, f)
     c = dist_l1_to_lp_ball(Tf, s, p).value
@@ -144,7 +144,8 @@ def bourgain_construct(
     h = d.bad
 
     resid_l1 = norm(h, 1)
-    resid_T = norm(apply(T, h), 1)
+    # T is linear: a bad part that vanishes (no cube, or one-cell cubes only) has T h = 0
+    resid_T = norm(apply(T, h), 1) if h.values.any() else 0.0
     ratio_f, deg_f = _guarded_ratio(resid_l1, dist_f.value)
     ratio_T, deg_T = _guarded_ratio(resid_T, dist_f.value + c)
     report = StabilityReport(

@@ -45,6 +45,19 @@ for the two ``GridSet`` helpers it called (the empty set and the union), here
 spelled with membership arrays, and it returns the three parts alone.  The
 library's single pass must reproduce the good and bad parts and omega bit for
 bit.
+
+``reference_power_mean`` is ``grid.power_mean`` as it was when every call
+entered ``np.errstate``; the library's form, which enters it only when the
+largest entry can overflow a power or the sum, must return the same bits.
+
+``reference_dyadic_means`` and ``reference_apply_haar`` are verbatim copies
+of ``grid.dyadic_means`` and ``operators._apply_haar`` before both moved onto
+one heap-ordered ``dyadic_pyramid``: a fresh array per level, and a Haar
+synthesis that builds each level's sums in a new array from per-level
+temporaries.  ``reference_apply_haar`` takes the signs per level, level l
+holding 2^l of them, as the earlier spec stored them (``level_signs``).  The
+pyramid must reproduce both bit for bit; the two cz references build their
+means with ``reference_dyadic_means``.
 """
 
 from __future__ import annotations
@@ -66,7 +79,7 @@ from stablab.distance import (
 from stablab import dual_search
 from stablab.dual_search import DualInstance, FeasibilityOutcome
 from stablab.cz import DILATION
-from stablab.grid import DyadicInterval, GridFunction, GridSet, dilate_interval, dyadic_means, norm, power_mean
+from stablab.grid import DyadicInterval, GridFunction, GridSet, dilate_interval, norm, power_mean
 from stablab.operators import as_matrix
 
 
@@ -232,8 +245,65 @@ def reference_dist_linf_to_lp_ball(f: GridFunction, s: float, p) -> DistanceResu
     return DistanceResult(eps, g, s, p, math.inf, eps)
 
 
+_TINY = float(np.finfo(float).tiny)
+
+
+@np.errstate(over="ignore")
+def reference_power_mean(a: np.ndarray, p: float) -> float:
+    """(mean a_i^p)^(1/p) of a 1-D non-negative array, without overflow warnings.
+
+    When the direct value overflows, or mean a_i^p falls below the normal
+    range for a non-zero a, it is recomputed as m * (mean (a_i/m)^p)^(1/p)
+    with m = max a_i.
+    """
+    direct = (float(np.add.reduce(a**p)) / a.size) ** (1.0 / p)
+    if math.isinf(direct) or (direct < 1.0 and direct**p < _TINY):
+        m = float(a.max())
+        if m > 0.0:
+            return m * (float(np.add.reduce((a / m) ** p)) / a.size) ** (1.0 / p)
+    return direct
+
+
+def reference_dyadic_means(values: np.ndarray) -> list[np.ndarray]:
+    """means[l][j] = mean of values over the dyadic interval (l, j), built from the cells up.
+
+    The cells run along axis 0, so a 2-D array gives the means of each column.
+    """
+    levels = [values.astype(float)]
+    while len(levels[-1]) > 1:
+        prev = levels[-1]
+        levels.append(0.5 * (prev[0::2] + prev[1::2]))
+    levels.reverse()
+    return levels
+
+
+def reference_level_signs(signs, n: int) -> tuple[np.ndarray, ...]:
+    """The earlier spec's per-level signs: level l holds the 2^l signs after the first 2^l - 1."""
+    flat = np.asarray(signs, dtype=float)
+    return tuple(flat[(1 << lev) - 1 : (2 << lev) - 1] for lev in range(n.bit_length() - 1))
+
+
+def _by_cell(a: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """A per-cell array shaped to broadcast along axis 0 of ``values``."""
+    return a.reshape(a.shape + (1,) * (values.ndim - 1))
+
+
+def reference_apply_haar(values: np.ndarray, level_signs: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Pyramid evaluation of sum_Q eps_Q <f, h_Q> h_Q in O(n) per level."""
+    means = reference_dyadic_means(values)
+    out = np.zeros((1,) + values.shape[1:])
+    for lev, eps in enumerate(level_signs):
+        fine = means[lev + 1]
+        half_diff = _by_cell(eps, fine) * (0.5 * (fine[0::2] - fine[1::2]))
+        expanded = np.empty((2 << lev,) + values.shape[1:])
+        expanded[0::2] = out + half_diff
+        expanded[1::2] = out - half_diff
+        out = expanded
+    return out
+
+
 def reference_cz_cubes(f: GridFunction, level: float) -> tuple[DyadicInterval, ...]:
-    abs_means = dyadic_means(np.abs(f.values))
+    abs_means = reference_dyadic_means(np.abs(f.values))
     max_level = len(abs_means) - 1
     cubes: list[DyadicInterval] = []
     stack = [(0, 0)]

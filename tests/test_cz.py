@@ -173,3 +173,43 @@ def test_level_pass_selects_the_reference_cubes(k, magnitude, zeros, tie, ratio,
         assert DyadicInterval(lev, idx) not in d.cubes
     failed = [c for c in verify_cz(d, f) if not c.passed]
     assert not failed, failed
+
+
+def assert_reference_split(f, level):
+    d = cz_decompose(f, level)
+    assert d.cubes == reference_cz_cubes(f, level)
+    good, bad, omega = reference_cz_parts(f, d.cubes)
+    assert d.good.values.tobytes() == good.values.tobytes()
+    assert d.bad.values.tobytes() == bad.values.tobytes()
+    assert d.omega == omega
+    return d
+
+
+@pytest.mark.parametrize("magnitude", [2.0**-1070, 1.0, 2.0**1000])
+@pytest.mark.parametrize("k", [1, 2, 5, 9, 12])
+def test_pyramid_selection_is_the_reference_at_every_magnitude(k, magnitude):
+    rng = np.random.default_rng(k)
+    n = 2**k
+    values = rng.standard_normal(n) * np.exp(2.0 * rng.standard_normal(n))
+    f = GridFunction(values / np.abs(values).max() * magnitude)
+    sup, mean = norm(f, np.inf), norm(f, 1)
+    # at and above max |f| nothing is selected (the early exit); below the mean the root is
+    for level in (sup, 2.0 * sup, sup * 0.5, sup * 0.01, mean * 3.0, mean, mean * 0.5):
+        if level == 0.0:  # underflowed at 2^-1070
+            continue
+        d = assert_reference_split(f, level)
+        if level >= sup:
+            assert d.cubes == () and d.bad == GridFunction.zeros(n) and d.omega.measure == 0.0
+
+
+def test_pyramid_selection_is_the_reference_on_hundreds_of_one_cell_cubes():
+    # one spike of 1000 per pair of cells: every block of 2^j >= 2 cells has mean
+    # at most 500 plus the noise, so each spike is a one-cell cube at level 600
+    rng = np.random.default_rng(7)
+    n = 4096
+    values = rng.uniform(-1.0, 1.0, n)
+    pairs = rng.choice(n // 2, 300, replace=False)
+    values[2 * pairs + rng.integers(0, 2, 300)] = 1000.0 * rng.choice([-1.0, 1.0], 300)
+    d = assert_reference_split(GridFunction(values), 600.0)
+    assert len(d.cubes) == 300 and all(q.level == 12 for q in d.cubes)
+    assert not d.bad.values.any()

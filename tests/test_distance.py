@@ -253,3 +253,21 @@ def test_result_serialization():
     assert obj["ambient"] == 1.0
     obj = json.loads(dist_linf_to_lp_ball(f, 1.0, 2).to_json())
     assert obj["ambient"] == "inf"
+
+
+@pytest.mark.parametrize("magnitude", [2.0**-1070, 2.0**-1040, 1e-300, 1.0, 2.0**1000, 1e307])
+def test_l1_distance_is_the_l1_norm_of_what_the_clip_removes(magnitude):
+    # |f - clip(f)| is (|f| - tau)_+ cell by cell and both sides take the same power
+    # mean, so the construction reads its mass off the distance, bit for bit; at
+    # 1e307 the mass overflows the direct mean and at 2^-1070 it is subnormal
+    rng = np.random.default_rng(11)
+    for n in (2, 8, 256, 4096):
+        values = rng.standard_normal(n) * np.exp(2.0 * rng.standard_normal(n))
+        f = GridFunction(values / np.abs(values).max() * magnitude)
+        for p in (1.5, 2.0, 3.0):
+            for ratio in (0.01, 0.3, 0.9):
+                s = ratio * norm(f, p)
+                if s == 0.0:  # underflowed at 2^-1070
+                    continue
+                res = dist_l1_to_lp_ball(f, s, p)
+                assert res.value == norm(f - res.minimizer, 1)

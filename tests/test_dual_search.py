@@ -412,6 +412,16 @@ def test_feasible_tiny_constant_infeasible():
     assert out.status == "infeasible"
 
 
+def test_min_constant_rejects_a_constant_beyond_the_doubles():
+    # norm(f, 2) / s is about 1e309 here; the same f scaled by 1e-300 certifies 0.503
+    f = GridFunction([1e300, 0, 2e299, 0, 0, 5e299, 0, 1e299])
+    inst = make_instance(f, hilbert(8), 1e-10, 2)
+    with pytest.raises(ValueError, match=r"norm\(f, p\) / s overflows"):
+        min_constant(inst)
+    small = min_constant(make_instance(GridFunction(f.values * 1e-300), hilbert(8), 1e-10, 2))
+    assert small.status == "certified" and math.isfinite(small.c_star)
+
+
 def test_min_constant_degenerate_returns_f():
     f = GridFunction([0.5, -0.25, 0.0, 0.125])
     inst = make_instance(f, make_operator("hilbert", 4), 10.0, 2)

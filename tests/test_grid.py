@@ -13,7 +13,9 @@ from stablab import (
     mask,
     norm,
 )
-from stablab.grid import DimensionError
+from oracles import reference_dyadic_means, reference_power_mean
+from stablab.grid import DimensionError, dyadic_means, dyadic_pyramid, power_mean
+from stablab.operators import MATRIX_BLOCK
 
 
 def test_norm_constant_function():
@@ -59,6 +61,19 @@ def test_norm_rescales_a_subnormal_power_mean():
     g = np.array([3.0, -4.0, 0.5, 2.0])
     assert norm(GridFunction(g), 1.5) == float(np.mean(np.abs(g) ** 1.5) ** (1 / 1.5))
     assert norm(GridFunction(g * 1e-100), 3) == float(np.mean(np.abs(g * 1e-100) ** 3) ** (1 / 3))
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 40.0])
+def test_power_mean_keeps_its_bits_and_rescues_without_a_warning(p):
+    # magnitudes from the subnormals to the largest doubles, through both sides of the
+    # test that decides whether a power or the sum can overflow; warnings are errors here
+    rng = np.random.default_rng(int(p * 10))
+    for n in (1, 2, 256, 4096):
+        for exponent in range(-1074, 1024, 7):
+            a = rng.uniform(0.0, 1.0, n) * 2.0**exponent
+            a[rng.integers(n)] = 2.0**exponent
+            assert power_mean(a, p) == reference_power_mean(a, p)
+    assert power_mean(np.zeros(4), p) == 0.0
 
 
 def test_norm_zero_iff_zero(rng):
@@ -180,3 +195,31 @@ def test_grid_set_measure_and_ops():
     assert E.measure == 0.5
     assert E.complement().measure == 0.5
     assert GridSet(E.membership | E.complement().membership) == GridSet.full(4)
+
+
+def identity_block(n: int, magnitude: float) -> np.ndarray:
+    """The last block of identity columns as_matrix transforms, scaled."""
+    width = min(MATRIX_BLOCK, n)
+    block = np.zeros((n, width))
+    block[np.arange(n - width, n), np.arange(width)] = magnitude
+    return block
+
+
+@pytest.mark.parametrize("k", range(1, 15))
+def test_dyadic_means_are_the_per_level_pyramid_bit_for_bit(k):
+    rng = np.random.default_rng(k)
+    n = 2**k
+    for magnitude in (2.0**-1070, 1.0, 2.0**1000):
+        for values in (
+            rng.standard_normal(n) * magnitude,
+            rng.choice([-1.0, 1.0], n) * magnitude,
+            rng.standard_normal((n, 3)) * magnitude,
+            identity_block(n, magnitude),
+        ):
+            got, want = dyadic_means(values), reference_dyadic_means(values)
+            assert [m.shape for m in got] == [m.shape for m in want]
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+            heap = dyadic_pyramid(values)
+            # entry 2^l + j is means[l][j]; entry 0 names no interval
+            assert heap[1:].tobytes() == np.concatenate(want).tobytes()
+            assert not heap[0].any()

@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -179,6 +180,15 @@ def test_golden_csv_smoke_regression():
     assert os.path.exists(path), f"golden {path} is missing; regenerate it on purpose"
     with open(path) as fh:
         assert fh.read() == csv_text
+
+
+def test_default_campaign_at_n4096_bytes_are_frozen():
+    # the 720 rows of the benchmark's explicit-sweep workload: any change to the
+    # construction's output bits moves this hash, and re-freezing it is a deliberate write
+    csv_text, _ = run_theorem1(default_config(n=4096))
+    with open(os.path.join(GOLDEN, "theorem1_n4096_csv_sha256.json")) as fh:
+        frozen = json.load(fh)["value"]
+    assert hashlib.sha256(csv_text.encode()).hexdigest() == frozen
 
 
 def test_frozen_compares_and_never_writes(frozen):
@@ -384,6 +394,8 @@ def test_cli_dual_support_mode(tmp_path):
         # outputs that cannot be written: a missing directory, and a file where a directory belongs
         ("distance --out {path}.d/x.json", None, "No such file or directory"),
         ("report --outdir {path}", "[]", "File exists"),
+        # a constant beyond the doubles: the search's start norm(f, p) / s overflows
+        ("dual --n 8 --input {path} --s 1e-10", "[1e300, 0, 2e299, 0, 0, 5e299, 0, 1e299]", "norm(f, p) / s overflows"),
     ],
     ids=[
         "unknown-config-key", "cz-trials-key", "probe-trials-key", "dilation-key", "s-log-key", "three-values", "nan", "missing-file",
@@ -394,7 +406,7 @@ def test_cli_dual_support_mode(tmp_path):
         "redecompose-level-underflow", "mask-fraction-and-two", "mask-strings", "mask-negative",
         "zero-s-min", "s-max-below-min", "zero-s-count", "zero-dual-tol", "negative-dual-s", "negative-per-family",
         "negative-seed", "string-seed", "fractional-count", "operators-string", "float-n", "no-dual-operators",
-        "out-missing-dir", "outdir-is-a-file",
+        "out-missing-dir", "outdir-is-a-file", "dual-constant-overflow",
     ],
 )
 def test_cli_bad_input_is_a_one_line_error(tmp_path, argv, text, message):

@@ -56,6 +56,23 @@ def test_rejects_nonpositive_radius():
         bourgain_construct(f, make_operator("hilbert", 2), 0.0, 2)
 
 
+def test_construction_reads_its_mass_and_a_zero_residual_off_the_parts():
+    cfg = default_config(n=256)
+    zero_rows = 0
+    for label, f in generate_corpus(cfg):
+        for kind in cfg.operators:
+            T = make_operator(kind, cfg.n, cfg.seed)
+            # what the construction reports without transforming a bad part that vanishes
+            assert norm(apply(T, GridFunction.zeros(cfg.n)), 1) == 0.0
+            for s in cfg.s_values():
+                _, rep = bourgain_construct(f, T, s, cfg.p)
+                assert rep.a == norm(f - dist_l1_to_lp_ball(f, s, cfg.p).minimizer, 1)
+                if rep.resid_l1 == 0.0:
+                    zero_rows += 1
+                    assert rep.resid_T == 0.0
+    assert zero_rows > 0
+
+
 def test_residual_identity_and_level_identity(rng):
     cfg = default_config(n=64, s_count=6)
     bound = 1.0 + 2.0 ** ((cfg.p - 1.0) / cfg.p)
