@@ -18,13 +18,12 @@ interval has average at most lambda and the good part is bounded by
 from __future__ import annotations
 
 import json
-import math
 from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import DimensionError, DyadicInterval, GridFunction, GridSet, dyadic_means, dyadic_pyramid, norm
+from .grid import DimensionError, DyadicInterval, GridFunction, GridSet, dilated_cells, dyadic_means, dyadic_pyramid, norm
 
 __all__ = ["CzDecomposition", "CheckResult", "cz_decompose", "verify_cz", "ConsistencyError", "DILATION"]
 
@@ -94,10 +93,10 @@ def cz_decompose(f: GridFunction, level: float) -> CzDecomposition:
     the level) that have no hot ancestor, chosen in heap order, down to
     single cells, so a cell with |f| > level becomes a one-cell cube where
     the bad part vanishes identically.  Each level's cubes get their good
-    part in one assignment and are dilated into omega as integer cell
-    ranges: dyadic endpoints are exact doubles, so these are the cells
-    dilate_interval gives.  When max |f| <= level nothing is selected and no
-    pyramid is built.  The cubes come out left to right.
+    part in one assignment and are dilated into omega as the integer cell
+    ranges of grid.dilated_cells, the cells dilate_interval gives.  When
+    max |f| <= level nothing is selected and no pyramid is built.  The cubes
+    come out left to right.
     """
     level = float(level)
     if not 0 < level < np.inf:
@@ -116,14 +115,13 @@ def cz_decompose(f: GridFunction, level: float) -> CzDecomposition:
         if per > 1:  # a one-cell cube's mean is its cell, which good already holds
             # row i of the reshape is the cells of interval (lev, i)
             good.reshape(2**lev, -1)[picked] = f.values.reshape(2**lev, -1)[picked].mean(axis=1, keepdims=True)
-        if DILATION * per >= n:
+        cells = dilated_cells(lev, picked, DILATION, n)
+        if cells is None:
             whole_circle = True
             continue
-        # the cells meeting the open interval of DILATION * per cells centred on each cube;
         # a level's cubes are disjoint, so no index repeats within one statement below
-        reach = math.ceil((DILATION - 1.0) * per / 2.0)
-        lo = (picked * per - reach) % n
-        hi = lo + (per + 2 * reach)
+        lo, count = cells
+        hi = lo + count
         edges[lo] += 1.0
         edges[np.minimum(hi, n)] -= 1.0  # edges[n] is never read, so ranges may share it
         wraps = hi > n  # these go on from cell 0

@@ -46,9 +46,15 @@ spelled with membership arrays, and it returns the three parts alone.  The
 library's single pass must reproduce the good and bad parts and omega bit for
 bit.
 
-``reference_power_mean`` is ``grid.power_mean`` as it was when every call
-entered ``np.errstate``; the library's form, which enters it only when the
-largest entry can overflow a power or the sum, must return the same bits.
+``reference_dilate_interval`` is ``grid.dilate_interval`` as it was before
+the integer cell ranges of ``grid.dilated_cells``: it compares each cell's
+float endpoints with the open dilated interval, shifted by -1, 0 and 1 for
+the wrap.  ``dilate_interval`` must give the same cells, and
+``reference_cz_parts`` builds omega with it, so the cz tests check the cell
+ranges against the float geometry.
+
+``identity_block`` is the last block of identity columns ``as_matrix``
+transforms, scaled; the pyramid tests feed it as a 2-D input.
 
 ``reference_dyadic_means`` and ``reference_apply_haar`` are verbatim copies
 of ``grid.dyadic_means`` and ``operators._apply_haar`` before both moved onto
@@ -79,8 +85,8 @@ from stablab.distance import (
 from stablab import dual_search
 from stablab.dual_search import DualInstance, FeasibilityOutcome
 from stablab.cz import DILATION
-from stablab.grid import DyadicInterval, GridFunction, GridSet, dilate_interval, norm, power_mean
-from stablab.operators import as_matrix
+from stablab.grid import DyadicInterval, GridFunction, GridSet, norm, power_mean
+from stablab.operators import MATRIX_BLOCK, as_matrix
 
 
 def penalty_feasible(inst: DualInstance, c: float, tol: float = 1e-6) -> bool:
@@ -245,25 +251,6 @@ def reference_dist_linf_to_lp_ball(f: GridFunction, s: float, p) -> DistanceResu
     return DistanceResult(eps, g, s, p, math.inf, eps)
 
 
-_TINY = float(np.finfo(float).tiny)
-
-
-@np.errstate(over="ignore")
-def reference_power_mean(a: np.ndarray, p: float) -> float:
-    """(mean a_i^p)^(1/p) of a 1-D non-negative array, without overflow warnings.
-
-    When the direct value overflows, or mean a_i^p falls below the normal
-    range for a non-zero a, it is recomputed as m * (mean (a_i/m)^p)^(1/p)
-    with m = max a_i.
-    """
-    direct = (float(np.add.reduce(a**p)) / a.size) ** (1.0 / p)
-    if math.isinf(direct) or (direct < 1.0 and direct**p < _TINY):
-        m = float(a.max())
-        if m > 0.0:
-            return m * (float(np.add.reduce((a / m) ** p)) / a.size) ** (1.0 / p)
-    return direct
-
-
 def reference_dyadic_means(values: np.ndarray) -> list[np.ndarray]:
     """means[l][j] = mean of values over the dyadic interval (l, j), built from the cells up.
 
@@ -302,6 +289,39 @@ def reference_apply_haar(values: np.ndarray, level_signs: tuple[np.ndarray, ...]
     return out
 
 
+def reference_dilate_interval(Q: DyadicInterval, factor: float, n: int) -> GridSet:
+    """Cells meeting the open interval of length factor * |Q| centered at Q.
+
+    The dilation wraps around the circle and saturates at the full circle
+    once factor * |Q| >= 1.  A boundary cell is included exactly when it
+    intersects the open dilated interval, so factor = 1 returns precisely
+    the cells of Q.
+    """
+    factor = float(factor)
+    if not factor >= 1.0:
+        raise ValueError(f"dilation factor must be >= 1, got {factor}")
+    length = factor * Q.length
+    if length >= 1.0:
+        return GridSet.full(n)
+    lo = Q.center - length / 2.0
+    hi = Q.center + length / 2.0
+    edges = np.arange(n + 1) / n
+    starts, stops = edges[:-1], edges[1:]
+    member = np.zeros(n, dtype=bool)
+    for shift in (-1.0, 0.0, 1.0):
+        # cell [a, b) meets open (lo, hi) iff lo < b and a < hi, strictly
+        member |= (lo + shift < stops) & (starts < hi + shift)
+    return GridSet(member)
+
+
+def identity_block(n: int, magnitude: float) -> np.ndarray:
+    """The last block of identity columns as_matrix transforms, scaled by magnitude."""
+    width = min(MATRIX_BLOCK, n)
+    block = np.zeros((n, width))
+    block[np.arange(n - width, n), np.arange(width)] = magnitude
+    return block
+
+
 def reference_cz_cubes(f: GridFunction, level: float) -> tuple[DyadicInterval, ...]:
     abs_means = reference_dyadic_means(np.abs(f.values))
     max_level = len(abs_means) - 1
@@ -328,7 +348,7 @@ def reference_cz_parts(
     for q in cubes:
         sl = q.cell_slice(n)
         good[sl] = f.values[sl].mean()
-        omega = GridSet(omega.membership | dilate_interval(q, DILATION, n).membership)
+        omega = GridSet(omega.membership | reference_dilate_interval(q, DILATION, n).membership)
     bad = f.values - good
     return GridFunction(good), GridFunction(bad), omega
 

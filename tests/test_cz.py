@@ -134,6 +134,17 @@ def test_verify_rejects_a_corrupted_bad_part_at_every_scale(scale):
         verify_cz(corrupted, f)
 
 
+def assert_reference_split(f, level):
+    # the cubes, then the parts the single pass builds, bit for bit against the per-cube assembly
+    d = cz_decompose(f, level)
+    assert d.cubes == reference_cz_cubes(f, level)
+    good, bad, omega = reference_cz_parts(f, d.cubes)
+    assert d.good.values.tobytes() == good.values.tobytes()
+    assert d.bad.values.tobytes() == bad.values.tobytes()
+    assert d.omega == omega
+    return d
+
+
 @settings(max_examples=200)
 @given(
     k=st.integers(1, 12),
@@ -162,27 +173,11 @@ def test_level_pass_selects_the_reference_cubes(k, magnitude, zeros, tie, ratio,
         level = float(means[lev][idx])
     else:
         level = norm(f, 1) * 10.0**ratio
-    d = cz_decompose(f, level)
-    assert d.cubes == reference_cz_cubes(f, level)
-    # the parts the single pass builds, bit for bit against the per-cube assembly
-    good, bad, omega = reference_cz_parts(f, d.cubes)
-    assert d.good.values.tobytes() == good.values.tobytes()
-    assert d.bad.values.tobytes() == bad.values.tobytes()
-    assert d.omega == omega
+    d = assert_reference_split(f, level)
     if tie:
         assert DyadicInterval(lev, idx) not in d.cubes
     failed = [c for c in verify_cz(d, f) if not c.passed]
     assert not failed, failed
-
-
-def assert_reference_split(f, level):
-    d = cz_decompose(f, level)
-    assert d.cubes == reference_cz_cubes(f, level)
-    good, bad, omega = reference_cz_parts(f, d.cubes)
-    assert d.good.values.tobytes() == good.values.tobytes()
-    assert d.bad.values.tobytes() == bad.values.tobytes()
-    assert d.omega == omega
-    return d
 
 
 @pytest.mark.parametrize("magnitude", [2.0**-1070, 1.0, 2.0**1000])

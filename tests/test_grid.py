@@ -13,9 +13,8 @@ from stablab import (
     mask,
     norm,
 )
-from oracles import reference_dyadic_means, reference_power_mean
-from stablab.grid import DimensionError, dyadic_means, dyadic_pyramid, power_mean
-from stablab.operators import MATRIX_BLOCK
+from oracles import identity_block, reference_dilate_interval, reference_dyadic_means
+from stablab.grid import DimensionError, dilated_cells, dyadic_means, dyadic_pyramid
 
 
 def test_norm_constant_function():
@@ -61,19 +60,6 @@ def test_norm_rescales_a_subnormal_power_mean():
     g = np.array([3.0, -4.0, 0.5, 2.0])
     assert norm(GridFunction(g), 1.5) == float(np.mean(np.abs(g) ** 1.5) ** (1 / 1.5))
     assert norm(GridFunction(g * 1e-100), 3) == float(np.mean(np.abs(g * 1e-100) ** 3) ** (1 / 3))
-
-
-@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 40.0])
-def test_power_mean_keeps_its_bits_and_rescues_without_a_warning(p):
-    # magnitudes from the subnormals to the largest doubles, through both sides of the
-    # test that decides whether a power or the sum can overflow; warnings are errors here
-    rng = np.random.default_rng(int(p * 10))
-    for n in (1, 2, 256, 4096):
-        for exponent in range(-1074, 1024, 7):
-            a = rng.uniform(0.0, 1.0, n) * 2.0**exponent
-            a[rng.integers(n)] = 2.0**exponent
-            assert power_mean(a, p) == reference_power_mean(a, p)
-    assert power_mean(np.zeros(4), p) == 0.0
 
 
 def test_norm_zero_iff_zero(rng):
@@ -137,6 +123,23 @@ def test_dilate_measure_bound():
                 assert got <= min(1.0, factor * q.length) + 2.0 / n + 1e-12
 
 
+def test_dilate_is_the_float_interval_test_cell_for_cell():
+    # factors with few bits, so the float endpoints are exact, up to and past saturation
+    factors = [1.0, 1.5, 1.9, 2.0, 3.0, 3.5, 7.0, 7.9, 10.0, 31.0, 1e300] + [k / 8 for k in range(9, 140, 7)]
+    for n in (2, 8, 64):
+        for level in range(n.bit_length()):
+            for index in range(1 << level):
+                q = DyadicInterval(level, index)
+                for factor in factors:
+                    assert dilate_interval(q, factor, n) == reference_dilate_interval(q, factor, n)
+    assert dilated_cells(3, 0, 2.0, 8) == (7, 3)
+    assert dilated_cells(2, 0, 10.0, 8) is None
+    with pytest.raises(ValueError, match="finer than a grid"):
+        dilated_cells(4, 0, 2.0, 8)
+    with pytest.raises(ValueError, match="factor must be >= 1"):
+        dilate_interval(DyadicInterval(0, 0), 0.5, 8)
+
+
 def test_nesting_law_exhaustive_levels_to_six():
     intervals = [DyadicInterval(l, i) for l in range(7) for i in range(1 << l)]
     for a in intervals:
@@ -195,14 +198,6 @@ def test_grid_set_measure_and_ops():
     assert E.measure == 0.5
     assert E.complement().measure == 0.5
     assert GridSet(E.membership | E.complement().membership) == GridSet.full(4)
-
-
-def identity_block(n: int, magnitude: float) -> np.ndarray:
-    """The last block of identity columns as_matrix transforms, scaled."""
-    width = min(MATRIX_BLOCK, n)
-    block = np.zeros((n, width))
-    block[np.arange(n - width, n), np.arange(width)] = magnitude
-    return block
 
 
 @pytest.mark.parametrize("k", range(1, 15))

@@ -16,10 +16,10 @@ from stablab import (
     norm,
     operator_norm_estimate,
 )
-from oracles import reference_apply_haar, reference_level_signs
+from oracles import identity_block, reference_apply_haar, reference_level_signs
 from stablab.grid import DimensionError
 from stablab.harness import make_operator
-from stablab.operators import MATRIX_BLOCK, LinearOperatorSpec, apply_values, as_matrix, nyquist_free
+from stablab.operators import LinearOperatorSpec, apply_values, as_matrix, nyquist_free
 
 N = 128
 
@@ -239,18 +239,15 @@ def test_as_matrix_is_the_column_loop_bit_for_bit(kind, negate, n, rng):
 def test_haar_on_the_pyramid_is_the_per_level_synthesis_bit_for_bit(k):
     rng = np.random.default_rng(k)
     n = 2**k
-    width = min(MATRIX_BLOCK, n)
     for signs in (rng.choice([-1, 1], n - 1), np.ones(n - 1, dtype=int)):
         T = haar_transform(n, signs)
         level_signs = reference_level_signs(signs, n)
         for magnitude in (2.0**-1070, 1.0, 2.0**1000):
-            block = np.zeros((n, width))  # the last block of identity columns as_matrix transforms
-            block[np.arange(n - width, n), np.arange(width)] = magnitude
             for values in (
                 rng.standard_normal(n) * magnitude,
                 rng.choice([-1.0, 1.0], n) * magnitude,
                 rng.standard_normal((n, 3)) * magnitude,
-                block,
+                identity_block(n, magnitude),
             ):
                 got, want = apply_values(T, values), reference_apply_haar(values, level_signs)
                 assert got.shape == want.shape and got.tobytes() == want.tobytes()
