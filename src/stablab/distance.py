@@ -89,23 +89,19 @@ def _check_finite_p(p) -> float:
     return p
 
 
-def dist_l1_to_lp_ball(f: GridFunction, s: float, p) -> DistanceResult:
-    """L^1 distance from f to the ball of radius s in L^p, 1 < p < inf.
+def _clip_level(f: GridFunction, s: float, p: float) -> tuple[float | None, float]:
+    """The clip level tau of f to the ball B_p(s), s > 0, and the excess mass
+    norm((|f| - tau)_+, 1), which is the L^1 distance; (None, 0.0) when f
+    lies in the ball.
 
     With the k largest |f| clipped, the clip level solves
     k tau^p + sum_{i > k} |f|_(i)^p = n s^p; the answer is the first k whose
     tau reaches the largest unclipped cell.  In units of s, tau lies in
     [1, n^(1/p)], so only cells that end up clipped can overflow.
     """
-    s = _check_s(s)
-    p = _check_finite_p(p)
-    av = np.abs(f.values)
-    sup = float(av.max())
-    if s == 0.0:
-        g = GridFunction.zeros(f.n)
-        return DistanceResult(norm(f, 1), g, s, p, 1.0, 0.0)
     if norm(f, p) <= s:
-        return DistanceResult(0.0, f, s, p, 1.0, sup)
+        return None, 0.0
+    av = np.abs(f.values)
     # ascending, in place: with the cells from m on clipped, tau^p = (n - sum of bp below m) / (n - m)
     bp = np.sort(av)
     bp /= s
@@ -120,10 +116,24 @@ def dist_l1_to_lp_ball(f: GridFunction, s: float, p) -> DistanceResult:
     reaches = tau_p[1:] >= bp[:-1]
     m = reaches.size - int(np.argmax(reaches[::-1]))  # one past the last that reaches, if any
     tau = s * float(tau_p[m if reaches[m - 1] else 0]) ** (1.0 / p)
-    g = GridFunction(_hard_clip(f.values, tau))
     removed = av - tau
-    value = power_mean(np.maximum(removed, 0.0, out=removed), 1.0)  # norm(f - g, 1), cell for cell
-    return DistanceResult(value, g, s, p, 1.0, tau)
+    return tau, power_mean(np.maximum(removed, 0.0, out=removed), 1.0)  # norm(f - clip(f), 1), cell for cell
+
+
+def dist_l1_to_lp_ball(f: GridFunction, s: float, p) -> DistanceResult:
+    """L^1 distance from f to the ball of radius s in L^p, 1 < p < inf.
+
+    The minimizer is the hard clip of f at the level ``_clip_level`` solves
+    for, and the distance is the mass above that level.
+    """
+    s = _check_s(s)
+    p = _check_finite_p(p)
+    if s == 0.0:
+        return DistanceResult(norm(f, 1), GridFunction.zeros(f.n), s, p, 1.0, 0.0)
+    tau, value = _clip_level(f, s, p)
+    if tau is None:
+        return DistanceResult(0.0, f, s, p, 1.0, float(np.abs(f.values).max()))
+    return DistanceResult(value, GridFunction(_hard_clip(f.values, tau)), s, p, 1.0, tau)
 
 
 def dist_linf_to_lp_ball(f: GridFunction, s: float, p) -> DistanceResult:

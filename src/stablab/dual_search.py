@@ -57,7 +57,11 @@ Every bound is a certified lower bound on c*: ``feasible`` returns the
 largest one it found, and ``min_constant`` reports the largest over its calls
 as the lower end ``c_lower`` of a bracket whose upper end is the certified
 ``c_star``.  The bisection raises its lower end to ``c_lower`` after every
-call, so no constant below a bound is ever tried.
+call, so no constant below a bound is ever tried.  The upper end uses what
+the witness it holds already proves: because the sets are nested, a witness
+accepted at one constant meets the constraints at every larger one, so the
+sizes its direct check measured decide each later midpoint they cover, by
+``feasible``'s own acceptance arithmetic, without another call.
 """
 
 from __future__ import annotations
@@ -195,6 +199,9 @@ class FeasibilityOutcome:
     v: GridFunction | None
     iterations: int
     bound: float  # the largest weak-duality bound the call found, 0.0 if none
+    # of a "feasible" outcome: the sizes its direct check measured, as _measure returns them, and T*v
+    sizes: tuple[float, float, float] | None = None
+    tstar_v: np.ndarray | None = field(default=None, compare=False)
 
     @property
     def is_feasible(self) -> bool:
@@ -315,23 +322,31 @@ def _kkt_root(b: np.ndarray, top: np.ndarray, coef: float, p: float) -> np.ndarr
 # ---------------------------------------------------------------------------
 
 
-def _measure(inst: DualInstance, c: float, v: np.ndarray) -> tuple[float, float, float, float]:
+def _violation(inst: DualInstance, c: float, sizes: tuple[float, float, float]) -> float:
+    """The largest relative constraint violation at constant c of a witness
+    whose sizes norm(v, p), norm(f - v, inf) and norm(T*f - T*v, inf) are
+    given (<= 0 is feasible)."""
+    dust = _ABS_DUST * inst.scale
+    bounds = (c * inst.s, c * inst.r, c * (inst.t + inst.r))
+    return max((size - bound - dust) / max(bound, dust) for size, bound in zip(sizes, bounds))
+
+
+def _measure(inst: DualInstance, c: float, v: np.ndarray) -> tuple[float, tuple[float, float, float], np.ndarray]:
     """One evaluation of the witness v at constant c.
 
     Returns its largest relative constraint violation (<= 0 is feasible, inf
-    when v is non-zero off the support), then norm(v, p), norm(f - v, inf)
-    and norm(T*f - T*v, inf).
+    when v is non-zero off the support), its sizes norm(v, p),
+    norm(f - v, inf) and norm(T*f - T*v, inf), and T*v.
     """
+    tv = inst.apply_tstar(v)
     sizes = (
         power_mean(np.abs(v), inst.p),
         float(np.abs(inst.f.values - v).max()),
-        float(np.abs(inst.Tstar_f.values - inst.apply_tstar(v)).max()),
+        float(np.abs(inst.Tstar_f.values - tv).max()),
     )
     if inst.support is not None and float(np.abs(v[~inst.support.membership]).max(initial=0.0)) > 0.0:
-        return (math.inf, *sizes)
-    dust = _ABS_DUST * inst.scale
-    bounds = (c * inst.s, c * inst.r, c * (inst.t + inst.r))
-    return (max((size - bound - dust) / max(bound, dust) for size, bound in zip(sizes, bounds)), *sizes)
+        return math.inf, sizes, tv
+    return _violation(inst, c, sizes), sizes, tv
 
 
 def certified(inst: DualInstance, c: float, v: GridFunction) -> bool:
@@ -365,17 +380,21 @@ def _dual_bound(inst: DualInstance, a: np.ndarray, b: np.ndarray) -> float:
     return pairing / denom if denom > 0.0 else 0.0
 
 
-def feasible(inst: DualInstance, c: float, x0: np.ndarray | None = None) -> FeasibilityOutcome:
+def feasible(
+    inst: DualInstance, c: float, x0: np.ndarray | None = None, w0: np.ndarray | None = None
+) -> FeasibilityOutcome:
     """Search the intersection of the three constraint sets at constant c.
 
     Extrapolated parallel projections over four convex sets (p-ball with
     support mask, the two sup-norm boxes, and the graph of T*): with d_i the
     displacements of x = (v, w) to the four projections and d their mean,
     x moves by EXTRAPOLATION * L * d, L = mean |d_i|^2 / |d|^2.  The run
-    starts at v = x0, or at the instance's cold start, with w = T* v.
+    starts at v = x0, or at the instance's cold start, with w = w0 when the
+    caller already holds T* x0 and w = T* v otherwise.
     Candidates are read off the graph projection on every fifth iteration
     and accepted only after the direct check, so a "feasible" outcome is
-    always certified.  A rejected candidate is followed by the weak-duality
+    always certified, and it carries the sizes that check measured with
+    T* v.  A rejected candidate is followed by the weak-duality
     bound of the two box normals; a bound above every constant the direct
     check could accept reports a certified "infeasible".  Every outcome
     carries the largest bound the call found.  A step too small to move x
@@ -393,8 +412,10 @@ def feasible(inst: DualInstance, c: float, x0: np.ndarray | None = None) -> Feas
 
     # r = 0 pins v = f exactly; only the p-ball constraint can still bind.
     if inst.r == 0.0:
-        ok = _measure(inst, c, inst.f.values)[0] <= FEAS_TOL
-        return FeasibilityOutcome("feasible" if ok else "infeasible", inst.f if ok else None, 0, 0.0)
+        res, sizes, tv = _measure(inst, c, inst.f.values)
+        if res <= FEAS_TOL:
+            return FeasibilityOutcome("feasible", inst.f, 0, 0.0, sizes, tv)
+        return FeasibilityOutcome("infeasible", None, 0, 0.0)
 
     # the iteration runs in units of inst.unit: f, T*f, the radii and x0 are scaled by it
     unit, n = inst.unit, inst.n
@@ -409,7 +430,10 @@ def feasible(inst: DualInstance, c: float, x0: np.ndarray | None = None) -> Feas
     p2, p3 = box[:n], box[n:]
     vg, wg = graph[:n], graph[n:]
     np.multiply(inst.v0.values if x0 is None else x0, unit, out=v)
-    w[:] = inst.apply_tstar(v)
+    if w0 is None:
+        w[:] = inst.apply_tstar(v)
+    else:
+        np.multiply(w0, unit, out=w)
     np.subtract(fv, bound_f, out=lo[:n])
     np.subtract(tsf, bound_T, out=lo[n:])
     np.add(fv, bound_f, out=hi[:n])
@@ -425,10 +449,10 @@ def feasible(inst: DualInstance, c: float, x0: np.ndarray | None = None) -> Feas
         """The direct check of y masked to E, in the caller's units: its violation,
         and the "feasible" outcome if it passes."""
         cand = (y if sup_mask is None else np.where(sup_mask, y, 0.0)) / unit
-        res = _measure(inst, c, cand)[0]
+        res, sizes, tv = _measure(inst, c, cand)
         if not res <= FEAS_TOL:
             return res, None
-        return res, FeasibilityOutcome("feasible", GridFunction(cand), k, best_bound)
+        return res, FeasibilityOutcome("feasible", GridFunction(cand), k, best_bound, sizes, tv)
 
     best_bound = 0.0
     best_res = math.inf
@@ -484,16 +508,22 @@ def min_constant(inst: DualInstance, tol: float = 1e-2) -> DualResult:
 
     The upper end hi starts at the directly-certified witness v = f, so the
     geometric growth phase is never needed, and moves to every constant
-    with a certified witness.  The lower end lo moves to every constant
-    that is not feasible; inconclusive solver verdicts count as infeasible
-    here only and flag the result.  After every call lo also rises to
-    c_lower, the largest weak-duality bound the calls returned less 1e-9
-    relative for rounding, so the next midpoint is never below a bound.
-    The search ends once hi - lo <= tol * hi, that is as soon as either the
-    certified bracket [c_lower, hi] or the verdicts' bracket is within tol,
-    or once lo and hi are adjacent doubles.  At r = 0, c* is exact and
-    c_lower = c*.  Raises ValueError when the start norm(f, p) / s is not a
-    finite double, as no certified constant can then be reported.
+    with a certified witness.  The search holds the last witness a call
+    accepted, with the sizes its direct check measured and its T*v.  As the
+    sets are nested, that witness meets the constraints at every larger
+    constant: a midpoint at which its held sizes pass feasible's own
+    acceptance rule (``_violation`` at most FEAS_TOL) becomes hi with no
+    call, and every other call starts warm from the held (v, T*v).  The
+    lower end lo moves to every constant that is not feasible;
+    inconclusive solver verdicts count as infeasible here only and flag
+    the result.  After every call lo also rises to c_lower, the largest
+    weak-duality bound the calls returned less 1e-9 relative for rounding,
+    so the next midpoint is never below a bound.  The search ends once
+    hi - lo <= tol * hi, that is as soon as either the certified bracket
+    [c_lower, hi] or the verdicts' bracket is within tol, or once lo and hi
+    are adjacent doubles.  At r = 0, c* is exact and c_lower = c*.  Raises
+    ValueError when the start norm(f, p) / s is not a finite double, as no
+    certified constant can then be reported.
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"tolerance must be positive and finite, got {tol}")
@@ -503,35 +533,37 @@ def min_constant(inst: DualInstance, tol: float = 1e-2) -> DualResult:
     if inst.r == 0.0:
         return _finish(inst, hi, hi, inst.f, 0, flagged=False)
 
-    best_v = inst.f
+    held: FeasibilityOutcome | None = None  # the last accepted witness, with its measured sizes and T*v
     lo = c_lower = 0.0
     iterations = 0
     flagged = False
-    warm: np.ndarray | None = None
     while hi - lo > tol * max(hi, 1e-12):
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:  # lo and hi are adjacent doubles
             break
-        out = feasible(inst, mid, x0=warm)
+        if held is not None and _violation(inst, mid, held.sizes) <= FEAS_TOL:
+            hi = mid  # feasible's own acceptance rule, on the sizes the held witness already measured
+            continue
+        x0, w0 = (None, None) if held is None else (held.v.values, held.tstar_v)
+        out = feasible(inst, mid, x0=x0, w0=w0)
         iterations += out.iterations
         c_lower = max(c_lower, out.bound * (1.0 - 1e-9))
         if out.is_feasible:
             hi = mid
-            best_v = out.v
-            warm = out.v.values
+            held = out
         else:
             lo = mid
             if out.status == "inconclusive":
                 flagged = True
         # no constant below a weak-duality bound is workable: skip the midpoints under it
         lo = max(lo, c_lower)
-    return _finish(inst, hi, c_lower, best_v, iterations, flagged)
+    return _finish(inst, hi, c_lower, inst.f if held is None else held.v, iterations, flagged)
 
 
 def _finish(
     inst: DualInstance, c_star: float, c_lower: float, v: GridFunction, iterations: int, flagged: bool
 ) -> DualResult:
-    violation, size_p, dev_f, dev_T = _measure(inst, c_star * (1.0 + FEAS_TOL), v.values)
+    violation, (size_p, dev_f, dev_T), _ = _measure(inst, c_star * (1.0 + FEAS_TOL), v.values)
     denom_T = inst.t + inst.r
     return DualResult(
         c_star=c_star,

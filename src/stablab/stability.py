@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .cz import ConsistencyError, CzDecomposition, cz_decompose
-from .distance import dist_l1_to_lp_ball
+from .distance import _clip_level, dist_l1_to_lp_ball
 from .grid import GridFunction, GridSet, mask, norm
 from .operators import LinearOperatorSpec, apply
 
@@ -137,7 +137,7 @@ def bourgain_construct(
     a = dist_f.value  # |f - clip(f)| is (|f| - tau)_+ cell by cell, so this is norm(u0, 1) to the bit
     b = s
     Tf = apply(T, f)
-    c = dist_l1_to_lp_ball(Tf, s, p).value
+    c = _clip_level(Tf, s, p)[1]  # dist_l1_to_lp_ball(Tf, s, p).value, without its minimizer
 
     lam, d, degenerate = _split_at_level(u0, a, b, p)
     u = u1 + d.good

@@ -12,8 +12,10 @@ with the projection-based solver it is used to cross-examine.
 ``reference_feasible`` is the averaged-projection loop of ``feasible`` in
 its earlier, allocation-heavy form (``np.mean``, ``np.full``, ``np.clip``,
 fresh arrays for every sum), with no dual bound: it says "infeasible" only
-when the iteration stagnates, and every outcome carries the bound 0.0.  Like
-``feasible``, it reads ``MAX_ITER`` and ``FEAS_TOL`` from
+when the iteration stagnates, and every outcome carries the bound 0.0.  A
+"feasible" outcome carries the sizes its own check measured and T* of its
+witness, and a warm start may pass T* x0 as ``w0``, as ``feasible`` takes
+it.  Like ``feasible``, it reads ``MAX_ITER`` and ``FEAS_TOL`` from
 ``stablab.dual_search`` at call time, so a test shortens both loops' budget
 by monkeypatching one name.  The library's loop must reproduce every
 "feasible" outcome of it bit for bit, and may end a call that is not
@@ -25,9 +27,17 @@ rescaling, so it is a reference at unit scale only.
 extrapolated loop of ``feasible`` and of ``DualInstance.graph_step`` before
 the loop moved onto stacked buffers: v and w as separate arrays, fresh arrays
 for the graph projection and every update, and the step's size taken over v
-and w apart.  They call the library's ``_measure``, ``_dual_bound`` and
-``project_lp_ball`` and read its constants at call time.  The stacked loop must
+and w apart.  Like ``feasible``, ``unfused_feasible`` takes a warm ``w0`` and
+returns the sizes and T*v its direct check measured.  They call the
+library's ``_measure``, ``_dual_bound`` and ``project_lp_ball`` and read its
+constants at call time.  The stacked loop must
 reproduce every outcome of them bit for bit wherever norm(f, inf) >= 1.
+
+``reference_min_constant`` is a verbatim copy of ``min_constant`` before it
+held its last witness: it calls ``feasible`` at every midpoint, warm from the
+last accepted witness, and lets ``feasible`` apply T* to it again.  It calls
+the library's ``feasible``, ``_finish`` and ``norm``.  The library's search
+must reach the same c*, c_lower and status with no more iterations.
 
 ``reference_dist_l1_to_lp_ball`` and ``reference_dist_linf_to_lp_ball`` are
 verbatim copies of the earlier distance solvers, which bisected the clip and
@@ -357,29 +367,37 @@ def _clamp_box(values: np.ndarray, center: np.ndarray, radius: float) -> np.ndar
     return np.clip(values, center - radius, center + radius)
 
 
-def _certify(inst: DualInstance, c: float, v_values: np.ndarray, Tsv: np.ndarray) -> float:
-    """Maximum relative constraint violation of v at constant c (<= 0 is feasible)."""
+def _certify(
+    inst: DualInstance, c: float, v_values: np.ndarray, Tsv: np.ndarray
+) -> tuple[float, tuple[float, float, float]]:
+    """Maximum relative constraint violation of v at constant c (<= 0 is feasible),
+    and the three sizes it was taken from."""
     dust = dual_search._ABS_DUST * inst.scale
     viol = []
     bound_p = c * inst.s
     size = power_mean(np.abs(v_values), inst.p)
     viol.append((size - bound_p - dust) / max(bound_p, dust))
     bound_f = c * inst.r
-    viol.append((float(np.abs(inst.f.values - v_values).max()) - bound_f - dust) / max(bound_f, dust))
+    dev_f = float(np.abs(inst.f.values - v_values).max())
+    viol.append((dev_f - bound_f - dust) / max(bound_f, dust))
     bound_T = c * (inst.t + inst.r)
-    viol.append((float(np.abs(inst.Tstar_f.values - Tsv).max()) - bound_T - dust) / max(bound_T, dust))
-    return max(viol)
+    dev_T = float(np.abs(inst.Tstar_f.values - Tsv).max())
+    viol.append((dev_T - bound_T - dust) / max(bound_T, dust))
+    return max(viol), (size, dev_f, dev_T)
 
 
-def reference_feasible(inst: DualInstance, c: float, x0: np.ndarray | None = None) -> FeasibilityOutcome:
+def reference_feasible(
+    inst: DualInstance, c: float, x0: np.ndarray | None = None, w0: np.ndarray | None = None
+) -> FeasibilityOutcome:
     c = float(c)
     max_iter, tol = dual_search.MAX_ITER, dual_search.FEAS_TOL
     fv = inst.f.values
     sup_mask = None if inst.support is None else inst.support.membership
     if inst.r == 0.0:
-        out = _certify(inst, c, fv, inst.Tstar_f.values)
-        status = "feasible" if out <= tol else "infeasible"
-        return FeasibilityOutcome(status, inst.f if out <= tol else None, 0, 0.0)
+        out, sizes = _certify(inst, c, fv, inst.Tstar_f.values)
+        if out <= tol:
+            return FeasibilityOutcome("feasible", inst.f, 0, 0.0, sizes, inst.Tstar_f.values)
+        return FeasibilityOutcome("infeasible", None, 0, 0.0)
 
     bound_p = c * inst.s
     bound_f = c * inst.r
@@ -392,7 +410,7 @@ def reference_feasible(inst: DualInstance, c: float, x0: np.ndarray | None = Non
             v = np.where(sup_mask, v, 0.0)
     else:
         v = x0.copy()
-    w = Ts(v)
+    w = Ts(v) if w0 is None else w0.copy()
 
     best_res = math.inf
     best_iter = 0
@@ -401,9 +419,10 @@ def reference_feasible(inst: DualInstance, c: float, x0: np.ndarray | None = Non
         vg, wg = reference_graph_step(inst, v, w)
         if k % 5 == 1:
             cand = vg if sup_mask is None else np.where(sup_mask, vg, 0.0)
-            res = _certify(inst, c, cand, Ts(cand))
+            Tcand = Ts(cand)
+            res, sizes = _certify(inst, c, cand, Tcand)
             if res <= tol:
-                return FeasibilityOutcome("feasible", GridFunction(cand), k, 0.0)
+                return FeasibilityOutcome("feasible", GridFunction(cand), k, 0.0, sizes, Tcand)
             if res < best_res * (1.0 - 1e-3):
                 best_res = res
                 best_iter = k
@@ -441,7 +460,9 @@ def unfused_graph_step(inst: DualInstance, v: np.ndarray, w: np.ndarray) -> tupl
     return vg, wg
 
 
-def unfused_feasible(inst: DualInstance, c: float, x0: np.ndarray | None = None) -> FeasibilityOutcome:
+def unfused_feasible(
+    inst: DualInstance, c: float, x0: np.ndarray | None = None, w0: np.ndarray | None = None
+) -> FeasibilityOutcome:
     MAX_ITER, FEAS_TOL = dual_search.MAX_ITER, dual_search.FEAS_TOL
     _ABS_DUST, EXTRAPOLATION = dual_search._ABS_DUST, dual_search.EXTRAPOLATION
     _measure, _dual_bound, project_lp_ball = dual_search._measure, dual_search._dual_bound, dual_search.project_lp_ball
@@ -453,8 +474,10 @@ def unfused_feasible(inst: DualInstance, c: float, x0: np.ndarray | None = None)
 
     # r = 0 pins v = f exactly; only the p-ball constraint can still bind.
     if inst.r == 0.0:
-        ok = _measure(inst, c, fv)[0] <= FEAS_TOL
-        return FeasibilityOutcome("feasible" if ok else "infeasible", inst.f if ok else None, 0, 0.0)
+        res, sizes, tv = _measure(inst, c, fv)
+        if res <= FEAS_TOL:
+            return FeasibilityOutcome("feasible", inst.f, 0, 0.0, sizes, tv)
+        return FeasibilityOutcome("infeasible", None, 0, 0.0)
 
     bound_p = c * inst.s
     bound_f = c * inst.r
@@ -466,7 +489,7 @@ def unfused_feasible(inst: DualInstance, c: float, x0: np.ndarray | None = None)
     p2, p3 = np.empty_like(fv), np.empty_like(tsf)
     Ts = inst.apply_tstar
     v = inst.v0.values if x0 is None else x0
-    w = Ts(v)
+    w = Ts(v) if w0 is None else w0
 
     # _measure accepts v at c only if v meets all three constraints at c_accept, so a
     # weak-duality bound above c_accept (with a rounding margin) rules out any later candidate
@@ -476,10 +499,10 @@ def unfused_feasible(inst: DualInstance, c: float, x0: np.ndarray | None = None)
     def witness(x: np.ndarray, k: int) -> tuple[float, FeasibilityOutcome | None]:
         """The direct check of x masked to E: its violation, and the "feasible" outcome if it passes."""
         cand = x if sup_mask is None else np.where(sup_mask, x, 0.0)
-        res = _measure(inst, c, cand)[0]
+        res, sizes, tv = _measure(inst, c, cand)
         if not res <= FEAS_TOL:
             return res, None
-        return res, FeasibilityOutcome("feasible", GridFunction(cand), k, best_bound)
+        return res, FeasibilityOutcome("feasible", GridFunction(cand), k, best_bound, sizes, tv)
 
     best_bound = 0.0
     best_res = math.inf
@@ -529,6 +552,41 @@ def unfused_feasible(inst: DualInstance, c: float, x0: np.ndarray | None = None)
             # every projection agrees at a fixed point: x itself may be the witness
             return witness(v, k)[1] or FeasibilityOutcome("infeasible", None, k, best_bound)
     return FeasibilityOutcome("inconclusive", None, MAX_ITER, best_bound)
+
+
+def reference_min_constant(inst: DualInstance, tol: float = 1e-2) -> dual_search.DualResult:
+    feasible, _finish = dual_search.feasible, dual_search._finish
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
+    hi = norm(inst.f, inst.p) / inst.s  # v = f is feasible here by direct arithmetic
+    if not math.isfinite(hi):
+        raise ValueError(f"the starting constant norm(f, p) / s overflows the doubles at s = {inst.s!r}")
+    if inst.r == 0.0:
+        return _finish(inst, hi, hi, inst.f, 0, flagged=False)
+
+    best_v = inst.f
+    lo = c_lower = 0.0
+    iterations = 0
+    flagged = False
+    warm: np.ndarray | None = None
+    while hi - lo > tol * max(hi, 1e-12):
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # lo and hi are adjacent doubles
+            break
+        out = feasible(inst, mid, x0=warm)
+        iterations += out.iterations
+        c_lower = max(c_lower, out.bound * (1.0 - 1e-9))
+        if out.is_feasible:
+            hi = mid
+            best_v = out.v
+            warm = out.v.values
+        else:
+            lo = mid
+            if out.status == "inconclusive":
+                flagged = True
+        # no constant below a weak-duality bound is workable: skip the midpoints under it
+        lo = max(lo, c_lower)
+    return _finish(inst, hi, c_lower, best_v, iterations, flagged)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import penalty_feasible, reference_feasible, reference_project_lp_ball, unfused_feasible
+from oracles import (
+    penalty_feasible,
+    reference_feasible,
+    reference_min_constant,
+    reference_project_lp_ball,
+    unfused_feasible,
+)
 from stablab import (
     DyadicInterval,
     GridFunction,
@@ -27,7 +33,16 @@ from stablab import (
     project_lp_ball,
 )
 from stablab import dual_search
-from stablab.dual_search import DENSE_MAX_N, FEAS_TOL, MAX_ITER, SupportError, _dual_bound, _measure, certified
+from stablab.dual_search import (
+    DENSE_MAX_N,
+    FEAS_TOL,
+    MAX_ITER,
+    SupportError,
+    _dual_bound,
+    _measure,
+    _violation,
+    certified,
+)
 from stablab.grid import power_mean
 from stablab.harness import default_config, generate_corpus, make_operator, run_theorem2
 from stablab.operators import adjoint, as_matrix, haar_transform, hilbert, identity_minus_mean
@@ -108,12 +123,12 @@ def _mixture_instance(kind, n, with_support, p=2):
 
 
 def _bisection_calls(inst, monkeypatch, tol):
-    """min_constant's result, and the (c, warm start) of every feasible call it made."""
+    """min_constant's result, and the (c, warm start x0, its T* w0) of every feasible call it made."""
     calls = []
 
-    def recording_feasible(inst_, c, x0=None):
-        calls.append((c, None if x0 is None else x0.copy()))
-        return feasible(inst_, c, x0=x0)
+    def recording_feasible(inst_, c, x0=None, w0=None):
+        calls.append((c, None if x0 is None else x0.copy(), None if w0 is None else w0.copy()))
+        return feasible(inst_, c, x0=x0, w0=w0)
 
     with monkeypatch.context() as patch:
         patch.setattr("stablab.dual_search.feasible", recording_feasible)
@@ -137,8 +152,8 @@ def test_feasible_dominates_reference_loop(kind, n, with_support, monkeypatch):
     inst = _mixture_instance(kind, n, with_support)
     res, calls = _bisection_calls(inst, monkeypatch, tol=0.1)
     # the reference loop at every (c, warm start) the bisection visited
-    for c, x0 in calls:
-        _dominates(inst, c, feasible(inst, c, x0=x0), reference_feasible(inst, c, x0=x0))
+    for c, x0, w0 in calls:
+        _dominates(inst, c, feasible(inst, c, x0=x0, w0=w0), reference_feasible(inst, c, x0=x0, w0=w0))
     # the whole bisection with the reference loop swapped in: its bound is 0, so
     # its bracket never jumps, and no weak-duality bound passes its certified c*
     with monkeypatch.context() as patch:
@@ -295,9 +310,9 @@ def test_c_lower_is_the_largest_bound_the_feasible_calls_returned(kind, n, with_
         bounds.append((a.copy(), b.copy(), bound))
         return bound
 
-    def recording_feasible(inst_, c, x0=None):
+    def recording_feasible(inst_, c, x0=None, w0=None):
         start = len(bounds)
-        out = feasible(inst_, c, x0=x0)
+        out = feasible(inst_, c, x0=x0, w0=w0)
         # each call hands back the largest bound it took, 0.0 when it took none
         assert out.bound == max((bound for _, _, bound in bounds[start:]), default=0.0)
         returned.append(out.bound)
@@ -326,36 +341,122 @@ def _report_row(label, kind, s):
 
 def test_the_certified_bracket_drives_the_bisection(monkeypatch):
     # row 13 of the campaign, where the bounds skip most midpoints: the bisection
-    # on verdicts alone spends 3,228 iterations here, mostly in stagnating calls
-    inst, tol = _report_row("steps:0", "haar_transform", 1.0)
+    # on verdicts alone spends 3,228 iterations here, mostly in stagnating calls;
+    # and row 24, where the held witness settles five midpoints without a call
+    rows = [("steps:0", "haar_transform", 1.0), ("mixture:0", "hilbert", 0.5)]
     calls = []
 
-    def recording_feasible(inst_, c, x0=None):
-        out = feasible(inst_, c, x0=x0)
+    def recording_feasible(inst_, c, x0=None, w0=None):
+        out = feasible(inst_, c, x0=x0, w0=w0)
         calls.append((c, out))
         return out
 
     monkeypatch.setattr("stablab.dual_search.feasible", recording_feasible)
-    res = min_constant(inst, tol=tol)
-    assert res.status == "certified"
-    lo, hi, c_lower, jumps = 0.0, norm(inst.f, inst.p) / inst.s, 0.0, 0
-    for c, out in calls:
-        low = max(lo, c_lower)
-        # the loop was still running, and evaluates the middle of the certified bracket
-        assert hi - low > tol * hi
-        assert low < c < hi and c == 0.5 * (low + hi)
-        jumps += c_lower > lo
+    jumps = settled = 0
+    for row in rows:
+        inst, tol = _report_row(*row)
+        calls.clear()
+        res = min_constant(inst, tol=tol)
+        assert res.status == "certified"
+        lo, hi, c_lower = 0.0, norm(inst.f, inst.p) / inst.s, 0.0
+        held = None  # the last witness a call accepted
+        pending = iter(calls)
+        while hi - max(lo, c_lower) > tol * hi:
+            # the loop is still running, and evaluates the middle of the certified bracket
+            low = max(lo, c_lower)
+            mid = 0.5 * (low + hi)
+            assert low < mid < hi
+            if held is not None and _violation(inst, mid, held.sizes) <= FEAS_TOL:
+                # settled by the held witness, with no call: it passes the direct check there
+                assert certified(inst, mid, held.v)
+                hi = mid
+                settled += 1
+                continue
+            c, out = next(pending)
+            assert c == mid
+            jumps += c_lower > lo
+            if out.is_feasible:
+                hi = c
+                held = out
+            else:
+                lo = c
+            c_lower = max(c_lower, out.bound * (1 - 1e-9))
+        # it ends at the first point where the bracket is within tol, having made every call it recorded
+        assert next(pending, None) is None
+        assert hi - max(lo, c_lower) <= tol * hi
+        assert (res.c_star, res.c_lower) == (hi, c_lower)
+        assert res.v.values.tobytes() == held.v.values.tobytes()
+        assert res.c_lower <= res.c_star
+        assert res.iterations <= 300
+    assert jumps > 0 and settled > 0
+
+
+# the 32 theorem-2 rows of `stablab report` and the 6 rows at n = 1024 on three spikes draws
+CAMPAIGNS = {
+    "report": {},
+    "n1024": {"n": 1024, "corpus_counts": (("spikes", 3),), "dual_s_values": (0.5,), "dual_corpus_per_family": 3},
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _campaign_instances(name):
+    """The campaign's theorem-2 instances, as run_theorem2 builds them, and its tol."""
+    cfg = default_config(**CAMPAIGNS[name])
+    per_family = tuple((family, min(count, cfg.dual_corpus_per_family)) for family, count in cfg.corpus_counts)
+    corpus = generate_corpus(replace(cfg, corpus_counts=per_family))
+    insts = [
+        make_instance(f, make_operator(kind, cfg.n, cfg.seed), s, cfg.p)
+        for _, f in corpus
+        for kind in cfg.dual_operators
+        for s in cfg.dual_s_values
+    ]
+    return insts, cfg.dual_tol
+
+
+@pytest.mark.parametrize("campaign", sorted(CAMPAIGNS))
+def test_the_held_witness_settles_only_certified_midpoints(campaign, monkeypatch):
+    insts, tol = _campaign_instances(campaign)
+    accepted = {}  # id of an accepted outcome's sizes -> the outcome, kept alive so no id is reused
+    settled = []
+
+    def recording_feasible(inst_, c, x0=None, w0=None):
+        out = feasible(inst_, c, x0=x0, w0=w0)
         if out.is_feasible:
-            hi = c
-        else:
-            lo = c
-        c_lower = max(c_lower, out.bound * (1 - 1e-9))
-    # it ends at the first point where the bracket is within tol
-    assert hi - max(lo, c_lower) <= tol * hi
-    assert (res.c_star, res.c_lower) == (hi, c_lower)
-    assert res.c_lower <= res.c_star
-    assert jumps > 0
-    assert res.iterations <= 300
+            accepted[id(out.sizes)] = out
+        return out
+
+    def recording_violation(inst_, c, sizes):
+        value = _violation(inst_, c, sizes)
+        if id(sizes) in accepted and value <= FEAS_TOL:
+            settled.append((inst_, c, accepted[id(sizes)]))
+        return value
+
+    with monkeypatch.context() as patch:
+        patch.setattr("stablab.dual_search.feasible", recording_feasible)
+        patch.setattr("stablab.dual_search._violation", recording_violation)
+        for inst in insts:
+            assert min_constant(inst, tol=tol).status == "certified"
+    assert settled
+    for inst, c, out in settled:
+        # re-measured from scratch: the held sizes and T*v are the witness's own
+        assert certified(inst, c, out.v)
+        _, sizes, tv = _measure(inst, c, out.v.values)
+        assert sizes == out.sizes and tv.tobytes() == out.tstar_v.tobytes()
+
+
+@pytest.mark.parametrize("campaign", sorted(CAMPAIGNS))
+def test_the_held_witness_keeps_the_constants_of_the_search_without_it(campaign):
+    insts, tol = _campaign_instances(campaign)
+    total = ref_total = 0
+    for inst in insts:
+        res = min_constant(inst, tol=tol)
+        ref = reference_min_constant(inst, tol=tol)
+        assert res.status == ref.status
+        assert res.c_star == pytest.approx(ref.c_star, rel=1e-12, abs=0)
+        assert res.c_lower == pytest.approx(ref.c_lower, rel=1e-12, abs=0)
+        assert res.iterations <= ref.iterations
+        total, ref_total = total + res.iterations, ref_total + ref.iterations
+    assert total < ref_total
 
 
 def test_min_constant_ends_below_the_spacing_of_the_doubles(monkeypatch):
@@ -365,10 +466,10 @@ def test_min_constant_ends_below_the_spacing_of_the_doubles(monkeypatch):
     inst = make_instance(generate_corpus(cfg)[0][1], make_operator(cfg.dual_operators[0], cfg.n, cfg.seed), 1.0, cfg.p)
     calls = []
 
-    def counting_feasible(inst_, c, x0=None):
+    def counting_feasible(inst_, c, x0=None, w0=None):
         calls.append(c)
         assert len(calls) <= 200, f"min_constant is still calling feasible, at c = {c!r}"
-        return feasible(inst_, c, x0=x0)
+        return feasible(inst_, c, x0=x0, w0=w0)
 
     monkeypatch.setattr("stablab.dual_search.feasible", counting_feasible)
     res = min_constant(inst, tol=1e-300)
@@ -681,6 +782,10 @@ def _same_outcome(out, ref):
     assert (out.v is None) == (ref.v is None)
     if out.v is not None:
         assert out.v.values.tobytes() == ref.v.values.tobytes()
+        assert np.array(out.sizes).tobytes() == np.array(ref.sizes).tobytes()
+        assert out.tstar_v.tobytes() == ref.tstar_v.tobytes()
+    else:
+        assert out.sizes is ref.sizes is out.tstar_v is ref.tstar_v is None
 
 
 def _gaussian_instance(kind, n, with_support, p=2):
@@ -702,9 +807,9 @@ def test_stacked_loop_is_the_unfused_loop_bit_for_bit(kind, n, with_support, mon
     inst = _gaussian_instance(kind, n, with_support)
     assert norm(inst.f, np.inf) >= 1.0
     _, calls = _bisection_calls(inst, monkeypatch, tol=3e-3)
-    assert any(x0 is None for _, x0 in calls) and any(x0 is not None for _, x0 in calls)
-    for c, x0 in calls:
-        _same_outcome(feasible(inst, c, x0=x0), unfused_feasible(inst, c, x0=x0))
+    assert any(x0 is None for _, x0, _ in calls) and any(x0 is not None for _, x0, _ in calls)
+    for c, x0, w0 in calls:
+        _same_outcome(feasible(inst, c, x0=x0, w0=w0), unfused_feasible(inst, c, x0=x0, w0=w0))
 
 
 def test_stacked_loop_is_the_unfused_loop_at_p3(monkeypatch):
@@ -748,15 +853,7 @@ def test_dense_matrix_is_built_once_per_operator(monkeypatch):
 
 def test_every_report_instance_computes_in_unit_one():
     # the theorem-2 rows of `stablab report` lie inside the window where feasible's unit is 1
-    cfg = default_config()
-    per_family = tuple((name, min(count, cfg.dual_corpus_per_family)) for name, count in cfg.corpus_counts)
-    corpus = generate_corpus(replace(cfg, corpus_counts=per_family))
-    insts = [
-        make_instance(f, make_operator(kind, cfg.n, cfg.seed), s, cfg.p)
-        for _, f in corpus
-        for kind in cfg.dual_operators
-        for s in cfg.dual_s_values
-    ]
+    insts, _ = _campaign_instances("report")
     assert len(insts) == 32
     assert all(inst.unit == 1.0 for inst in insts)
 

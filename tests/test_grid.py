@@ -71,10 +71,9 @@ def test_norm_zero_iff_zero(rng):
 def test_grid_function_validation():
     with pytest.raises(ValueError):
         GridFunction([1.0, 2.0, 3.0])  # not a power of two
-    with pytest.raises(ValueError):
-        GridFunction([np.nan, 1.0])
-    with pytest.raises(ValueError):
-        GridFunction([np.inf, 1.0])
+    for bad in ([np.nan, 1.0], [np.inf, 1.0], [1.0, 2.0, 3.0, -np.inf]):
+        with pytest.raises(ValueError, match="grid values must be finite"):
+            GridFunction(bad)
 
 
 def test_grid_function_immutable():

@@ -64,9 +64,11 @@ def test_construction_reads_its_mass_and_a_zero_residual_off_the_parts():
             T = make_operator(kind, cfg.n, cfg.seed)
             # what the construction reports without transforming a bad part that vanishes
             assert norm(apply(T, GridFunction.zeros(cfg.n)), 1) == 0.0
+            Tf = apply(T, f)
             for s in cfg.s_values():
                 _, rep = bourgain_construct(f, T, s, cfg.p)
                 assert rep.a == norm(f - dist_l1_to_lp_ball(f, s, cfg.p).minimizer, 1)
+                assert rep.c == dist_l1_to_lp_ball(Tf, s, cfg.p).value
                 if rep.resid_l1 == 0.0:
                     zero_rows += 1
                     assert rep.resid_T == 0.0
