@@ -22,7 +22,6 @@ from .grid import (
     DyadicInterval,
     GridFunction,
     GridSet,
-    dilate_interval,
     inner,
     mask,
     norm,

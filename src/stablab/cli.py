@@ -87,7 +87,10 @@ def _load_function(args, cfg: ExperimentConfig, support: GridSet | None = None) 
     if args.input:
         with _input_errors(), open(args.input) as fh:
             return GridFunction.from_json(fh.read())
-    return generate_corpus(cfg, support)[0][1]
+    corpus = generate_corpus(cfg, support)
+    if not corpus:
+        raise InputError("the config's corpus is empty: give the function with --input")
+    return corpus[0][1]
 
 
 def _load_support(args, cfg: ExperimentConfig) -> GridSet | None:

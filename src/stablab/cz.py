@@ -8,7 +8,8 @@ from the root.
 On each selected interval the good part is the (signed) average of f and
 the bad part is the mean-zero remainder; off the selected intervals the
 good part is f itself.  The exceptional set omega is the union of the
-selected intervals dilated by DILATION, the factor of theorem 1.
+selected intervals dilated by DILATION, the factor of theorem 1, as the
+integer cell ranges of grid.dilated_cells.
 
 Selection is strict (average > lambda), so the parent of every selected
 interval has average at most lambda and the good part is bounded by
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import DimensionError, DyadicInterval, GridFunction, GridSet, dilated_cells, dyadic_means, dyadic_pyramid, norm
+from .grid import DimensionError, DyadicInterval, GridFunction, GridSet, dilated_cells, dyadic_pyramid, norm
 
 __all__ = ["CzDecomposition", "CheckResult", "cz_decompose", "verify_cz", "ConsistencyError", "DILATION"]
 
@@ -64,7 +65,7 @@ class CzDecomposition:
         return float(sum(q.length for q in self.cubes))
 
     def to_json(self) -> str:
-        cubes = [q.to_dict() for q in self.cubes]
+        cubes = [{"level": q.level, "index": q.index} for q in self.cubes]
         return json.dumps({"lambda": float(self.level), "cubes": cubes, "dilation_factor": DILATION})
 
 
@@ -94,9 +95,9 @@ def cz_decompose(f: GridFunction, level: float) -> CzDecomposition:
     single cells, so a cell with |f| > level becomes a one-cell cube where
     the bad part vanishes identically.  Each level's cubes get their good
     part in one assignment and are dilated into omega as the integer cell
-    ranges of grid.dilated_cells, the cells dilate_interval gives.  When
-    max |f| <= level nothing is selected and no pyramid is built.  The cubes
-    come out left to right.
+    ranges of grid.dilated_cells: the cells that meet the open dilated
+    interval, wrapping round the circle.  When max |f| <= level nothing is
+    selected and no pyramid is built.  The cubes come out left to right.
     """
     level = float(level)
     if not 0 < level < np.inf:
@@ -135,6 +136,8 @@ def cz_decompose(f: GridFunction, level: float) -> CzDecomposition:
 def verify_cz(d: CzDecomposition, f: GridFunction, ps=(1.5, 2.0, 3.0, 4.0)) -> list[CheckResult]:
     """Re-measure every decomposition invariant against f.
 
+    Maximality reads each cube's parent mean from the dyadic_pyramid of |f|
+    that the selection compared, at heap entry (2^level + index) // 2.
     Also checks the p-norm budget of the good part,
     norm(g, p)^p <= (2 lambda)^(p-1) * norm(f, 1), for each requested p,
     divided through by (2 lambda)^p; its slack is in those units.
@@ -156,12 +159,12 @@ def verify_cz(d: CzDecomposition, f: GridFunction, ps=(1.5, 2.0, 3.0, 4.0)) -> l
     worst_mean = 0.0
     covered = np.zeros(n, dtype=int)
     maximal = True
-    means = dyadic_means(np.abs(f.values))  # the numbers the selection compares, so ties agree
+    heap = dyadic_pyramid(np.abs(f.values))  # the numbers the selection compares, so ties agree
     for q in d.cubes:
         sl = q.cell_slice(n)
         covered[sl] += 1
         worst_mean = max(worst_mean, abs(float(d.bad.values[sl].mean())))
-        if q.level > 0 and means[q.level - 1][q.index // 2] > lam:
+        if heap[((1 << q.level) + q.index) >> 1] > lam:  # a root cube reads entry 0, which is 0
             maximal = False
     checks.append(CheckResult("mean_zero_on_cubes", worst_mean <= MEAN_ZERO_TOL * scale, MEAN_ZERO_TOL * scale - worst_mean))
     checks.append(CheckResult("cubes_disjoint", int(covered.max(initial=0)) <= 1, float(1 - covered.max(initial=0))))

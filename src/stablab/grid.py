@@ -25,9 +25,7 @@ __all__ = [
     "inner",
     "mask",
     "dilated_cells",
-    "dilate_interval",
     "dyadic_pyramid",
-    "dyadic_means",
 ]
 
 
@@ -153,9 +151,6 @@ class DyadicInterval:
 
     def disjoint(self, other: "DyadicInterval") -> bool:
         return self.right <= other.left or other.right <= self.left
-
-    def to_dict(self) -> dict:
-        return {"level": self.level, "index": self.index}
 
 
 @dataclass(frozen=True, eq=False)
@@ -284,23 +279,6 @@ def dilated_cells(level: int, index, factor: float, n: int):
     return (index * per - reach) % n, per + 2 * reach
 
 
-def dilate_interval(Q: DyadicInterval, factor: float, n: int) -> GridSet:
-    """Cells meeting the open interval of length factor * |Q| centered at Q.
-
-    The dilation wraps around the circle and saturates at the full circle
-    once factor * |Q| >= 1 (see dilated_cells).  A boundary cell is included
-    exactly when it intersects the open dilated interval, so factor = 1
-    returns precisely the cells of Q.
-    """
-    cells = dilated_cells(Q.level, Q.index, factor, n)
-    if cells is None:
-        return GridSet.full(n)
-    start, count = cells
-    member = np.zeros(n, dtype=bool)
-    member[(start + np.arange(count)) % n] = True
-    return GridSet(member)
-
-
 def dyadic_pyramid(values: np.ndarray) -> np.ndarray:
     """The dyadic means of values as one heap: entry 2^l + j is the mean over (l, j).
 
@@ -322,12 +300,3 @@ def dyadic_pyramid(values: np.ndarray) -> np.ndarray:
         width //= 2
     return heap
 
-
-def dyadic_means(values: np.ndarray) -> list[np.ndarray]:
-    """means[l][j] = mean of values over the dyadic interval (l, j), built from the cells up.
-
-    The levels are views of one dyadic_pyramid, coarsest first.  The cells
-    run along axis 0, so a 2-D array gives the means of each column.
-    """
-    heap = dyadic_pyramid(values)
-    return [heap[1 << lev : 2 << lev] for lev in range(values.shape[0].bit_length())]

@@ -20,7 +20,7 @@ import numpy as np
 from . import cz as cz_mod
 from . import distance as distance_mod
 from .dual_search import annihilator_pair, duality_pairing, make_instance, min_constant
-from .grid import DyadicInterval, GridFunction, GridSet, dilate_interval, inner, norm
+from .grid import DyadicInterval, GridFunction, GridSet, dilated_cells, inner, norm
 from .operators import KINDS, LinearOperatorSpec, adjoint, apply, nyquist_free
 from .stability import DEGENERATE_TOL, bourgain_construct
 
@@ -346,7 +346,8 @@ def _suite_grid(cfg: ExperimentConfig) -> Iterator[tuple[str, bool]]:
         for index in range(1 << level):
             q_int = DyadicInterval(level, index)
             for factor in (1.0, 2.0, 3.5, 10.0):
-                got = dilate_interval(q_int, factor, n).measure
+                cells = dilated_cells(level, index, factor, n)  # a range of count cells, or the circle
+                got = 1.0 if cells is None else min(cells[1], n) / n
                 yield f"dilate:{q_int}x{factor}", got > min(1.0, factor * q_int.length) + 2.0 / n + 1e-12
 
 

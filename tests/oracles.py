@@ -56,20 +56,20 @@ spelled with membership arrays, and it returns the three parts alone.  The
 library's single pass must reproduce the good and bad parts and omega bit for
 bit.
 
-``reference_dilate_interval`` is ``grid.dilate_interval`` as it was before
-the integer cell ranges of ``grid.dilated_cells``: it compares each cell's
-float endpoints with the open dilated interval, shifted by -1, 0 and 1 for
-the wrap.  ``dilate_interval`` must give the same cells, and
-``reference_cz_parts`` builds omega with it, so the cz tests check the cell
-ranges against the float geometry.
+``reference_dilate_interval`` is the library's former ``grid.dilate_interval``
+as it was before the integer cell ranges of ``grid.dilated_cells``: it
+compares each cell's float endpoints with the open dilated interval, shifted
+by -1, 0 and 1 for the wrap.  ``dilated_cells`` must give the same cells,
+and ``reference_cz_parts`` builds omega with the reference, so the cz tests
+check the cell ranges against the float geometry.
 
 ``identity_block`` is the last block of identity columns ``as_matrix``
 transforms, scaled; the pyramid tests feed it as a 2-D input.
 
 ``reference_dyadic_means`` and ``reference_apply_haar`` are verbatim copies
-of ``grid.dyadic_means`` and ``operators._apply_haar`` before both moved onto
-one heap-ordered ``dyadic_pyramid``: a fresh array per level, and a Haar
-synthesis that builds each level's sums in a new array from per-level
+of the former ``grid.dyadic_means`` and ``operators._apply_haar`` before both
+moved onto one heap-ordered ``dyadic_pyramid``: a fresh array per level, and a
+Haar synthesis that builds each level's sums in a new array from per-level
 temporaries.  ``reference_apply_haar`` takes the signs per level, level l
 holding 2^l of them, as the earlier spec stored them (``level_signs``).  The
 pyramid must reproduce both bit for bit; the two cz references build their

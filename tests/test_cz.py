@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from oracles import reference_cz_cubes, reference_cz_parts
 from stablab import GridFunction, cz_decompose, norm, verify_cz
 from stablab.cz import ConsistencyError, all_passed
-from stablab.grid import DyadicInterval, dyadic_means
+from stablab.grid import DyadicInterval, dyadic_pyramid
 
 
 def spiky(rng, n):
@@ -134,6 +134,16 @@ def test_verify_rejects_a_corrupted_bad_part_at_every_scale(scale):
         verify_cz(corrupted, f)
 
 
+def test_verify_maximality_can_fail():
+    # both halves of the selected [0, 1/2) have its mean 2, so splitting it keeps the good
+    # and bad parts; only the parent's pyramid mean, above the level, shows the split
+    f = GridFunction([3.0, 1.0, 3.0, 1.0, 0.0, 0.0, 0.0, 0.0])
+    d = cz_decompose(f, 1.5)
+    assert d.cubes == (DyadicInterval(1, 0),) and all_passed(verify_cz(d, f))
+    split = replace(d, cubes=(DyadicInterval(2, 0), DyadicInterval(2, 1)))
+    assert [c.name for c in verify_cz(split, f) if not c.passed] == ["cubes_maximal"]
+
+
 def assert_reference_split(f, level):
     # the cubes, then the parts the single pass builds, bit for bit against the per-cube assembly
     d = cz_decompose(f, level)
@@ -167,10 +177,10 @@ def test_level_pass_selects_the_reference_cubes(k, magnitude, zeros, tie, ratio,
     f = GridFunction(values)
     if tie:
         # an exact pyramid mean: that node sits at the level and must not be selected
-        means = dyadic_means(np.abs(values))
+        heap = dyadic_pyramid(np.abs(values))
         lev = int(rng.integers(k + 1))
-        idx = int(rng.choice(np.flatnonzero(means[lev] > 0)))
-        level = float(means[lev][idx])
+        idx = int(rng.choice(np.flatnonzero(heap[1 << lev : 2 << lev] > 0)))
+        level = float(heap[(1 << lev) + idx])
     else:
         level = norm(f, 1) * 10.0**ratio
     d = assert_reference_split(f, level)

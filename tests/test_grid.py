@@ -8,13 +8,19 @@ from stablab import (
     DyadicInterval,
     GridFunction,
     GridSet,
-    dilate_interval,
     inner,
     mask,
     norm,
 )
 from oracles import identity_block, reference_dilate_interval, reference_dyadic_means
-from stablab.grid import DimensionError, dilated_cells, dyadic_means, dyadic_pyramid
+from stablab.grid import DimensionError, dilated_cells, dyadic_pyramid
+
+
+def dilated_set(q, factor, n):
+    cells = dilated_cells(q.level, q.index, factor, n)  # None is the whole circle
+    member = np.zeros(n, dtype=bool)
+    member[slice(None) if cells is None else (cells[0] + np.arange(cells[1])) % n] = True
+    return GridSet(member)
 
 
 def test_norm_constant_function():
@@ -96,19 +102,19 @@ def test_dilate_unit_factor_is_the_cube():
     for level in range(4):
         for index in range(1 << level):
             q = DyadicInterval(level, index)
-            got = dilate_interval(q, 1.0, 16)
+            got = dilated_set(q, 1.0, 16)
             want = GridSet.from_interval(q, 16)
             assert got == want
 
 
 def test_dilate_saturates_to_full_circle():
     q = DyadicInterval(2, 0)  # [0, 1/4), factor 10 -> length 10/4 >= 1
-    assert dilate_interval(q, 10.0, 8) == GridSet.full(8)
+    assert dilated_set(q, 10.0, 8) == GridSet.full(8)
 
 
 def test_dilate_wraps_and_includes_open_intersections():
     q = DyadicInterval(3, 0)  # [0, 1/8), factor 2 -> (-1/16, 3/16)
-    got = dilate_interval(q, 2.0, 8)
+    got = dilated_set(q, 2.0, 8)
     assert sorted(np.nonzero(got.membership)[0].tolist()) == [0, 1, 7]
 
 
@@ -118,7 +124,7 @@ def test_dilate_measure_bound():
         for index in range(1 << level):
             q = DyadicInterval(level, index)
             for factor in (1.0, 2.0, 3.5, 7.0, 10.0):
-                got = dilate_interval(q, factor, n).measure
+                got = dilated_set(q, factor, n).measure
                 assert got <= min(1.0, factor * q.length) + 2.0 / n + 1e-12
 
 
@@ -130,13 +136,13 @@ def test_dilate_is_the_float_interval_test_cell_for_cell():
             for index in range(1 << level):
                 q = DyadicInterval(level, index)
                 for factor in factors:
-                    assert dilate_interval(q, factor, n) == reference_dilate_interval(q, factor, n)
+                    assert dilated_set(q, factor, n) == reference_dilate_interval(q, factor, n)
     assert dilated_cells(3, 0, 2.0, 8) == (7, 3)
     assert dilated_cells(2, 0, 10.0, 8) is None
     with pytest.raises(ValueError, match="finer than a grid"):
         dilated_cells(4, 0, 2.0, 8)
     with pytest.raises(ValueError, match="factor must be >= 1"):
-        dilate_interval(DyadicInterval(0, 0), 0.5, 8)
+        dilated_cells(0, 0, 0.5, 8)
 
 
 def test_nesting_law_exhaustive_levels_to_six():
@@ -210,10 +216,10 @@ def test_dyadic_means_are_the_per_level_pyramid_bit_for_bit(k):
             rng.standard_normal((n, 3)) * magnitude,
             identity_block(n, magnitude),
         ):
-            got, want = dyadic_means(values), reference_dyadic_means(values)
+            heap, want = dyadic_pyramid(values), reference_dyadic_means(values)
+            got = [heap[1 << l : 2 << l] for l in range(k + 1)]
             assert [m.shape for m in got] == [m.shape for m in want]
             assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
-            heap = dyadic_pyramid(values)
             # entry 2^l + j is means[l][j]; entry 0 names no interval
             assert heap[1:].tobytes() == np.concatenate(want).tobytes()
             assert not heap[0].any()

@@ -238,6 +238,21 @@ def test_verify_nesting_law_can_fail(monkeypatch):
     assert broken["suites"]["grid"]["failed"][0].startswith("nesting:")
 
 
+def test_verify_dilation_bound_can_fail(monkeypatch):
+    # one more cell on each side of every dilation passes the measure bound of the small cubes
+    real = harness.dilated_cells
+
+    def wider(*args):
+        cells = real(*args)
+        return None if cells is None else (cells[0] - 1, cells[1] + 2)
+
+    monkeypatch.setattr(harness, "dilated_cells", wider)
+    broken = verify_all(small_config())
+    assert not broken["ok"]
+    assert broken["suites"]["grid"]["failures"] > 0
+    assert all(name.startswith("dilate:") for name in broken["suites"]["grid"]["failed"])
+
+
 def test_library_runs_without_scipy():
     # the library needs numpy alone; scipy is test equipment (tests/oracles.py)
     code = """
@@ -396,6 +411,9 @@ def test_cli_dual_support_mode(tmp_path):
         ("report --outdir {path}", "[]", "File exists"),
         # a constant beyond the doubles: the search's start norm(f, p) / s overflows
         ("dual --n 8 --input {path} --s 1e-10", "[1e300, 0, 2e299, 0, 0, 5e299, 0, 1e299]", "norm(f, p) / s overflows"),
+        # an empty corpus has no function to take by default
+        *((f"{command} --config {{path}}", '{"n": 8, "corpus": {"spikes": 0, "steps": 0, "smooth": 0, "mixture": 0}}',
+           "corpus is empty: give the function with --input") for command in ("distance", "cz", "construct", "redecompose", "dual")),
     ],
     ids=[
         "unknown-config-key", "cz-trials-key", "probe-trials-key", "dilation-key", "s-log-key", "three-values", "nan", "missing-file",
@@ -406,7 +424,8 @@ def test_cli_dual_support_mode(tmp_path):
         "redecompose-level-underflow", "mask-fraction-and-two", "mask-strings", "mask-negative",
         "zero-s-min", "s-max-below-min", "zero-s-count", "zero-dual-tol", "negative-dual-s", "negative-per-family",
         "negative-seed", "string-seed", "fractional-count", "operators-string", "float-n", "no-dual-operators",
-        "out-missing-dir", "outdir-is-a-file", "dual-constant-overflow",
+        "out-missing-dir", "outdir-is-a-file", "dual-constant-overflow", "empty-corpus-distance", "empty-corpus-cz",
+        "empty-corpus-construct", "empty-corpus-redecompose", "empty-corpus-dual",
     ],
 )
 def test_cli_bad_input_is_a_one_line_error(tmp_path, argv, text, message):
