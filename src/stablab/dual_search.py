@@ -19,20 +19,26 @@ stop as stagnant.  The smallest workable c is then located by bisection,
 which is sound because the constraint sets are nested in c, over the
 bracket that the verdicts and the weak-duality bounds below certify.
 
-The graph projection has a closed form.  For every operator kind, T T*
-is the orthogonal projection onto the complement of ker T*, so
-(I + T T*)^{-1} = (I + Pi) / 2 with Pi the projection onto ker T*: the
-constants, plus the alternating top Fourier mode for ``hilbert``.  The
-projection of (v, w) is then (u + Pi u) / 2 with partner T* u / 2, where
-u = v + T w.  T and T* are applied as dense matvecs up to n = DENSE_MAX_N
-and by the operators' own transforms above it.  The dense T* belongs to the
-operator, not to the instance: it is built once per operator and shared,
-read-only, by every instance and call on it.  The iteration runs on
-preallocated stacked buffers, each of length 2n and holding a (v, w) pair:
-the iterate, the box displacements and the graph projection.  The box
-bounds are stacked the same way once per call, so the clamp, the step and
-its size are one numpy call each.  Outside the matvecs, the p-ball
-projection, the support mask and the checks on every fifth iteration, the
+The graph projection has a closed form.  For every operator kind,
+T*T = T T* = I - Pi, with Pi the orthogonal projection onto ker T*: the
+constants, plus the alternating top Fourier mode for ``hilbert``, so that Pi
+is the mean, or for ``hilbert`` the mean over the even and over the odd
+cells.  Hence (I + T T*)^{-1} = (I + Pi) / 2, Pi T = 0 and T* Pi = 0, and the
+projection of (v, w) is ((v + Pi v + T w) / 2, (w - Pi w + T* v) / 2).  It
+needs T w and T* v only, which are independent, and T w is -T* w for
+``hilbert`` and T* w for the self-adjoint kinds: each step applies T* once,
+to both rows of the stacked (v, w).  T* is a dense gemm up to
+n = DENSE_MAX_N, and above it one two-row FFT for ``hilbert`` and one Haar
+pyramid per row.  The dense T* belongs to the operator, not to the
+instance: it is built once per operator and shared, read-only, by every
+instance and call on it.  The iteration runs on preallocated stacked
+buffers, each of length 2n and holding a (v, w) pair: the iterate, the box
+displacements and the graph projection.  The box bounds are stacked the
+same way once per call, so the step and its size are one numpy call each,
+and the spread of the displacements is three dot products.  At p = 2 with
+no support the p-ball projection is a radial scaling, whose factor and
+displacement size come from v.v.  Outside T*, the p-ball projection at
+other p, the support mask and the checks on every fifth iteration, the
 loop allocates nothing.  Each instance settles once the unit the search
 computes in: 1 unless norm(f, inf) lies outside [2^-400, 2^400], and beyond
 that the power of two that brings norm(f, inf) into [0.5, 1).  No square,
@@ -69,8 +75,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
-from typing import Callable
+from functools import lru_cache
 
 import numpy as np
 
@@ -99,11 +104,13 @@ MAX_ITER = 10000
 _ABS_DUST = 1e-12
 # relaxation of the extrapolated parallel-projection step, inside (0, 2)
 EXTRAPOLATION = 1.9
-# T and T* are dense matvecs up to this n and transforms above it.  Per graph
-# step on one BLAS thread, dense wins at n = 256 for both kinds, the FFT wins
-# from n = 512 and the Haar pyramid from n = 1024.  The dense T* is built once
-# per operator and kept, read-only, for the last DENSE_CACHE_SIZE operators
-# (at most 512 KB each).
+# T* is dense up to this n and a transform above it.  Per graph step, one stacked
+# T* with its combine, on one BLAS thread (2-core Xeon, best of 5 x 2,000 calls):
+# at n = 256 dense 17 us against 25 us for the FFT (hilbert) and 12-18 against
+# 55-60 us for the Haar pyramid; at n = 512 dense 59-65 us against 28-30 us for
+# the FFT, but 55-63 against 68-74 us for the pyramid, so one threshold for both
+# kinds sits at 256.  The dense T* is built once per operator and kept,
+# read-only, for the last DENSE_CACHE_SIZE operators (at most 512 KB each).
 DENSE_MAX_N = 256
 DENSE_CACHE_SIZE = 8
 
@@ -126,7 +133,11 @@ class DualInstance:
     # settled once, in __post_init__
     scale: float = field(init=False, repr=False)  # norm(f, inf), or 1 when f = 0: the size the tolerances scale with
     unit: float = field(init=False, repr=False)  # what feasible and _dual_bound multiply f and every length by
-    appliers: tuple[Callable, Callable] = field(init=False, repr=False)  # (T, T*) on raw arrays
+    dense: np.ndarray | None = field(init=False, repr=False)  # the shared read-only as_matrix(T*), None above DENSE_MAX_N
+    t_sign: float = field(init=False, repr=False)  # T = t_sign * T*: -1 for hilbert, +1 for the self-adjoint kinds
+    # Pi on the rows of a (2, n) array: the sums of each class of cells (all cells, or for hilbert
+    # the even and the odd ones) over the class size, one column per class
+    kernel: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.scale = norm(self.f, np.inf) or 1.0
@@ -136,49 +147,55 @@ class DualInstance:
         # the power of two that brings norm(f, inf) into [0.5, 1), at most 2^1023.
         in_range = 2.0**-400 <= self.scale <= 2.0**400
         self.unit = 1.0 if in_range else math.ldexp(1.0, min(-math.frexp(self.scale)[1], 1023))
-        # matvecs against the operator's shared read-only as_matrix(T*) up to
-        # DENSE_MAX_N cells; above it, the operators' own FFT or Haar transforms
         Ts = self.Tstar
-        if Ts.n <= DENSE_MAX_N:
-            M = _dense_matrix(Ts.kind, Ts.n, Ts.signs, Ts.negate)
-            self.appliers = (M.T.__matmul__, M.__matmul__)
-        else:
-            self.appliers = (partial(apply_values, adjoint(Ts)), partial(apply_values, Ts))
+        self.dense = _dense_matrix(Ts.kind, Ts.n, Ts.signs, Ts.negate) if Ts.n <= DENSE_MAX_N else None
+        classes = 2 if Ts.kind == "hilbert" else 1
+        self.t_sign = -1.0 if Ts.kind == "hilbert" else 1.0
+        self.kernel = np.zeros((Ts.n, classes))
+        for j in range(classes):
+            self.kernel[j::classes, j] = classes / Ts.n
 
     @property
     def n(self) -> int:
         return self.f.n
 
     def apply_tstar(self, x: np.ndarray) -> np.ndarray:
-        return self.appliers[1](x)
+        """T* of an array of n cells, or of each row of a (2, n) array.
 
-    def graph_step(
-        self, v: np.ndarray, w: np.ndarray, out: np.ndarray | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Exact projection of (v, w) onto the graph {(x, T*x)}, in closed form.
-
-        Returns (vg, wg), written to out[:n] and out[n:] when a buffer of
-        length 2n is given.
+        One array is always one matvec against the dense T*, or one transform,
+        so every direct check measures T*v the same way.  Two rows are one
+        gemm, one two-row FFT for hilbert, and one pyramid per row for
+        haar_transform, where a two-row pyramid is the slower.
         """
-        T, Ts = self.appliers
-        u = T(w)
-        u += v
-        n = u.size
+        M = self.dense
+        if M is not None:
+            return M @ x if x.ndim == 1 else x @ M.T
+        if x.ndim == 2 and self.Tstar.kind == "haar_transform":
+            return np.stack([apply_values(self.Tstar, row) for row in x])
+        return apply_values(self.Tstar, x.T).T
+
+    def graph_step(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Exact projection of the stacked pair x = (v, w) onto the graph {(y, T*y)}, in closed form.
+
+        As T*T = T T* = I - Pi, it is ((v + Pi v + T w) / 2, (w - Pi w + T* v) / 2),
+        with T w read as t_sign T* w: one application of T* to both rows, and
+        one reduction for Pi of both.  Written to out when a buffer of length
+        2n is given.
+        """
+        n, classes = self.kernel.shape
+        x2 = x.reshape(2, n)
+        ts = self.apply_tstar(x2)  # (T* v, T* w)
+        sums = x2 @ self.kernel
+        np.negative(sums[1], out=sums[1])  # (Pi v, -Pi w), one value per class of cells
         if out is None:
             out = np.empty(2 * n)
-        vg, wg = out[:n], out[n:]
-        # add the kernel part of u: its mean, plus its alternating top mode for hilbert
-        m = u.sum() / n
-        if self.Tstar.kind == "hilbert":
-            even, odd = u[0::2], u[1::2]
-            top = 0.5 * (even.sum() / even.size - odd.sum() / odd.size)
-            np.add(even, m + top, out=vg[0::2])
-            np.add(odd, m - top, out=vg[1::2])
-        else:
-            np.add(u, m, out=vg)
-        vg *= 0.5
-        np.multiply(Ts(u), 0.5, out=wg)
-        return vg, wg
+        np.add(x.reshape(2, -1, classes), sums[:, None, :], out=out.reshape(2, -1, classes))
+        if self.t_sign < 0.0:
+            np.negative(ts[1], out=ts[1])
+        out2 = out.reshape(2, n)
+        out2 += ts[::-1]  # (T w, T* v)
+        out *= 0.5
+        return out
 
 
 @lru_cache(maxsize=DENSE_CACHE_SIZE)
@@ -370,7 +387,7 @@ def _dual_bound(inst: DualInstance, a: np.ndarray, b: np.ndarray) -> float:
     come in.
     """
     n, unit = a.size, inst.unit
-    z = a + inst.appliers[0](b)
+    z = a + inst.t_sign * inst.apply_tstar(b)
     pairing = abs(float(z @ (unit * inst.f.values))) / n
     if inst.support is not None:
         z[~inst.support.membership] = 0.0
@@ -428,7 +445,11 @@ def feasible(
     x, box, graph, lo, hi = np.empty((5, 2 * n))
     v, w = x[:n], x[n:]
     p2, p3 = box[:n], box[n:]
-    vg, wg = graph[:n], graph[n:]
+    vg = graph[:n]
+    # at p = 2 with no support the p-ball projection scales v, by a factor read off v.v:
+    # the unit keeps every square in the normal range
+    radial = inst.p == 2.0 and sup_mask is None
+    d1 = np.empty(n)
     np.multiply(inst.v0.values if x0 is None else x0, unit, out=v)
     if w0 is None:
         w[:] = inst.apply_tstar(v)
@@ -458,7 +479,7 @@ def feasible(
     best_res = math.inf
     best_iter = 0
     for k in range(1, MAX_ITER + 1):
-        inst.graph_step(v, w, out=graph)
+        inst.graph_step(x, out=graph)
         # the box displacements p2 - v and p3 - w, which are also the box normals
         np.minimum(np.maximum(x, lo, out=box), hi, out=box)
         box -= x
@@ -477,16 +498,25 @@ def feasible(
             if bound > c_accept:
                 return FeasibilityOutcome("infeasible", None, k, best_bound)
 
-        # the displacements d_i to the p-ball (p1 - v, 0), the f-box (p2 - v, 0),
+        # the displacements d_i to the p-ball (d1, 0), the f-box (p2 - v, 0),
         # the T*-box (0, p3 - w) and the graph (vg - v, wg - w)
-        d1 = project_lp_ball(v if sup_mask is None else np.where(sup_mask, v, 0.0), bound_p, inst.p)
-        d1 -= v
+        if radial:
+            # the ball's projection is (1 + alpha) v, so d1 = alpha v and |d1|^2 = alpha^2 v.v
+            vv = float(v @ v)
+            size = math.sqrt(vv / n)
+            alpha = bound_p / size - 1.0 if size > bound_p else 0.0
+            d1_sq = alpha * alpha * vv
+            np.multiply(v, alpha, out=d1)
+        else:
+            d1 = project_lp_ball(v if sup_mask is None else np.where(sup_mask, v, 0.0), bound_p, inst.p)
+            d1 -= v
+            d1_sq = float(d1 @ d1)
         graph -= x
-        spread = float(d1 @ d1 + p2 @ p2 + p3 @ p3 + vg @ vg + wg @ wg)  # 4 mean |d_i|^2
-        # (dv, dw) = (d1 + p2 + vg, p3 + wg) in box; p2 += d1 gives d1 + p2 bit for bit
+        spread = d1_sq + float(box @ box) + float(graph @ graph)  # 4 mean |d_i|^2
+        # (dv, dw) = (d1 + p2 + vg, p3 + wg) in box
         p2 += d1
         box += graph
-        mean_sq = float(p2 @ p2 + p3 @ p3)  # 16 |d|^2, with d = (dv, dw) / 4
+        mean_sq = float(box @ box)  # 16 |d|^2, with d = (dv, dw) / 4
         # EXTRAPOLATION * L * d = EXTRAPOLATION * (spread / mean_sq) * (dv, dw)
         step = EXTRAPOLATION * spread / mean_sq if mean_sq > 0.0 else 0.0
         box *= step
@@ -508,8 +538,10 @@ def min_constant(inst: DualInstance, tol: float = 1e-2) -> DualResult:
 
     The upper end hi starts at the directly-certified witness v = f, so the
     geometric growth phase is never needed, and moves to every constant
-    with a certified witness.  The search holds the last witness a call
-    accepted, with the sizes its direct check measured and its T*v.  As the
+    with a certified witness.  The search holds a witness, with the sizes
+    its direct check measured and its T*v: first feasible's cold start,
+    measured at hi, when it passes feasible's acceptance rule there, then the
+    last witness a call accepted.  As the
     sets are nested, that witness meets the constraints at every larger
     constant: a midpoint at which its held sizes pass feasible's own
     acceptance rule (``_violation`` at most FEAS_TOL) becomes hi with no
@@ -533,7 +565,9 @@ def min_constant(inst: DualInstance, tol: float = 1e-2) -> DualResult:
     if inst.r == 0.0:
         return _finish(inst, hi, hi, inst.f, 0, flagged=False)
 
-    held: FeasibilityOutcome | None = None  # the last accepted witness, with its measured sizes and T*v
+    # the last accepted witness, with its measured sizes and T*v: first the cold start, if it passes at hi
+    res, sizes, tv = _measure(inst, hi, inst.v0.values)
+    held = FeasibilityOutcome("feasible", inst.v0, 0, 0.0, sizes, tv) if res <= FEAS_TOL else None
     lo = c_lower = 0.0
     iterations = 0
     flagged = False

@@ -17,24 +17,37 @@ when the iteration stagnates, and every outcome carries the bound 0.0.  A
 witness, and a warm start may pass T* x0 as ``w0``, as ``feasible`` takes
 it.  Like ``feasible``, it reads ``MAX_ITER`` and ``FEAS_TOL`` from
 ``stablab.dual_search`` at call time, so a test shortens both loops' budget
-by monkeypatching one name.  The library's loop must reproduce every
-"feasible" outcome of it bit for bit, and may end a call that is not
-feasible earlier.  ``reference_project_lp_ball`` is the projection's earlier
+by monkeypatching one name.  The library's loop must be feasible wherever
+it is, with a certified witness, and end no later.
+``reference_project_lp_ball`` is the projection's earlier
 direct path for p != 2: a linear bisection on the multiplier, with no
 rescaling, so it is a reference at unit scale only.
 
-``unfused_feasible`` and ``unfused_graph_step`` are verbatim copies of the
-extrapolated loop of ``feasible`` and of ``DualInstance.graph_step`` before
-the loop moved onto stacked buffers: v and w as separate arrays, fresh arrays
-for the graph projection and every update, and the step's size taken over v
-and w apart.  Like ``feasible``, ``unfused_feasible`` takes a warm ``w0`` and
+``unfused_feasible`` and ``unfused_graph_step`` restate the extrapolated
+loop of ``feasible`` and ``DualInstance.graph_step`` off the stacked
+buffers: v and w as separate arrays, fresh arrays for the graph projection
+and every update, the step's size taken over v and w apart, and the
+p = 2 ball displacement as alpha v.  Bits pin what they share with the
+library: T* of v and w and their kernel sums are taken on a fresh stacked
+copy of the pair, since a gemm row differs from a matvec in its last bits,
+and each squared length is one dot product over the parts laid end to end.
+Like ``feasible``, ``unfused_feasible`` takes a warm ``w0`` and
 returns the sizes and T*v its direct check measured.  They call the
 library's ``_measure``, ``_dual_bound`` and ``project_lp_ball`` and read its
 constants at call time.  The stacked loop must
 reproduce every outcome of them bit for bit wherever norm(f, inf) >= 1.
 
+``two_matvec_feasible`` with ``two_matvec_graph_step`` and
+``two_matvec_dual_bound``, and ``two_matvec_min_constant``, are verbatim
+copies of the search before its graph step read T w off T*: each step
+applied T to w and then T* to u = v + T w, the dual bound applied T, and
+the bisection made its first call from the cold start instead of holding
+it.  ``_two_matvec_appliers`` gives the (T, T*) pair the instance held
+then.  The library's search must reach the same c*, c_lower and status to
+1e-12 with no more iterations.
+
 ``reference_min_constant`` is a verbatim copy of ``min_constant`` before it
-held its last witness: it calls ``feasible`` at every midpoint, warm from the
+held a witness: it calls ``feasible`` at every midpoint, warm from the
 last accepted witness, and lets ``feasible`` apply T* to it again.  It calls
 the library's ``feasible``, ``_finish`` and ``norm``.  The library's search
 must reach the same c*, c_lower and status with no more iterations.
@@ -79,6 +92,7 @@ means with ``reference_dyadic_means``.
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 from scipy.optimize import minimize
@@ -96,7 +110,7 @@ from stablab import dual_search
 from stablab.dual_search import DualInstance, FeasibilityOutcome
 from stablab.cz import DILATION
 from stablab.grid import DyadicInterval, GridFunction, GridSet, norm, power_mean
-from stablab.operators import MATRIX_BLOCK, as_matrix
+from stablab.operators import MATRIX_BLOCK, adjoint, apply_values, as_matrix
 
 
 def penalty_feasible(inst: DualInstance, c: float, tol: float = 1e-6) -> bool:
@@ -147,8 +161,8 @@ def penalty_feasible(inst: DualInstance, c: float, tol: float = 1e-6) -> bool:
 
 
 def reference_graph_step(inst: DualInstance, v: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    T, Ts = inst.appliers
-    u = v + T(w)
+    Ts = inst.apply_tstar
+    u = v + inst.t_sign * Ts(w)
     ker = np.full(u.size, u.mean())
     if inst.Tstar.kind == "hilbert":
         top = 0.5 * (u[0::2].mean() - u[1::2].mean())
@@ -442,22 +456,20 @@ def reference_feasible(
 
 
 def unfused_graph_step(inst: DualInstance, v: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    T, Ts = inst.appliers
-    u = v + T(w)
-    # add the kernel part of u: its mean, plus its alternating top mode for hilbert
-    m = u.sum() / u.size
-    if inst.Tstar.kind == "hilbert":
-        even, odd = u[0::2], u[1::2]
-        top = 0.5 * (even.sum() / even.size - odd.sum() / odd.size)
-        vg = np.empty_like(u)
-        np.add(even, m + top, out=vg[0::2])
-        np.add(odd, m - top, out=vg[1::2])
-    else:
-        vg = u + m
-    vg *= 0.5
-    wg = Ts(u)
-    wg *= 0.5
+    n, classes = inst.kernel.shape
+    rows = np.stack((v, w))
+    tv, tw = inst.apply_tstar(rows)
+    sums = rows @ inst.kernel
+    # (v + Pi v + T w) / 2 and (w - Pi w + T* v) / 2, with T = t_sign T*
+    vg = (v + np.tile(sums[0], n // classes) + inst.t_sign * tw) * 0.5
+    wg = (w - np.tile(sums[1], n // classes) + tv) * 0.5
     return vg, wg
+
+
+def _sq(*parts: np.ndarray) -> float:
+    """|(parts)|^2, over the parts laid end to end."""
+    joined = np.concatenate(parts)
+    return float(joined @ joined)
 
 
 def unfused_feasible(
@@ -479,20 +491,16 @@ def unfused_feasible(
             return FeasibilityOutcome("feasible", inst.f, 0, 0.0, sizes, tv)
         return FeasibilityOutcome("infeasible", None, 0, 0.0)
 
+    n = fv.size
     bound_p = c * inst.s
     bound_f = c * inst.r
     bound_T = c * (inst.t + inst.r)
     tsf = inst.Tstar_f.values
-    # the two sup-norm boxes, and scratch for their clamps (np.clip's arithmetic on finite input)
     lo_f, hi_f = fv - bound_f, fv + bound_f
     lo_T, hi_T = tsf - bound_T, tsf + bound_T
-    p2, p3 = np.empty_like(fv), np.empty_like(tsf)
-    Ts = inst.apply_tstar
     v = inst.v0.values if x0 is None else x0
-    w = Ts(v) if w0 is None else w0
+    w = inst.apply_tstar(v) if w0 is None else w0
 
-    # _measure accepts v at c only if v meets all three constraints at c_accept, so a
-    # weak-duality bound above c_accept (with a rounding margin) rules out any later candidate
     c_accept = (1.0 + FEAS_TOL) * (c + _ABS_DUST * inst.scale / min(inst.s, inst.r, inst.t + inst.r))
     c_accept *= 1.0 + 1e-9
 
@@ -509,11 +517,8 @@ def unfused_feasible(
     best_iter = 0
     for k in range(1, MAX_ITER + 1):
         vg, wg = unfused_graph_step(inst, v, w)
-        # the box displacements p2 - v and p3 - w, which are also the box normals
-        np.minimum(np.maximum(v, lo_f, out=p2), hi_f, out=p2)
-        np.minimum(np.maximum(w, lo_T, out=p3), hi_T, out=p3)
-        p2 -= v
-        p3 -= w
+        p2 = np.minimum(np.maximum(v, lo_f), hi_f) - v
+        p3 = np.minimum(np.maximum(w, lo_T), hi_T) - w
         if k % 5 == 1:
             res, found = witness(vg, k)
             if found is not None:
@@ -523,33 +528,32 @@ def unfused_feasible(
                 best_iter = k
             elif k - best_iter > 300 and k > 400:
                 return FeasibilityOutcome("infeasible", None, k, best_bound)
-            # the box normals of the current iterate as the dual pair
             bound = _dual_bound(inst, p2, p3)
             best_bound = max(best_bound, bound)
             if bound > c_accept:
                 return FeasibilityOutcome("infeasible", None, k, best_bound)
 
-        # the displacements d_i to the p-ball (p1 - v, 0), the f-box (p2 - v, 0),
-        # the T*-box (0, p3 - w) and the graph (vg - v, wg - w), in place
-        d1 = project_lp_ball(v if sup_mask is None else np.where(sup_mask, v, 0.0), bound_p, inst.p)
-        d1 -= v
-        vg -= v
-        wg -= w
-        spread = float(d1 @ d1 + p2 @ p2 + p3 @ p3 + vg @ vg + wg @ wg)  # 4 mean |d_i|^2
-        dv = d1
-        dv += p2
-        dv += vg
-        dw = np.add(p3, wg, out=p3)
-        mean_sq = float(dv @ dv + dw @ dw)  # 16 |d|^2, with d = (dv, dw) / 4
-        # EXTRAPOLATION * L * d = EXTRAPOLATION * (spread / mean_sq) * (dv, dw)
+        if inst.p == 2.0 and sup_mask is None:
+            vv = float(v @ v)
+            size = math.sqrt(vv / n)
+            alpha = bound_p / size - 1.0 if size > bound_p else 0.0
+            d1 = v * alpha
+            d1_sq = alpha * alpha * vv
+        else:
+            d1 = project_lp_ball(v if sup_mask is None else np.where(sup_mask, v, 0.0), bound_p, inst.p) - v
+            d1_sq = float(d1 @ d1)
+        gv, gw = vg - v, wg - w
+        spread = d1_sq + _sq(p2, p3) + _sq(gv, gw)
+        dv = (p2 + d1) + gv
+        dw = p3 + gw
+        mean_sq = _sq(dv, dw)
         step = EXTRAPOLATION * spread / mean_sq if mean_sq > 0.0 else 0.0
-        dv *= step
-        dw *= step
+        dv = dv * step
+        dw = dw * step
         move = float(max(np.abs(dv).max(), np.abs(dw).max()))
         v = v + dv
         w = w + dw
         if move <= 1e-13 * inst.scale:
-            # every projection agrees at a fixed point: x itself may be the witness
             return witness(v, k)[1] or FeasibilityOutcome("infeasible", None, k, best_bound)
     return FeasibilityOutcome("inconclusive", None, MAX_ITER, best_bound)
 
@@ -587,6 +591,192 @@ def reference_min_constant(inst: DualInstance, tol: float = 1e-2) -> dual_search
         # no constant below a weak-duality bound is workable: skip the midpoints under it
         lo = max(lo, c_lower)
     return _finish(inst, hi, c_lower, best_v, iterations, flagged)
+
+
+def _two_matvec_appliers(inst: DualInstance) -> tuple:
+    """(T, T*) on raw arrays, as the instance held them: the dense T* and its transpose up to
+    DENSE_MAX_N cells, the operators' transforms above it."""
+    if inst.dense is not None:
+        return inst.dense.T.__matmul__, inst.dense.__matmul__
+    return partial(apply_values, adjoint(inst.Tstar)), partial(apply_values, inst.Tstar)
+
+
+def two_matvec_graph_step(
+    inst: DualInstance, v: np.ndarray, w: np.ndarray, out: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact projection of (v, w) onto the graph {(x, T*x)}, in closed form.
+
+    Returns (vg, wg), written to out[:n] and out[n:] when a buffer of
+    length 2n is given.
+    """
+    T, Ts = _two_matvec_appliers(inst)
+    u = T(w)
+    u += v
+    n = u.size
+    if out is None:
+        out = np.empty(2 * n)
+    vg, wg = out[:n], out[n:]
+    # add the kernel part of u: its mean, plus its alternating top mode for hilbert
+    m = u.sum() / n
+    if inst.Tstar.kind == "hilbert":
+        even, odd = u[0::2], u[1::2]
+        top = 0.5 * (even.sum() / even.size - odd.sum() / odd.size)
+        np.add(even, m + top, out=vg[0::2])
+        np.add(odd, m - top, out=vg[1::2])
+    else:
+        np.add(u, m, out=vg)
+    vg *= 0.5
+    np.multiply(Ts(u), 0.5, out=wg)
+    return vg, wg
+
+
+def two_matvec_dual_bound(inst: DualInstance, a: np.ndarray, b: np.ndarray) -> float:
+    n, unit = a.size, inst.unit
+    z = a + _two_matvec_appliers(inst)[0](b)
+    pairing = abs(float(z @ (unit * inst.f.values))) / n
+    if inst.support is not None:
+        z[~inst.support.membership] = 0.0
+    size = power_mean(np.abs(z), inst.p / (inst.p - 1.0))
+    r, t, s = unit * inst.r, unit * inst.t, unit * inst.s
+    denom = r * float(np.abs(a).sum()) / n + (t + r) * float(np.abs(b).sum()) / n + s * size
+    return pairing / denom if denom > 0.0 else 0.0
+
+
+def two_matvec_feasible(
+    inst: DualInstance, c: float, x0: np.ndarray | None = None, w0: np.ndarray | None = None
+) -> FeasibilityOutcome:
+    MAX_ITER, FEAS_TOL = dual_search.MAX_ITER, dual_search.FEAS_TOL
+    _ABS_DUST, EXTRAPOLATION = dual_search._ABS_DUST, dual_search.EXTRAPOLATION
+    _measure, project_lp_ball = dual_search._measure, dual_search.project_lp_ball
+    c = float(c)
+    if not 0 < c < math.inf:
+        raise ValueError(f"constant must be positive and finite, got {c}")
+    sup_mask = None if inst.support is None else inst.support.membership
+
+    # r = 0 pins v = f exactly; only the p-ball constraint can still bind.
+    if inst.r == 0.0:
+        res, sizes, tv = _measure(inst, c, inst.f.values)
+        if res <= FEAS_TOL:
+            return FeasibilityOutcome("feasible", inst.f, 0, 0.0, sizes, tv)
+        return FeasibilityOutcome("infeasible", None, 0, 0.0)
+
+    # the iteration runs in units of inst.unit: f, T*f, the radii and x0 are scaled by it
+    unit, n = inst.unit, inst.n
+    fv, tsf = unit * inst.f.values, unit * inst.Tstar_f.values
+    bound_p = c * (unit * inst.s)
+    bound_f = c * (unit * inst.r)
+    bound_T = c * (unit * (inst.t + inst.r))
+    # stacked (v, w) buffers: the iterate x, the box displacements, the graph
+    # projection, and the two sup-norm boxes (np.clip's arithmetic on finite input)
+    x, box, graph, lo, hi = np.empty((5, 2 * n))
+    v, w = x[:n], x[n:]
+    p2, p3 = box[:n], box[n:]
+    vg, wg = graph[:n], graph[n:]
+    np.multiply(inst.v0.values if x0 is None else x0, unit, out=v)
+    if w0 is None:
+        w[:] = inst.apply_tstar(v)
+    else:
+        np.multiply(w0, unit, out=w)
+    np.subtract(fv, bound_f, out=lo[:n])
+    np.subtract(tsf, bound_T, out=lo[n:])
+    np.add(fv, bound_f, out=hi[:n])
+    np.add(tsf, bound_T, out=hi[n:])
+    stop = 1e-13 * (inst.scale * unit)
+
+    # _measure accepts v at c only if v meets all three constraints at c_accept, so a
+    # weak-duality bound above c_accept (with a rounding margin) rules out any later candidate
+    c_accept = (1.0 + FEAS_TOL) * (c + _ABS_DUST * inst.scale / min(inst.s, inst.r, inst.t + inst.r))
+    c_accept *= 1.0 + 1e-9
+
+    def witness(y: np.ndarray, k: int) -> tuple[float, FeasibilityOutcome | None]:
+        """The direct check of y masked to E, in the caller's units: its violation,
+        and the "feasible" outcome if it passes."""
+        cand = (y if sup_mask is None else np.where(sup_mask, y, 0.0)) / unit
+        res, sizes, tv = _measure(inst, c, cand)
+        if not res <= FEAS_TOL:
+            return res, None
+        return res, FeasibilityOutcome("feasible", GridFunction(cand), k, best_bound, sizes, tv)
+
+    best_bound = 0.0
+    best_res = math.inf
+    best_iter = 0
+    for k in range(1, MAX_ITER + 1):
+        two_matvec_graph_step(inst, v, w, out=graph)
+        # the box displacements p2 - v and p3 - w, which are also the box normals
+        np.minimum(np.maximum(x, lo, out=box), hi, out=box)
+        box -= x
+        if k % 5 == 1:
+            res, found = witness(vg, k)
+            if found is not None:
+                return found
+            if res < best_res * (1.0 - 1e-3):
+                best_res = res
+                best_iter = k
+            elif k - best_iter > 300 and k > 400:
+                return FeasibilityOutcome("infeasible", None, k, best_bound)
+            # the box normals of the current iterate as the dual pair
+            bound = two_matvec_dual_bound(inst, p2, p3)
+            best_bound = max(best_bound, bound)
+            if bound > c_accept:
+                return FeasibilityOutcome("infeasible", None, k, best_bound)
+
+        # the displacements d_i to the p-ball (p1 - v, 0), the f-box (p2 - v, 0),
+        # the T*-box (0, p3 - w) and the graph (vg - v, wg - w)
+        d1 = project_lp_ball(v if sup_mask is None else np.where(sup_mask, v, 0.0), bound_p, inst.p)
+        d1 -= v
+        graph -= x
+        spread = float(d1 @ d1 + p2 @ p2 + p3 @ p3 + vg @ vg + wg @ wg)  # 4 mean |d_i|^2
+        # (dv, dw) = (d1 + p2 + vg, p3 + wg) in box; p2 += d1 gives d1 + p2 bit for bit
+        p2 += d1
+        box += graph
+        mean_sq = float(p2 @ p2 + p3 @ p3)  # 16 |d|^2, with d = (dv, dw) / 4
+        # EXTRAPOLATION * L * d = EXTRAPOLATION * (spread / mean_sq) * (dv, dw)
+        step = EXTRAPOLATION * spread / mean_sq if mean_sq > 0.0 else 0.0
+        box *= step
+        move = float(np.abs(box, out=graph).max())  # graph is free until the next step
+        x += box
+        if move <= stop:
+            # every projection agrees at a fixed point: x itself may be the witness
+            return witness(v, k)[1] or FeasibilityOutcome("infeasible", None, k, best_bound)
+    return FeasibilityOutcome("inconclusive", None, MAX_ITER, best_bound)
+
+
+def two_matvec_min_constant(inst: DualInstance, tol: float = 1e-2) -> dual_search.DualResult:
+    _violation, _finish = dual_search._violation, dual_search._finish
+    FEAS_TOL = dual_search.FEAS_TOL
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
+    hi = norm(inst.f, inst.p) / inst.s  # v = f is feasible here by direct arithmetic
+    if not math.isfinite(hi):
+        raise ValueError(f"the starting constant norm(f, p) / s overflows the doubles at s = {inst.s!r}")
+    if inst.r == 0.0:
+        return _finish(inst, hi, hi, inst.f, 0, flagged=False)
+
+    held: FeasibilityOutcome | None = None  # the last accepted witness, with its measured sizes and T*v
+    lo = c_lower = 0.0
+    iterations = 0
+    flagged = False
+    while hi - lo > tol * max(hi, 1e-12):
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # lo and hi are adjacent doubles
+            break
+        if held is not None and _violation(inst, mid, held.sizes) <= FEAS_TOL:
+            hi = mid  # feasible's own acceptance rule, on the sizes the held witness already measured
+            continue
+        x0, w0 = (None, None) if held is None else (held.v.values, held.tstar_v)
+        out = two_matvec_feasible(inst, mid, x0=x0, w0=w0)
+        iterations += out.iterations
+        c_lower = max(c_lower, out.bound * (1.0 - 1e-9))
+        if out.is_feasible:
+            hi = mid
+            held = out
+        else:
+            lo = mid
+            if out.status == "inconclusive":
+                flagged = True
+        # no constant below a weak-duality bound is workable: skip the midpoints under it
+        lo = max(lo, c_lower)
+    return _finish(inst, hi, c_lower, inst.f if held is None else held.v, iterations, flagged)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from oracles import (
     reference_feasible,
     reference_min_constant,
     reference_project_lp_ball,
+    two_matvec_min_constant,
     unfused_feasible,
 )
 from stablab import (
@@ -106,14 +107,43 @@ def test_graph_step_matches_dense_inverse(name, n):
     inst = make_instance(f, GRAPH_OPERATORS[name](n), 0.5, 2)
     M = as_matrix(inst.Tstar)
     K = np.linalg.inv(np.eye(n) + M.T @ M)
-    T, Ts = inst.appliers
     v, w, x = (rng.standard_normal(n) for _ in range(3))
-    np.testing.assert_allclose(T(x), M.T @ x, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(Ts(x), M @ x, rtol=0, atol=1e-12)
-    vg, wg = inst.graph_step(v, w)
+    np.testing.assert_allclose(inst.apply_tstar(x), M @ x, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(inst.t_sign * inst.apply_tstar(x), M.T @ x, rtol=0, atol=1e-12)
+    # two rows at once are the two rows apart
+    np.testing.assert_allclose(inst.apply_tstar(np.stack((v, w))), np.stack((M @ v, M @ w)), rtol=0, atol=1e-12)
+    vg, wg = inst.graph_step(np.concatenate((v, w))).reshape(2, n)
     vg_ref = K @ (v + M.T @ w)
     np.testing.assert_allclose(vg, vg_ref, rtol=0, atol=1e-12)
     np.testing.assert_allclose(wg, M @ vg_ref, rtol=0, atol=1e-12)
+
+
+def _kernel_projection(kind, x):
+    """Pi x, the projection onto ker T*: the mean of x, and for hilbert its mean on the even and on the odd cells."""
+    if kind != "hilbert":
+        return np.full(x.size, x.mean())
+    out = np.empty(x.size)
+    out[0::2], out[1::2] = x[0::2].mean(), x[1::2].mean()
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 8, 256, 512, 1024])
+@pytest.mark.parametrize("name", sorted(GRAPH_OPERATORS))
+def test_tstar_t_is_the_identity_less_the_kernel_projection(name, n):
+    # the graph step's identity: T*T = T T* = I - Pi, so T*T x = x - Pi x and Pi T x = 0
+    T = GRAPH_OPERATORS[name](n)
+    Ts = adjoint(T)
+    x = np.random.default_rng(n).standard_normal(n)
+    Tx = apply(T, GridFunction(x)).values
+    pi = _kernel_projection(T.kind, x)
+    np.testing.assert_allclose(apply(Ts, GridFunction(Tx)).values, x - pi, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(apply(T, apply(Ts, GridFunction(x))).values, x - pi, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(_kernel_projection(T.kind, Tx), 0.0, rtol=0, atol=1e-12)
+    # the instance holds the same Pi as its kernel columns, and T as t_sign T*
+    inst = make_instance(GridFunction(x), T, 0.5, 2)
+    sums = x @ inst.kernel
+    np.testing.assert_allclose(np.repeat(sums[None, :], n // sums.size, axis=0).ravel(), pi, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(inst.t_sign * inst.apply_tstar(x), Tx, rtol=0, atol=1e-12)
 
 
 def _mixture_instance(kind, n, with_support, p=2):
@@ -342,7 +372,7 @@ def _report_row(label, kind, s):
 def test_the_certified_bracket_drives_the_bisection(monkeypatch):
     # row 13 of the campaign, where the bounds skip most midpoints: the bisection
     # on verdicts alone spends 3,228 iterations here, mostly in stagnating calls;
-    # and row 24, where the held witness settles five midpoints without a call
+    # and row 24, where the held witness settles six midpoints without a call
     rows = [("steps:0", "haar_transform", 1.0), ("mixture:0", "hilbert", 0.5)]
     calls = []
 
@@ -359,16 +389,19 @@ def test_the_certified_bracket_drives_the_bisection(monkeypatch):
         res = min_constant(inst, tol=tol)
         assert res.status == "certified"
         lo, hi, c_lower = 0.0, norm(inst.f, inst.p) / inst.s, 0.0
-        held = None  # the last witness a call accepted
+        # the witness held: first the cold start, which passes the direct check at hi on both rows
+        violation, sizes, _ = _measure(inst, hi, inst.v0.values)
+        assert violation <= FEAS_TOL
+        held_v, held_sizes = inst.v0, sizes
         pending = iter(calls)
         while hi - max(lo, c_lower) > tol * hi:
             # the loop is still running, and evaluates the middle of the certified bracket
             low = max(lo, c_lower)
             mid = 0.5 * (low + hi)
             assert low < mid < hi
-            if held is not None and _violation(inst, mid, held.sizes) <= FEAS_TOL:
+            if _violation(inst, mid, held_sizes) <= FEAS_TOL:
                 # settled by the held witness, with no call: it passes the direct check there
-                assert certified(inst, mid, held.v)
+                assert certified(inst, mid, held_v)
                 hi = mid
                 settled += 1
                 continue
@@ -377,7 +410,7 @@ def test_the_certified_bracket_drives_the_bisection(monkeypatch):
             jumps += c_lower > lo
             if out.is_feasible:
                 hi = c
-                held = out
+                held_v, held_sizes = out.v, out.sizes
             else:
                 lo = c
             c_lower = max(c_lower, out.bound * (1 - 1e-9))
@@ -385,7 +418,7 @@ def test_the_certified_bracket_drives_the_bisection(monkeypatch):
         assert next(pending, None) is None
         assert hi - max(lo, c_lower) <= tol * hi
         assert (res.c_star, res.c_lower) == (hi, c_lower)
-        assert res.v.values.tobytes() == held.v.values.tobytes()
+        assert res.v.values.tobytes() == held_v.values.tobytes()
         assert res.c_lower <= res.c_star
         assert res.iterations <= 300
     assert jumps > 0 and settled > 0
@@ -457,6 +490,59 @@ def test_the_held_witness_keeps_the_constants_of_the_search_without_it(campaign)
         assert res.iterations <= ref.iterations
         total, ref_total = total + res.iterations, ref_total + ref.iterations
     assert total < ref_total
+
+
+@pytest.mark.parametrize("campaign", sorted(CAMPAIGNS))
+def test_the_one_tstar_step_keeps_the_constants_of_the_two_matvec_step(campaign):
+    # the search that applied T and then T* in every graph step, and made its first call cold
+    insts, tol = _campaign_instances(campaign)
+    for inst in insts:
+        res = min_constant(inst, tol=tol)
+        ref = two_matvec_min_constant(inst, tol=tol)
+        assert res.status == ref.status == "certified"
+        assert res.c_star == pytest.approx(ref.c_star, rel=1e-12, abs=0)
+        assert res.c_lower == pytest.approx(ref.c_lower, rel=1e-12, abs=0)
+        assert res.iterations <= ref.iterations
+
+
+@pytest.mark.parametrize("kind, n", [("hilbert", DENSE_MAX_N), ("haar_transform", DENSE_MAX_N), ("hilbert", 1024)])
+def test_one_stacked_tstar_application_per_iteration(kind, n, monkeypatch):
+    inst = _gaussian_instance(kind, n, False)
+    _, calls = _bisection_calls(inst, monkeypatch, tol=3e-3)
+    applied = []  # the shape of every array the instance applies T* to
+    apply_tstar = inst.apply_tstar
+
+    def counting_tstar(x):
+        applied.append(x.shape)
+        return apply_tstar(x)
+
+    checks = {"measure": 0, "bound": 0}
+
+    def counting_measure(inst_, c, v):
+        checks["measure"] += 1
+        return _measure(inst_, c, v)
+
+    def counting_bound(inst_, a, b):
+        checks["bound"] += 1
+        return _dual_bound(inst_, a, b)
+
+    monkeypatch.setattr(inst, "apply_tstar", counting_tstar)
+    monkeypatch.setattr("stablab.dual_search._measure", counting_measure)
+    monkeypatch.setattr("stablab.dual_search._dual_bound", counting_bound)
+    # warm calls of the bisection, and cold ones, where feasible forms the first T* v itself
+    iterations = 0
+    for c, x0, w0 in calls + [(c, None, None) for c, _, _ in calls[:2]]:
+        applied.clear()
+        checks.update(measure=0, bound=0)
+        out = feasible(inst, c, x0=x0, w0=w0)
+        iterations += out.iterations
+        # one application to both rows of (v, w) per iteration ...
+        assert applied.count((2, n)) == out.iterations
+        # ... and one to a single row per direct check and per dual bound, on every fifth iteration
+        assert checks["measure"] >= (out.iterations + 4) // 5
+        assert applied.count((n,)) == checks["measure"] + checks["bound"] + (w0 is None)
+        assert len(applied) == out.iterations + checks["measure"] + checks["bound"] + (w0 is None)
+    assert iterations >= 100
 
 
 def test_min_constant_ends_below_the_spacing_of_the_doubles(monkeypatch):
@@ -807,7 +893,9 @@ def test_stacked_loop_is_the_unfused_loop_bit_for_bit(kind, n, with_support, mon
     inst = _gaussian_instance(kind, n, with_support)
     assert norm(inst.f, np.inf) >= 1.0
     _, calls = _bisection_calls(inst, monkeypatch, tol=3e-3)
-    assert any(x0 is None for _, x0, _ in calls) and any(x0 is not None for _, x0, _ in calls)
+    assert any(x0 is not None for _, x0, _ in calls)
+    # min_constant holds the cold start as a witness, so the cold calls are made here
+    calls += [(c, None, None) for c, _, _ in calls[:3]]
     for c, x0, w0 in calls:
         _same_outcome(feasible(inst, c, x0=x0, w0=w0), unfused_feasible(inst, c, x0=x0, w0=w0))
 
@@ -869,7 +957,7 @@ def test_no_dense_matrix_above_dense_max_n(monkeypatch):
 def test_dense_matrix_is_shared_read_only_and_exact(kind):
     # two instances on separately built operators share one matrix
     insts = [_mixture_instance(kind, 64, with_support) for with_support in (False, True)]
-    M, M2 = (inst.appliers[1].__self__ for inst in insts)
+    M, M2 = (inst.dense for inst in insts)
     assert M is M2
     assert not M.flags.writeable
     with pytest.raises(ValueError):
