@@ -28,12 +28,18 @@ projection of (v, w) is ((v + Pi v + T w) / 2, (w - Pi w + T* v) / 2).  It
 needs T w and T* v only, which are independent, and T w is -T* w for
 ``hilbert`` and T* w for the self-adjoint kinds: each step applies T* once,
 to both rows of the stacked (v, w).  T* is a dense gemm up to
-n = DENSE_MAX_N, and above it one two-row FFT for ``hilbert`` and one Haar
-pyramid per row.  The dense T* belongs to the operator, not to the
-instance: it is built once per operator and shared, read-only, by every
-instance and call on it.  The iteration runs on preallocated stacked
-buffers, each of length 2n and holding a (v, w) pair: the iterate, the box
-displacements and the graph projection.  The box bounds are stacked the
+n = DENSE_MAX_N, and above it one two-row FFT for ``hilbert``.  The Haar
+transform is local: every h_Q on at most HAAR_BLOCK cells lives inside one
+block of HAAR_BLOCK cells, and every coarser h_Q is constant on those
+blocks.  So up to n = HAAR_TABLE_MAX_N its T* is one batched product of
+HAAR_BLOCK x HAAR_BLOCK tables per band of log2 HAAR_BLOCK dyadic levels,
+applied to the means at that band's scale, each band added into the finer
+one; above it, one Haar pyramid per row.  The dense T* and the Haar tables
+belong to the operator, not to the instance: they are built once per
+operator and shared, read-only, by every instance and call on it.  The
+iteration runs on preallocated stacked buffers, each of length 2n and
+holding a (v, w) pair: the iterate, the box displacements and the graph
+projection.  The box bounds are stacked the
 same way once per call, so the step and its size are one numpy call each,
 and the spread of the displacements is three dot products.  At p = 2 with
 no support the p-ball projection is a radial scaling, whose factor and
@@ -54,8 +60,9 @@ proof: for any pair (a, b) and z = a + T b,
     c* >= |<z, f>| / (r |a|_1 + (t+r) |b|_1 + s |chi_E z|_p'),
 
 and ``feasible`` evaluates this at the two box normals of its iterate on
-every check iteration.  A bound above the largest constant at which the
-direct check could still accept a candidate ends the call.  When no such
+every check iteration, the first time before its first step.  A bound above
+the largest constant at which the direct check could still accept a
+candidate ends the call.  When no such
 bound turns up, a run that stops improving is still called "infeasible"
 (the stagnation rule, a heuristic kept as the fallback), and a run that
 neither finds a witness, nor a bound, nor stagnates ends "inconclusive".
@@ -104,15 +111,26 @@ MAX_ITER = 10000
 _ABS_DUST = 1e-12
 # relaxation of the extrapolated parallel-projection step, inside (0, 2)
 EXTRAPOLATION = 1.9
-# T* is dense up to this n and a transform above it.  Per graph step, one stacked
-# T* with its combine, on one BLAS thread (2-core Xeon, best of 5 x 2,000 calls):
-# at n = 256 dense 17 us against 25 us for the FFT (hilbert) and 12-18 against
-# 55-60 us for the Haar pyramid; at n = 512 dense 59-65 us against 28-30 us for
-# the FFT, but 55-63 against 68-74 us for the pyramid, so one threshold for both
-# kinds sits at 256.  The dense T* is built once per operator and kept,
-# read-only, for the last DENSE_CACHE_SIZE operators (at most 512 KB each).
+# T* is dense up to this n for every kind, and a transform above it.  Per graph
+# step, one stacked T* with its combine, on one BLAS thread (2-core Xeon, best of
+# 5 x 2,000 calls).  hilbert: at n = 256 dense 17 us against 25 us for the FFT;
+# at n = 512 dense 59-65 us against 28-30 us.  haar_transform: at n = 256 dense
+# 15-17 us against 15-16 us on the Haar tables and 64-68 us on the pyramid, so
+# the dense step stays, with the default campaign's bits; at n = 512 dense
+# 61-64 us against 17-18 us on the tables; at n = 1024 the tables take 18-23 us
+# against 72-88 us on the pyramid.  The dense T* is built once per operator and
+# kept, read-only, for the last DENSE_CACHE_SIZE operators (at most 512 KB
+# each); so are the Haar tables.
 DENSE_MAX_N = 256
 DENSE_CACHE_SIZE = 8
+# cells per Haar table block: one band of tables covers log2 HAAR_BLOCK dyadic levels
+HAAR_BLOCK = 32
+# the largest n at which haar_transform's T* runs on tables; above it, one pyramid
+# per row.  One row / two rows, tables against pyramids, as above: n = 1024
+# 11-13 / 11-14 against 30-34 / 66-74 us; n = 4096 26-28 / 29 against
+# 44-48 / 90-100 us (1 MB of tables); n = 16,384 165-188 / 176-198 against
+# 79-91 / 165-204 us, where the 4 MB of tables no longer pay.
+HAAR_TABLE_MAX_N = 4096
 
 
 class SupportError(ValueError):
@@ -134,6 +152,8 @@ class DualInstance:
     scale: float = field(init=False, repr=False)  # norm(f, inf), or 1 when f = 0: the size the tolerances scale with
     unit: float = field(init=False, repr=False)  # what feasible and _dual_bound multiply f and every length by
     dense: np.ndarray | None = field(init=False, repr=False)  # the shared read-only as_matrix(T*), None above DENSE_MAX_N
+    # the shared read-only Haar tables of _haar_tables, for haar_transform above DENSE_MAX_N up to HAAR_TABLE_MAX_N
+    haar_tables: tuple[np.ndarray, ...] | None = field(init=False, repr=False)
     t_sign: float = field(init=False, repr=False)  # T = t_sign * T*: -1 for hilbert, +1 for the self-adjoint kinds
     # Pi on the rows of a (2, n) array: the sums of each class of cells (all cells, or for hilbert
     # the even and the odd ones) over the class size, one column per class
@@ -149,6 +169,8 @@ class DualInstance:
         self.unit = 1.0 if in_range else math.ldexp(1.0, min(-math.frexp(self.scale)[1], 1023))
         Ts = self.Tstar
         self.dense = _dense_matrix(Ts.kind, Ts.n, Ts.signs, Ts.negate) if Ts.n <= DENSE_MAX_N else None
+        tabled = Ts.kind == "haar_transform" and DENSE_MAX_N < Ts.n <= HAAR_TABLE_MAX_N
+        self.haar_tables = _haar_tables(Ts.n, Ts.signs, Ts.negate) if tabled else None
         classes = 2 if Ts.kind == "hilbert" else 1
         self.t_sign = -1.0 if Ts.kind == "hilbert" else 1.0
         self.kernel = np.zeros((Ts.n, classes))
@@ -164,12 +186,15 @@ class DualInstance:
 
         One array is always one matvec against the dense T*, or one transform,
         so every direct check measures T*v the same way.  Two rows are one
-        gemm, one two-row FFT for hilbert, and one pyramid per row for
-        haar_transform, where a two-row pyramid is the slower.
+        gemm, one two-row FFT for hilbert, and one batched product per band
+        of Haar tables for haar_transform, or above HAAR_TABLE_MAX_N one
+        pyramid per row, where a two-row pyramid is the slower.
         """
         M = self.dense
         if M is not None:
             return M @ x if x.ndim == 1 else x @ M.T
+        if self.haar_tables is not None:
+            return _apply_haar_tables(self.haar_tables, x)
         if x.ndim == 2 and self.Tstar.kind == "haar_transform":
             return np.stack([apply_values(self.Tstar, row) for row in x])
         return apply_values(self.Tstar, x.T).T
@@ -208,6 +233,68 @@ def _dense_matrix(kind: str, n: int, signs: tuple[int, ...] | None, negate: bool
     M = as_matrix(LinearOperatorSpec(kind, n, signs, negate))
     M.flags.writeable = False
     return M
+
+
+@lru_cache(maxsize=DENSE_CACHE_SIZE)
+def _haar_tables(n: int, signs: tuple[int, ...], negate: bool) -> tuple[np.ndarray, ...]:
+    """The Haar transform with these signs as bands of block tables, finest first, read-only.
+
+    Band j acts on the n / HAAR_BLOCK^j means over blocks of HAAR_BLOCK^j
+    cells, which are the top of the dyadic pyramid, and holds the sum over
+    the next log2 HAAR_BLOCK levels of Haar nodes above them.  Its table for
+    a block of HAAR_BLOCK means, or for the whole of the smaller top band,
+    is as_matrix of the Haar transform on that block, with the signs of the
+    block's nodes read level by level from the heap, transposed for rows
+    on the left.
+    """
+    heap_signs = np.asarray(signs)
+    tables = []
+    width = n  # the number of means the band acts on
+    while width > 1:
+        size = min(HAAR_BLOCK, width)
+        blocks = width // size
+        top, depth = width.bit_length() - 1, size.bit_length() - 1
+        # heap level L holds signs 2^L - 1 .. 2^(L+1) - 2, and a block owns 2^(L - top + depth) consecutive ones
+        levels = [heap_signs[2**L - 1 : 2 ** (L + 1) - 1].reshape(blocks, -1) for L in range(top - depth, top)]
+        band = np.empty((blocks, size, size))
+        for b in range(blocks):
+            block_signs = tuple(int(e) for level in levels for e in level[b])
+            band[b] = as_matrix(LinearOperatorSpec("haar_transform", size, block_signs, negate)).T
+        band.flags.writeable = False
+        tables.append(band)
+        width = blocks
+    return tuple(tables)
+
+
+_BLOCK_MEAN = np.full(HAAR_BLOCK, 1.0 / HAAR_BLOCK)
+_BLOCK_MEAN.flags.writeable = False
+
+
+def _apply_haar_tables(tables: tuple[np.ndarray, ...], x: np.ndarray) -> np.ndarray:
+    """The Haar transform of x, or of each row of a (2, n) x, on its bands of tables.
+
+    Each band is one batched product of its tables with the means at its
+    scale, written through a (block, row, cell) view; the means of each
+    block feed the next band, and every band is added into the finer one
+    by broadcasting over the block it is constant on.
+    """
+    rows = x.reshape(-1, x.shape[-1])
+    r = rows.shape[0]
+    means, outs = rows, []
+    for band in tables:
+        blocks, size, _ = band.shape
+        grouped = means.reshape(r, blocks, size)
+        out = np.empty((r, blocks, size))
+        np.matmul(grouped.transpose(1, 0, 2), band, out=out.transpose(1, 0, 2))
+        outs.append(out)
+        if len(outs) < len(tables):
+            means = grouped @ _BLOCK_MEAN
+    y = outs.pop()
+    while outs:
+        finer = outs.pop()
+        finer += y.reshape(r, -1, 1)
+        y = finer
+    return y.reshape(x.shape)
 
 
 @dataclass(frozen=True)
@@ -413,8 +500,12 @@ def feasible(
     always certified, and it carries the sizes that check measured with
     T* v.  A rejected candidate is followed by the weak-duality
     bound of the two box normals; a bound above every constant the direct
-    check could accept reports a certified "infeasible".  Every outcome
-    carries the largest bound the call found.  A step too small to move x
+    check could accept reports a certified "infeasible".  The first bound,
+    that of the start's box normals, is read before the first step and
+    ends the call there when it is that large, with one iteration counted;
+    otherwise it joins the others only once the first candidate is
+    rejected.  Every outcome carries the largest bound the call found.  A
+    step too small to move x
     puts x itself through the same direct check: at a fixed point every
     projection agrees and x is a witness.
     Otherwise such a run, or one that stops improving while still violated,
@@ -475,6 +566,14 @@ def feasible(
             return res, None
         return res, FeasibilityOutcome("feasible", GridFunction(cand), k, best_bound, sizes, tv)
 
+    # the bound of the start's box normals, which are those of the first iteration: when it
+    # already rules out every candidate, the call ends with no step taken
+    np.minimum(np.maximum(x, lo, out=box), hi, out=box)
+    box -= x
+    first_bound = _dual_bound(inst, p2, p3)
+    if first_bound > c_accept:
+        return FeasibilityOutcome("infeasible", None, 1, first_bound)
+
     best_bound = 0.0
     best_res = math.inf
     best_iter = 0
@@ -493,7 +592,7 @@ def feasible(
             elif k - best_iter > 300 and k > 400:
                 return FeasibilityOutcome("infeasible", None, k, best_bound)
             # the box normals of the current iterate as the dual pair
-            bound = _dual_bound(inst, p2, p3)
+            bound = first_bound if k == 1 else _dual_bound(inst, p2, p3)
             best_bound = max(best_bound, bound)
             if bound > c_accept:
                 return FeasibilityOutcome("infeasible", None, k, best_bound)

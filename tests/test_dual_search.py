@@ -37,6 +37,8 @@ from stablab import dual_search
 from stablab.dual_search import (
     DENSE_MAX_N,
     FEAS_TOL,
+    HAAR_BLOCK,
+    HAAR_TABLE_MAX_N,
     MAX_ITER,
     SupportError,
     _dual_bound,
@@ -46,7 +48,7 @@ from stablab.dual_search import (
 )
 from stablab.grid import power_mean
 from stablab.harness import default_config, generate_corpus, make_operator, run_theorem2
-from stablab.operators import adjoint, as_matrix, haar_transform, hilbert, identity_minus_mean
+from stablab.operators import adjoint, apply_values, as_matrix, haar_transform, hilbert, identity_minus_mean
 
 
 def test_make_instance_inside_ball_gives_zero_gaps():
@@ -505,7 +507,9 @@ def test_the_one_tstar_step_keeps_the_constants_of_the_two_matvec_step(campaign)
         assert res.iterations <= ref.iterations
 
 
-@pytest.mark.parametrize("kind, n", [("hilbert", DENSE_MAX_N), ("haar_transform", DENSE_MAX_N), ("hilbert", 1024)])
+@pytest.mark.parametrize(
+    "kind, n", [("hilbert", DENSE_MAX_N), ("haar_transform", DENSE_MAX_N), ("hilbert", 1024), ("haar_transform", 1024)]
+)
 def test_one_stacked_tstar_application_per_iteration(kind, n, monkeypatch):
     inst = _gaussian_instance(kind, n, False)
     _, calls = _bisection_calls(inst, monkeypatch, tol=3e-3)
@@ -530,12 +534,18 @@ def test_one_stacked_tstar_application_per_iteration(kind, n, monkeypatch):
     monkeypatch.setattr("stablab.dual_search._measure", counting_measure)
     monkeypatch.setattr("stablab.dual_search._dual_bound", counting_bound)
     # warm calls of the bisection, and cold ones, where feasible forms the first T* v itself
-    iterations = 0
+    iterations = first_bound_ends = 0
     for c, x0, w0 in calls + [(c, None, None) for c, _, _ in calls[:2]]:
         applied.clear()
         checks.update(measure=0, bound=0)
         out = feasible(inst, c, x0=x0, w0=w0)
         iterations += out.iterations
+        if (out.status, out.iterations) == ("infeasible", 1):
+            # ended on the start's dual bound: no step and no direct check
+            first_bound_ends += 1
+            assert checks == {"measure": 0, "bound": 1}
+            assert applied == [(n,)] * (1 + (w0 is None))
+            continue
         # one application to both rows of (v, w) per iteration ...
         assert applied.count((2, n)) == out.iterations
         # ... and one to a single row per direct check and per dual bound, on every fifth iteration
@@ -543,6 +553,7 @@ def test_one_stacked_tstar_application_per_iteration(kind, n, monkeypatch):
         assert applied.count((n,)) == checks["measure"] + checks["bound"] + (w0 is None)
         assert len(applied) == out.iterations + checks["measure"] + checks["bound"] + (w0 is None)
     assert iterations >= 100
+    assert first_bound_ends >= 2
 
 
 def test_min_constant_ends_below_the_spacing_of_the_doubles(monkeypatch):
@@ -900,6 +911,23 @@ def test_stacked_loop_is_the_unfused_loop_bit_for_bit(kind, n, with_support, mon
         _same_outcome(feasible(inst, c, x0=x0, w0=w0), unfused_feasible(inst, c, x0=x0, w0=w0))
 
 
+@pytest.mark.parametrize("with_support", [False, True])
+@pytest.mark.parametrize("kind", ["hilbert", "haar_transform"])
+def test_stacked_loop_is_the_unfused_loop_on_the_transform_paths(kind, with_support, monkeypatch):
+    # n = 1024: the two-row FFT and the Haar tables, and calls that end on the start's dual bound,
+    # which the stacked loop reads before its first step and the unfused one after it
+    inst = _gaussian_instance(kind, 1024, with_support)
+    assert inst.dense is None
+    _, calls = _bisection_calls(inst, monkeypatch, tol=3e-3)
+    calls += [(c, None, None) for c, _, _ in calls[:3]]
+    first_bound_ends = 0
+    for c, x0, w0 in calls:
+        out = feasible(inst, c, x0=x0, w0=w0)
+        _same_outcome(out, unfused_feasible(inst, c, x0=x0, w0=w0))
+        first_bound_ends += (out.status, out.iterations) == ("infeasible", 1)
+    assert first_bound_ends >= 2
+
+
 def test_stacked_loop_is_the_unfused_loop_at_p3(monkeypatch):
     inst = _gaussian_instance("hilbert", 8, False, p=3)
     hi = norm(inst.f, inst.p) / inst.s
@@ -929,6 +957,7 @@ def _counting_as_matrix(monkeypatch):
 
 def _clear_dense_caches():
     dual_search._dense_matrix.cache_clear()
+    dual_search._haar_tables.cache_clear()
 
 
 def test_dense_matrix_is_built_once_per_operator(monkeypatch):
@@ -963,6 +992,62 @@ def test_dense_matrix_is_shared_read_only_and_exact(kind):
     with pytest.raises(ValueError):
         M[0, 0] = 1.0
     assert M.tobytes() == as_matrix(insts[0].Tstar).tobytes()
+
+
+@pytest.mark.parametrize("n", [512, 1024, 2048, HAAR_TABLE_MAX_N])
+def test_haar_tables_are_the_pyramid(n):
+    # against apply_values' pyramid, one row and both rows; at n = 2048 the top band holds two means
+    rng = np.random.default_rng(n)
+    inst = make_instance(GridFunction(rng.standard_normal(n)), haar_transform(n, rng.choice([-1, 1], n - 1)), 1.0, 2)
+    assert inst.dense is None
+    widths = [band.shape[0] * band.shape[1] for band in inst.haar_tables]
+    assert widths == [n // HAAR_BLOCK**j for j in range(len(widths))]
+    assert inst.haar_tables[-1].shape[0] == 1
+    x = rng.standard_normal((2, n)) * 1e3
+    for y in (x[0], x):
+        got = inst.apply_tstar(y)
+        assert got.shape == y.shape
+        want = apply_values(inst.Tstar, y.T).T
+        assert np.abs(got - want).max() <= 8 * np.finfo(float).eps * np.abs(y).max()
+
+
+def test_haar_tables_run_only_between_the_dense_and_the_table_limits():
+    sizes = (DENSE_MAX_N, 2 * DENSE_MAX_N, HAAR_TABLE_MAX_N, 2 * HAAR_TABLE_MAX_N)
+    insts = [_mixture_instance("haar_transform", n, False) for n in sizes]
+    assert [inst.haar_tables is not None for inst in insts] == [False, True, True, False]
+    assert _mixture_instance("hilbert", 2 * DENSE_MAX_N, False).haar_tables is None
+
+
+def test_haar_tables_are_built_once_per_operator(monkeypatch):
+    built = _counting_as_matrix(monkeypatch)
+    cfg = default_config(**CAMPAIGNS["n1024"])
+    run_theorem2(cfg)
+    # one build, for the campaign's one haar_transform operator: its 32 blocks of 32 cells and its top band of 32 means
+    assert dual_search._haar_tables.cache_info().misses == 1
+    assert [T.n for T in built] == [HAAR_BLOCK] * 33
+    _clear_dense_caches()
+
+
+def test_haar_tables_are_shared_read_only_and_exact():
+    n = 1024
+    signs = np.random.default_rng(5).choice([-1, 1], n - 1)
+    # two instances on separately built operators share one set of tables
+    insts = [make_instance(GridFunction(np.arange(n) % 7.0), haar_transform(n, signs), 1.0, 2) for _ in range(2)]
+    tables, tables2 = (inst.haar_tables for inst in insts)
+    assert tables is tables2
+    fine, top = tables
+    assert fine.shape == (n // HAAR_BLOCK, HAAR_BLOCK, HAAR_BLOCK) and top.shape == (1, HAAR_BLOCK, HAAR_BLOCK)
+    for band in tables:
+        assert not band.flags.writeable
+        with pytest.raises(ValueError):
+            band[0, 0, 0] = 1.0
+    # the top band is the transform on the 32 coarse means, with the heap's first 31 signs
+    assert top[0].tobytes() == as_matrix(haar_transform(HAAR_BLOCK, signs[: HAAR_BLOCK - 1])).T.tobytes()
+    # block b of the fine band owns 2^l nodes of heap level 5 + l, from heap index 2^(5 + l) + b 2^l
+    for b in (0, 13, n // HAAR_BLOCK - 1):
+        own = [signs[2 ** (5 + l) - 1 + b * 2**l :][: 2**l] for l in range(5)]
+        block = haar_transform(HAAR_BLOCK, np.concatenate(own))
+        assert fine[b].tobytes() == as_matrix(block).T.tobytes()
 
 
 SCALE_CASES = [
