@@ -34,13 +34,14 @@ block of HAAR_BLOCK cells, and every coarser h_Q is constant on those
 blocks.  So up to n = HAAR_TABLE_MAX_N its T* is one batched product of
 HAAR_BLOCK x HAAR_BLOCK tables per band of log2 HAAR_BLOCK dyadic levels,
 applied to the means at that band's scale, each band added into the finer
-one; above it, one Haar pyramid per row.  The dense T* and the Haar tables
-belong to the operator, not to the instance: they are built once per
-operator and shared, read-only, by every instance and call on it.  The
-iteration runs on preallocated stacked buffers, each of length 2n and
-holding a (v, w) pair: the iterate, the box displacements and the graph
-projection.  The box bounds are stacked the
-same way once per call, so the step and its size are one numpy call each,
+one; above it, one Haar pyramid per row.  Each band's tables come from one
+transform of a comb of HAAR_BLOCK columns.  Which T* runs belongs to the
+operator, not to the instance or the call: its applier, with the dense T*
+or the tables it holds, is built once per operator and shared, read-only,
+by every instance and call on it.  The iteration runs on preallocated
+stacked buffers, each of length 2n and holding a (v, w) pair: the iterate,
+the box displacements and the graph projection.  The box bounds are stacked
+the same way once per call, so the step and its size are one numpy call each,
 and the spread of the displacements is three dot products.  At p = 2 with
 no support the p-ball projection is a radial scaling, whose factor and
 displacement size come from v.v.  Outside T*, the p-ball projection at
@@ -82,13 +83,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
 from .distance import dist_linf_to_lp_ball
 from .grid import DimensionError, GridFunction, GridSet, inner, mask, norm, power_mean
-from .operators import LinearOperatorSpec, adjoint, apply, apply_values, as_matrix
+from .operators import LinearOperatorSpec, _apply_haar, adjoint, apply, apply_values, as_matrix
 
 __all__ = [
     "DualInstance",
@@ -118,9 +119,9 @@ EXTRAPOLATION = 1.9
 # 15-17 us against 15-16 us on the Haar tables and 64-68 us on the pyramid, so
 # the dense step stays, with the default campaign's bits; at n = 512 dense
 # 61-64 us against 17-18 us on the tables; at n = 1024 the tables take 18-23 us
-# against 72-88 us on the pyramid.  The dense T* is built once per operator and
-# kept, read-only, for the last DENSE_CACHE_SIZE operators (at most 512 KB
-# each); so are the Haar tables.
+# against 72-88 us on the pyramid.  The T* applier is built once per operator and
+# kept for the last DENSE_CACHE_SIZE operators, with its read-only dense T* (at
+# most 512 KB) or Haar tables.
 DENSE_MAX_N = 256
 DENSE_CACHE_SIZE = 8
 # cells per Haar table block: one band of tables covers log2 HAAR_BLOCK dyadic levels
@@ -151,9 +152,8 @@ class DualInstance:
     # settled once, in __post_init__
     scale: float = field(init=False, repr=False)  # norm(f, inf), or 1 when f = 0: the size the tolerances scale with
     unit: float = field(init=False, repr=False)  # what feasible and _dual_bound multiply f and every length by
-    dense: np.ndarray | None = field(init=False, repr=False)  # the shared read-only as_matrix(T*), None above DENSE_MAX_N
-    # the shared read-only Haar tables of _haar_tables, for haar_transform above DENSE_MAX_N up to HAAR_TABLE_MAX_N
-    haar_tables: tuple[np.ndarray, ...] | None = field(init=False, repr=False)
+    # T* of an array of n cells, or of each row of a (2, n) array: the shared applier of _tstar_applier
+    apply_tstar: partial = field(init=False, repr=False)
     t_sign: float = field(init=False, repr=False)  # T = t_sign * T*: -1 for hilbert, +1 for the self-adjoint kinds
     # Pi on the rows of a (2, n) array: the sums of each class of cells (all cells, or for hilbert
     # the even and the odd ones) over the class size, one column per class
@@ -168,9 +168,7 @@ class DualInstance:
         in_range = 2.0**-400 <= self.scale <= 2.0**400
         self.unit = 1.0 if in_range else math.ldexp(1.0, min(-math.frexp(self.scale)[1], 1023))
         Ts = self.Tstar
-        self.dense = _dense_matrix(Ts.kind, Ts.n, Ts.signs, Ts.negate) if Ts.n <= DENSE_MAX_N else None
-        tabled = Ts.kind == "haar_transform" and DENSE_MAX_N < Ts.n <= HAAR_TABLE_MAX_N
-        self.haar_tables = _haar_tables(Ts.n, Ts.signs, Ts.negate) if tabled else None
+        self.apply_tstar = _tstar_applier(Ts.kind, Ts.n, Ts.signs, Ts.negate)
         classes = 2 if Ts.kind == "hilbert" else 1
         self.t_sign = -1.0 if Ts.kind == "hilbert" else 1.0
         self.kernel = np.zeros((Ts.n, classes))
@@ -180,24 +178,6 @@ class DualInstance:
     @property
     def n(self) -> int:
         return self.f.n
-
-    def apply_tstar(self, x: np.ndarray) -> np.ndarray:
-        """T* of an array of n cells, or of each row of a (2, n) array.
-
-        One array is always one matvec against the dense T*, or one transform,
-        so every direct check measures T*v the same way.  Two rows are one
-        gemm, one two-row FFT for hilbert, and one batched product per band
-        of Haar tables for haar_transform, or above HAAR_TABLE_MAX_N one
-        pyramid per row, where a two-row pyramid is the slower.
-        """
-        M = self.dense
-        if M is not None:
-            return M @ x if x.ndim == 1 else x @ M.T
-        if self.haar_tables is not None:
-            return _apply_haar_tables(self.haar_tables, x)
-        if x.ndim == 2 and self.Tstar.kind == "haar_transform":
-            return np.stack([apply_values(self.Tstar, row) for row in x])
-        return apply_values(self.Tstar, x.T).T
 
     def graph_step(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Exact projection of the stacked pair x = (v, w) onto the graph {(y, T*y)}, in closed form.
@@ -224,44 +204,58 @@ class DualInstance:
 
 
 @lru_cache(maxsize=DENSE_CACHE_SIZE)
-def _dense_matrix(kind: str, n: int, signs: tuple[int, ...] | None, negate: bool) -> np.ndarray:
-    """as_matrix of the operator with these defining fields, read-only.
+def _tstar_applier(kind: str, n: int, signs: tuple[int, ...] | None, negate: bool) -> partial:
+    """T* of an array of n cells, or of each row of a (2, n) array, for the operator with these fields.
 
     Keyed by the fields rather than the spec: specs compare by identity, and
-    adjoint builds a fresh hilbert spec on every call.
+    adjoint builds a fresh hilbert spec on every call.  One array is always
+    one matvec or one transform, so every direct check measures T*v the same
+    way; two rows are one gemm, one two-row transform, one product per band
+    of Haar tables, or one Haar pyramid per row, a two-row pyramid being the slower.
     """
-    M = as_matrix(LinearOperatorSpec(kind, n, signs, negate))
-    M.flags.writeable = False
-    return M
+    Ts = LinearOperatorSpec(kind, n, signs, negate)
+    if n <= DENSE_MAX_N:
+        M = as_matrix(Ts)
+        M.flags.writeable = False
+        return partial(_apply_dense, M)
+    if kind != "haar_transform":
+        return partial(_apply_columns, Ts)
+    return partial(_apply_haar_tables, _haar_tables(Ts)) if n <= HAAR_TABLE_MAX_N else partial(_apply_rows, Ts)
 
 
-@lru_cache(maxsize=DENSE_CACHE_SIZE)
-def _haar_tables(n: int, signs: tuple[int, ...], negate: bool) -> tuple[np.ndarray, ...]:
-    """The Haar transform with these signs as bands of block tables, finest first, read-only.
+def _apply_dense(M: np.ndarray, x: np.ndarray) -> np.ndarray:
+    return M @ x if x.ndim == 1 else x @ M.T
+
+
+def _apply_columns(T: LinearOperatorSpec, x: np.ndarray) -> np.ndarray:
+    return apply_values(T, x.T).T
+
+
+def _apply_rows(T: LinearOperatorSpec, x: np.ndarray) -> np.ndarray:
+    return apply_values(T, x) if x.ndim == 1 else np.stack([apply_values(T, row) for row in x])
+
+
+def _haar_tables(T: LinearOperatorSpec) -> tuple[np.ndarray, ...]:
+    """The Haar transform T as bands of block tables, finest first, read-only.
 
     Band j acts on the n / HAAR_BLOCK^j means over blocks of HAAR_BLOCK^j
-    cells, which are the top of the dyadic pyramid, and holds the sum over
-    the next log2 HAAR_BLOCK levels of Haar nodes above them.  Its table for
-    a block of HAAR_BLOCK means, or for the whole of the smaller top band,
-    is as_matrix of the Haar transform on that block, with the signs of the
-    block's nodes read level by level from the heap, transposed for rows
-    on the left.
+    cells, the top of the dyadic pyramid, whose own heap is the heap's first
+    nodes, and holds the next log2 HAAR_BLOCK levels of nodes above them.  It
+    is one transform of a comb, column c a 1 at cell c of every block, with
+    the signs of the nodes above the blocks at 0, which add exactly 0.0: so
+    each block's rows are as_matrix of its own transform, bit for bit,
+    transposed here for rows on the left.
     """
-    heap_signs = np.asarray(signs)
     tables = []
-    width = n  # the number of means the band acts on
+    width = T.n  # the number of means the band acts on
     while width > 1:
         size = min(HAAR_BLOCK, width)
         blocks = width // size
-        top, depth = width.bit_length() - 1, size.bit_length() - 1
-        # heap level L holds signs 2^L - 1 .. 2^(L+1) - 2, and a block owns 2^(L - top + depth) consecutive ones
-        levels = [heap_signs[2**L - 1 : 2 ** (L + 1) - 1].reshape(blocks, -1) for L in range(top - depth, top)]
-        band = np.empty((blocks, size, size))
-        for b in range(blocks):
-            block_signs = tuple(int(e) for level in levels for e in level[b])
-            band[b] = as_matrix(LinearOperatorSpec("haar_transform", size, block_signs, negate)).T
-        band.flags.writeable = False
-        tables.append(band)
+        signs = T.sign_values[: width - 1].copy()
+        signs[: blocks - 1] = 0.0
+        comb = _apply_haar(np.tile(np.eye(size), (blocks, 1)), signs).reshape(blocks, size, size)
+        tables.append(np.ascontiguousarray((-comb if T.negate else comb).transpose(0, 2, 1)))
+        tables[-1].flags.writeable = False
         width = blocks
     return tuple(tables)
 
@@ -451,11 +445,6 @@ def _measure(inst: DualInstance, c: float, v: np.ndarray) -> tuple[float, tuple[
     if inst.support is not None and float(np.abs(v[~inst.support.membership]).max(initial=0.0)) > 0.0:
         return math.inf, sizes, tv
     return _violation(inst, c, sizes), sizes, tv
-
-
-def certified(inst: DualInstance, c: float, v: GridFunction) -> bool:
-    """Direct, solver-independent constraint check at constant c * (1 + FEAS_TOL)."""
-    return _measure(inst, c * (1.0 + FEAS_TOL), v.values)[0] <= 0.0
 
 
 def _dual_bound(inst: DualInstance, a: np.ndarray, b: np.ndarray) -> float:
@@ -662,7 +651,7 @@ def min_constant(inst: DualInstance, tol: float = 1e-2) -> DualResult:
     if not math.isfinite(hi):
         raise ValueError(f"the starting constant norm(f, p) / s overflows the doubles at s = {inst.s!r}")
     if inst.r == 0.0:
-        return _finish(inst, hi, hi, inst.f, 0, flagged=False)
+        return _finish(inst, hi, hi, None, 0, flagged=False)
 
     # the last accepted witness, with its measured sizes and T*v: first the cold start, if it passes at hi
     res, sizes, tv = _measure(inst, hi, inst.v0.values)
@@ -690,13 +679,16 @@ def min_constant(inst: DualInstance, tol: float = 1e-2) -> DualResult:
                 flagged = True
         # no constant below a weak-duality bound is workable: skip the midpoints under it
         lo = max(lo, c_lower)
-    return _finish(inst, hi, c_lower, inst.f if held is None else held.v, iterations, flagged)
+    return _finish(inst, hi, c_lower, held, iterations, flagged)
 
 
 def _finish(
-    inst: DualInstance, c_star: float, c_lower: float, v: GridFunction, iterations: int, flagged: bool
+    inst: DualInstance, c_star: float, c_lower: float, held: FeasibilityOutcome | None, iterations: int, flagged: bool
 ) -> DualResult:
-    violation, (size_p, dev_f, dev_T), _ = _measure(inst, c_star * (1.0 + FEAS_TOL), v.values)
+    """The result on the held witness's measured sizes, or on v = f, measured here, when none is held."""
+    v, sizes = (inst.f, _measure(inst, c_star, inst.f.values)[1]) if held is None else (held.v, held.sizes)
+    size_p, dev_f, dev_T = sizes
+    violation = _violation(inst, c_star * (1.0 + FEAS_TOL), sizes)
     denom_T = inst.t + inst.r
     return DualResult(
         c_star=c_star,

@@ -130,10 +130,6 @@ class DyadicInterval:
     def right(self) -> float:
         return (self.index + 1) * self.length
 
-    @property
-    def center(self) -> float:
-        return (self.index + 0.5) * self.length
-
     def cell_slice(self, n: int) -> slice:
         """Half-open cell index range [start, stop) on a grid of n cells."""
         per = n >> self.level
@@ -183,10 +179,6 @@ class GridSet:
 
     def complement(self) -> "GridSet":
         return GridSet(~self.membership)
-
-    @classmethod
-    def full(cls, n: int) -> "GridSet":
-        return cls(np.ones(n, dtype=bool))
 
     @classmethod
     def from_interval(cls, interval: DyadicInterval, n: int) -> "GridSet":

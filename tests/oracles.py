@@ -7,7 +7,9 @@ lattice for n <= 3 and a generic convex program (SLSQP) for n <= 8.
 The feasibility oracle is a quadratic-penalty descent: minimize the summed
 squared constraint violations over the support coordinates with a
 derivative-free simplex method from several starts.  It shares no code
-with the projection-based solver it is used to cross-examine.
+with the projection-based solver it is used to cross-examine.  ``certified``
+is the direct check at c * (1 + FEAS_TOL), on a fresh ``_measure`` of the
+witness, that the library's result reports.
 
 ``reference_feasible`` is the averaged-projection loop of ``feasible`` in
 its earlier, allocation-heavy form (``np.mean``, ``np.full``, ``np.clip``,
@@ -43,13 +45,14 @@ copies of the search before its graph step read T w off T*: each step
 applied T to w and then T* to u = v + T w, the dual bound applied T, and
 the bisection made its first call from the cold start instead of holding
 it.  ``_two_matvec_appliers`` gives the (T, T*) pair the instance held
-then.  The library's search must reach the same c*, c_lower and status to
+then, the dense one from a fresh ``as_matrix``.  The library's search must reach the same c*, c_lower and status to
 1e-12 with no more iterations.
 
 ``reference_min_constant`` is a verbatim copy of ``min_constant`` before it
 held a witness: it calls ``feasible`` at every midpoint, warm from the
 last accepted witness, and lets ``feasible`` apply T* to it again.  It calls
-the library's ``feasible``, ``_finish`` and ``norm``.  The library's search
+the library's ``feasible``, ``_finish`` and ``norm``, and hands ``_finish``
+the last accepted outcome, whose measured sizes it reads.  The library's search
 must reach the same c*, c_lower and status with no more iterations.
 
 ``reference_dist_l1_to_lp_ball`` and ``reference_dist_linf_to_lp_ball`` are
@@ -92,7 +95,7 @@ means with ``reference_dyadic_means``.
 from __future__ import annotations
 
 import math
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 from scipy.optimize import minimize
@@ -110,7 +113,13 @@ from stablab import dual_search
 from stablab.dual_search import DualInstance, FeasibilityOutcome
 from stablab.cz import DILATION
 from stablab.grid import DyadicInterval, GridFunction, GridSet, norm, power_mean
-from stablab.operators import MATRIX_BLOCK, adjoint, apply_values, as_matrix
+from stablab.operators import MATRIX_BLOCK, LinearOperatorSpec, adjoint, apply_values, as_matrix
+
+
+def certified(inst: DualInstance, c: float, v: GridFunction) -> bool:
+    """Direct, solver-independent constraint check at constant c * (1 + FEAS_TOL), on a fresh
+    ``_measure`` of v: the check ``min_constant`` reports as its status."""
+    return dual_search._measure(inst, c * (1.0 + dual_search.FEAS_TOL), v.values)[0] <= 0.0
 
 
 def penalty_feasible(inst: DualInstance, c: float, tol: float = 1e-6) -> bool:
@@ -326,9 +335,10 @@ def reference_dilate_interval(Q: DyadicInterval, factor: float, n: int) -> GridS
         raise ValueError(f"dilation factor must be >= 1, got {factor}")
     length = factor * Q.length
     if length >= 1.0:
-        return GridSet.full(n)
-    lo = Q.center - length / 2.0
-    hi = Q.center + length / 2.0
+        return GridSet(np.ones(n, dtype=bool))
+    center = (Q.index + 0.5) * Q.length
+    lo = center - length / 2.0
+    hi = center + length / 2.0
     edges = np.arange(n + 1) / n
     starts, stops = edges[:-1], edges[1:]
     member = np.zeros(n, dtype=bool)
@@ -566,9 +576,9 @@ def reference_min_constant(inst: DualInstance, tol: float = 1e-2) -> dual_search
     if not math.isfinite(hi):
         raise ValueError(f"the starting constant norm(f, p) / s overflows the doubles at s = {inst.s!r}")
     if inst.r == 0.0:
-        return _finish(inst, hi, hi, inst.f, 0, flagged=False)
+        return _finish(inst, hi, hi, None, 0, flagged=False)
 
-    best_v = inst.f
+    best: FeasibilityOutcome | None = None
     lo = c_lower = 0.0
     iterations = 0
     flagged = False
@@ -582,7 +592,7 @@ def reference_min_constant(inst: DualInstance, tol: float = 1e-2) -> dual_search
         c_lower = max(c_lower, out.bound * (1.0 - 1e-9))
         if out.is_feasible:
             hi = mid
-            best_v = out.v
+            best = out
             warm = out.v.values
         else:
             lo = mid
@@ -590,15 +600,23 @@ def reference_min_constant(inst: DualInstance, tol: float = 1e-2) -> dual_search
                 flagged = True
         # no constant below a weak-duality bound is workable: skip the midpoints under it
         lo = max(lo, c_lower)
-    return _finish(inst, hi, c_lower, best_v, iterations, flagged)
+    return _finish(inst, hi, c_lower, best, iterations, flagged)
 
 
 def _two_matvec_appliers(inst: DualInstance) -> tuple:
     """(T, T*) on raw arrays, as the instance held them: the dense T* and its transpose up to
     DENSE_MAX_N cells, the operators' transforms above it."""
-    if inst.dense is not None:
-        return inst.dense.T.__matmul__, inst.dense.__matmul__
-    return partial(apply_values, adjoint(inst.Tstar)), partial(apply_values, inst.Tstar)
+    Ts = inst.Tstar
+    if Ts.n <= dual_search.DENSE_MAX_N:
+        M = _dense_tstar(Ts.kind, Ts.n, Ts.signs, Ts.negate)
+        return M.T.__matmul__, M.__matmul__
+    return partial(apply_values, adjoint(Ts)), partial(apply_values, Ts)
+
+
+@lru_cache(maxsize=8)
+def _dense_tstar(kind: str, n: int, signs: tuple[int, ...] | None, negate: bool) -> np.ndarray:
+    """as_matrix of the operator with these fields: the bits of the dense T* the instance held."""
+    return as_matrix(LinearOperatorSpec(kind, n, signs, negate))
 
 
 def two_matvec_graph_step(
@@ -750,7 +768,7 @@ def two_matvec_min_constant(inst: DualInstance, tol: float = 1e-2) -> dual_searc
     if not math.isfinite(hi):
         raise ValueError(f"the starting constant norm(f, p) / s overflows the doubles at s = {inst.s!r}")
     if inst.r == 0.0:
-        return _finish(inst, hi, hi, inst.f, 0, flagged=False)
+        return _finish(inst, hi, hi, None, 0, flagged=False)
 
     held: FeasibilityOutcome | None = None  # the last accepted witness, with its measured sizes and T*v
     lo = c_lower = 0.0
@@ -776,7 +794,7 @@ def two_matvec_min_constant(inst: DualInstance, tol: float = 1e-2) -> dual_searc
                 flagged = True
         # no constant below a weak-duality bound is workable: skip the midpoints under it
         lo = max(lo, c_lower)
-    return _finish(inst, hi, c_lower, inst.f if held is None else held.v, iterations, flagged)
+    return _finish(inst, hi, c_lower, held, iterations, flagged)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from oracles import brute_force_distance, penalty_feasible
+from oracles import brute_force_distance, certified, penalty_feasible
 from stablab import (
     DyadicInterval,
     GridFunction,
@@ -33,7 +33,6 @@ from stablab import (
     norm,
     verify_cz,
 )
-from stablab.dual_search import certified
 from stablab.harness import default_config, generate_corpus, make_operator
 from stablab.operators import adjoint, hilbert, nyquist_free
 from stablab.stability import DEGENERATE_TOL

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    certified,
     penalty_feasible,
     reference_feasible,
     reference_min_constant,
@@ -42,13 +43,21 @@ from stablab.dual_search import (
     MAX_ITER,
     SupportError,
     _dual_bound,
+    _haar_tables,
     _measure,
     _violation,
-    certified,
 )
 from stablab.grid import power_mean
 from stablab.harness import default_config, generate_corpus, make_operator, run_theorem2
-from stablab.operators import adjoint, apply_values, as_matrix, haar_transform, hilbert, identity_minus_mean
+from stablab.operators import (
+    LinearOperatorSpec,
+    adjoint,
+    apply_values,
+    as_matrix,
+    haar_transform,
+    hilbert,
+    identity_minus_mean,
+)
 
 
 def test_make_instance_inside_ball_gives_zero_gaps():
@@ -917,7 +926,7 @@ def test_stacked_loop_is_the_unfused_loop_on_the_transform_paths(kind, with_supp
     # n = 1024: the two-row FFT and the Haar tables, and calls that end on the start's dual bound,
     # which the stacked loop reads before its first step and the unfused one after it
     inst = _gaussian_instance(kind, 1024, with_support)
-    assert inst.dense is None
+    assert inst.apply_tstar.func in (dual_search._apply_columns, dual_search._apply_haar_tables)
     _, calls = _bisection_calls(inst, monkeypatch, tol=3e-3)
     calls += [(c, None, None) for c, _, _ in calls[:3]]
     first_bound_ends = 0
@@ -951,13 +960,8 @@ def _counting_as_matrix(monkeypatch):
         return as_matrix(T)
 
     monkeypatch.setattr("stablab.dual_search.as_matrix", counting)
-    _clear_dense_caches()
+    dual_search._tstar_applier.cache_clear()
     return built
-
-
-def _clear_dense_caches():
-    dual_search._dense_matrix.cache_clear()
-    dual_search._haar_tables.cache_clear()
 
 
 def test_dense_matrix_is_built_once_per_operator(monkeypatch):
@@ -965,7 +969,8 @@ def test_dense_matrix_is_built_once_per_operator(monkeypatch):
     cfg = default_config()
     run_theorem2(cfg)
     assert len(built) == len(cfg.dual_operators) == 2
-    _clear_dense_caches()
+    assert dual_search._tstar_applier.cache_info().misses == 2
+    dual_search._tstar_applier.cache_clear()
 
 
 def test_every_report_instance_computes_in_unit_one():
@@ -984,14 +989,20 @@ def test_no_dense_matrix_above_dense_max_n(monkeypatch):
 
 @pytest.mark.parametrize("kind", ["hilbert", "haar_transform", "identity_minus_mean"])
 def test_dense_matrix_is_shared_read_only_and_exact(kind):
-    # two instances on separately built operators share one matrix
+    # two instances on separately built operators share one applier, and so one matrix
     insts = [_mixture_instance(kind, 64, with_support) for with_support in (False, True)]
-    M, M2 = (inst.dense for inst in insts)
-    assert M is M2
+    assert insts[0].apply_tstar is insts[1].apply_tstar
+    assert insts[0].apply_tstar.func is dual_search._apply_dense
+    (M,) = insts[0].apply_tstar.args
     assert not M.flags.writeable
     with pytest.raises(ValueError):
         M[0, 0] = 1.0
     assert M.tobytes() == as_matrix(insts[0].Tstar).tobytes()
+
+
+def _tables(inst):
+    assert inst.apply_tstar.func is dual_search._apply_haar_tables
+    return inst.apply_tstar.args[0]
 
 
 @pytest.mark.parametrize("n", [512, 1024, 2048, HAAR_TABLE_MAX_N])
@@ -999,10 +1010,10 @@ def test_haar_tables_are_the_pyramid(n):
     # against apply_values' pyramid, one row and both rows; at n = 2048 the top band holds two means
     rng = np.random.default_rng(n)
     inst = make_instance(GridFunction(rng.standard_normal(n)), haar_transform(n, rng.choice([-1, 1], n - 1)), 1.0, 2)
-    assert inst.dense is None
-    widths = [band.shape[0] * band.shape[1] for band in inst.haar_tables]
+    tables = _tables(inst)
+    widths = [band.shape[0] * band.shape[1] for band in tables]
     assert widths == [n // HAAR_BLOCK**j for j in range(len(widths))]
-    assert inst.haar_tables[-1].shape[0] == 1
+    assert tables[-1].shape[0] == 1
     x = rng.standard_normal((2, n)) * 1e3
     for y in (x[0], x):
         got = inst.apply_tstar(y)
@@ -1014,27 +1025,37 @@ def test_haar_tables_are_the_pyramid(n):
 def test_haar_tables_run_only_between_the_dense_and_the_table_limits():
     sizes = (DENSE_MAX_N, 2 * DENSE_MAX_N, HAAR_TABLE_MAX_N, 2 * HAAR_TABLE_MAX_N)
     insts = [_mixture_instance("haar_transform", n, False) for n in sizes]
-    assert [inst.haar_tables is not None for inst in insts] == [False, True, True, False]
-    assert _mixture_instance("hilbert", 2 * DENSE_MAX_N, False).haar_tables is None
+    tables, dense, rows = dual_search._apply_haar_tables, dual_search._apply_dense, dual_search._apply_rows
+    assert [inst.apply_tstar.func for inst in insts] == [dense, tables, tables, rows]
+    for kind in ("hilbert", "identity_minus_mean"):
+        assert _mixture_instance(kind, 2 * DENSE_MAX_N, False).apply_tstar.func is dual_search._apply_columns
 
 
 def test_haar_tables_are_built_once_per_operator(monkeypatch):
     built = _counting_as_matrix(monkeypatch)
+    table_builds = []
+
+    def counting_tables(T):
+        table_builds.append(T.n)
+        return _haar_tables(T)
+
+    monkeypatch.setattr("stablab.dual_search._haar_tables", counting_tables)
     cfg = default_config(**CAMPAIGNS["n1024"])
     run_theorem2(cfg)
-    # one build, for the campaign's one haar_transform operator: its 32 blocks of 32 cells and its top band of 32 means
-    assert dual_search._haar_tables.cache_info().misses == 1
-    assert [T.n for T in built] == [HAAR_BLOCK] * 33
-    _clear_dense_caches()
+    # one applier per operator, and one table build, for the campaign's one haar_transform operator, with no as_matrix
+    assert dual_search._tstar_applier.cache_info().misses == len(cfg.dual_operators) == 2
+    assert table_builds == [1024]
+    assert built == []
+    dual_search._tstar_applier.cache_clear()
 
 
 def test_haar_tables_are_shared_read_only_and_exact():
     n = 1024
     signs = np.random.default_rng(5).choice([-1, 1], n - 1)
-    # two instances on separately built operators share one set of tables
+    # two instances on separately built operators share one applier, and so one set of tables
     insts = [make_instance(GridFunction(np.arange(n) % 7.0), haar_transform(n, signs), 1.0, 2) for _ in range(2)]
-    tables, tables2 = (inst.haar_tables for inst in insts)
-    assert tables is tables2
+    assert insts[0].apply_tstar is insts[1].apply_tstar
+    tables = _tables(insts[0])
     fine, top = tables
     assert fine.shape == (n // HAAR_BLOCK, HAAR_BLOCK, HAAR_BLOCK) and top.shape == (1, HAAR_BLOCK, HAAR_BLOCK)
     for band in tables:
@@ -1048,6 +1069,28 @@ def test_haar_tables_are_shared_read_only_and_exact():
         own = [signs[2 ** (5 + l) - 1 + b * 2**l :][: 2**l] for l in range(5)]
         block = haar_transform(HAAR_BLOCK, np.concatenate(own))
         assert fine[b].tobytes() == as_matrix(block).T.tobytes()
+
+
+@pytest.mark.parametrize("negate", [False, True])
+@pytest.mark.parametrize("n", [512, 1024, 2048, HAAR_TABLE_MAX_N])
+def test_every_haar_table_is_the_block_as_matrix(n, negate):
+    # each band is one transform of a comb; every table must keep the bits of as_matrix of its own block
+    signs = tuple(int(e) for e in np.random.default_rng(n + negate).choice([-1, 1], n - 1))
+    tables = _haar_tables(LinearOperatorSpec("haar_transform", n, signs, negate))
+    width = n  # the number of means the band acts on
+    for band in tables:
+        size = min(HAAR_BLOCK, width)
+        blocks = width // size
+        assert band.shape == (blocks, size, size) and band.flags.c_contiguous
+        top, depth = width.bit_length() - 1, size.bit_length() - 1
+        for b in range(blocks):
+            # block b owns 2^l consecutive nodes of heap level top - depth + l, from heap node 2^(top - depth + l) + b 2^l,
+            # whose sign is entry 2^(top - depth + l) - 1 + b 2^l
+            own = [signs[2 ** (top - depth + l) - 1 + b * 2**l :][: 2**l] for l in range(depth)]
+            block = LinearOperatorSpec("haar_transform", size, tuple(e for level in own for e in level), negate)
+            assert band[b].tobytes() == as_matrix(block).T.tobytes()
+        width = blocks
+    assert width == 1
 
 
 SCALE_CASES = [

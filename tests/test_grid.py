@@ -90,12 +90,12 @@ def test_grid_function_immutable():
 
 def test_mask_identity_zero_and_selection():
     f = GridFunction([1.0, 2.0])
-    assert mask(f, GridSet.full(2)) == f
+    assert mask(f, GridSet([True] * 2)) == f
     assert mask(f, GridSet([False, False])) == GridFunction.zeros(2)
     picked = mask(f, GridSet([False, True]))
     assert picked == GridFunction([0.0, 2.0])
     with pytest.raises(DimensionError):
-        mask(f, GridSet.full(4))
+        mask(f, GridSet([True] * 4))
 
 
 def test_dilate_unit_factor_is_the_cube():
@@ -109,7 +109,7 @@ def test_dilate_unit_factor_is_the_cube():
 
 def test_dilate_saturates_to_full_circle():
     q = DyadicInterval(2, 0)  # [0, 1/4), factor 10 -> length 10/4 >= 1
-    assert dilated_set(q, 10.0, 8) == GridSet.full(8)
+    assert dilated_set(q, 10.0, 8) == GridSet([True] * 8)
 
 
 def test_dilate_wraps_and_includes_open_intersections():
@@ -202,7 +202,7 @@ def test_grid_set_measure_and_ops():
     E = GridSet([True, False, False, True])
     assert E.measure == 0.5
     assert E.complement().measure == 0.5
-    assert GridSet(E.membership | E.complement().membership) == GridSet.full(4)
+    assert GridSet(E.membership | E.complement().membership) == GridSet([True] * 4)
 
 
 @pytest.mark.parametrize("k", range(1, 15))
