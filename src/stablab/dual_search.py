@@ -31,18 +31,18 @@ to both rows of the stacked (v, w).  T* is a dense gemm up to
 n = DENSE_MAX_N, and above it one two-row FFT for ``hilbert``.  The Haar
 transform is local: every h_Q on at most HAAR_BLOCK cells lives inside one
 block of HAAR_BLOCK cells, and every coarser h_Q is constant on those
-blocks.  So up to n = HAAR_TABLE_MAX_N its T* is one batched product of
+blocks.  So above DENSE_MAX_N its T* is one batched product of
 HAAR_BLOCK x HAAR_BLOCK tables per band of log2 HAAR_BLOCK dyadic levels,
 applied to the means at that band's scale, each band added into the finer
-one; above it, one Haar pyramid per row.  Each band's tables come from one
-transform of a comb of HAAR_BLOCK columns.  Which T* runs belongs to the
-operator, not to the instance or the call: its applier, with the dense T*
-or the tables it holds, is built once per operator and shared, read-only,
-by every instance and call on it.  The iteration runs on preallocated
-stacked buffers, each of length 2n and holding a (v, w) pair: the iterate,
-the box displacements and the graph projection.  The box bounds are stacked
-the same way once per call, so the step and its size are one numpy call each,
-and the spread of the displacements is three dot products.  At p = 2 with
+one.  Each band's tables come from one transform of a comb of HAAR_BLOCK
+columns.  Which T* runs belongs to the operator, not to the instance or the
+call: its applier, with the dense T* or the tables it holds, is built once
+per operator and shared, read-only, by every instance and call on it.  The
+iteration runs on preallocated stacked buffers, each of length 2n and
+holding a (v, w) pair: the iterate, the box displacements and the graph
+projection.  The box bounds are stacked the same way once per call, so the
+step and its size are one numpy call each, and the spread of the
+displacements is three dot products.  At p = 2 with
 no support the p-ball projection is a radial scaling, whose factor and
 displacement size come from v.v.  Outside T*, the p-ball projection at
 other p, the support mask and the checks on every fifth iteration, the
@@ -121,17 +121,12 @@ EXTRAPOLATION = 1.9
 # 61-64 us against 17-18 us on the tables; at n = 1024 the tables take 18-23 us
 # against 72-88 us on the pyramid.  The T* applier is built once per operator and
 # kept for the last DENSE_CACHE_SIZE operators, with its read-only dense T* (at
-# most 512 KB) or Haar tables.
+# most 512 KB) or Haar tables (32 doubles per cell in the finest band, and 1/32
+# of the band below in each coarser one: 4.3 MB at n = 16,384).
 DENSE_MAX_N = 256
 DENSE_CACHE_SIZE = 8
 # cells per Haar table block: one band of tables covers log2 HAAR_BLOCK dyadic levels
 HAAR_BLOCK = 32
-# the largest n at which haar_transform's T* runs on tables; above it, one pyramid
-# per row.  One row / two rows, tables against pyramids, as above: n = 1024
-# 11-13 / 11-14 against 30-34 / 66-74 us; n = 4096 26-28 / 29 against
-# 44-48 / 90-100 us (1 MB of tables); n = 16,384 165-188 / 176-198 against
-# 79-91 / 165-204 us, where the 4 MB of tables no longer pay.
-HAAR_TABLE_MAX_N = 4096
 
 
 class SupportError(ValueError):
@@ -179,21 +174,18 @@ class DualInstance:
     def n(self) -> int:
         return self.f.n
 
-    def graph_step(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def graph_step(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Exact projection of the stacked pair x = (v, w) onto the graph {(y, T*y)}, in closed form.
 
         As T*T = T T* = I - Pi, it is ((v + Pi v + T w) / 2, (w - Pi w + T* v) / 2),
         with T w read as t_sign T* w: one application of T* to both rows, and
-        one reduction for Pi of both.  Written to out when a buffer of length
-        2n is given.
+        one reduction for Pi of both.  Written to out, a buffer of length 2n.
         """
         n, classes = self.kernel.shape
         x2 = x.reshape(2, n)
         ts = self.apply_tstar(x2)  # (T* v, T* w)
         sums = x2 @ self.kernel
         np.negative(sums[1], out=sums[1])  # (Pi v, -Pi w), one value per class of cells
-        if out is None:
-            out = np.empty(2 * n)
         np.add(x.reshape(2, -1, classes), sums[:, None, :], out=out.reshape(2, -1, classes))
         if self.t_sign < 0.0:
             np.negative(ts[1], out=ts[1])
@@ -210,17 +202,17 @@ def _tstar_applier(kind: str, n: int, signs: tuple[int, ...] | None, negate: boo
     Keyed by the fields rather than the spec: specs compare by identity, and
     adjoint builds a fresh hilbert spec on every call.  One array is always
     one matvec or one transform, so every direct check measures T*v the same
-    way; two rows are one gemm, one two-row transform, one product per band
-    of Haar tables, or one Haar pyramid per row, a two-row pyramid being the slower.
+    way; two rows are one gemm, one two-row transform, or one product per
+    band of Haar tables.
     """
     Ts = LinearOperatorSpec(kind, n, signs, negate)
     if n <= DENSE_MAX_N:
         M = as_matrix(Ts)
         M.flags.writeable = False
         return partial(_apply_dense, M)
-    if kind != "haar_transform":
-        return partial(_apply_columns, Ts)
-    return partial(_apply_haar_tables, _haar_tables(Ts)) if n <= HAAR_TABLE_MAX_N else partial(_apply_rows, Ts)
+    if kind == "haar_transform":
+        return partial(_apply_haar_tables, _haar_tables(Ts))
+    return partial(_apply_columns, Ts)
 
 
 def _apply_dense(M: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -229,10 +221,6 @@ def _apply_dense(M: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def _apply_columns(T: LinearOperatorSpec, x: np.ndarray) -> np.ndarray:
     return apply_values(T, x.T).T
-
-
-def _apply_rows(T: LinearOperatorSpec, x: np.ndarray) -> np.ndarray:
-    return apply_values(T, x) if x.ndim == 1 else np.stack([apply_values(T, row) for row in x])
 
 
 def _haar_tables(T: LinearOperatorSpec) -> tuple[np.ndarray, ...]:

@@ -20,6 +20,7 @@ near-minimizer bookkeeping disappears.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -95,19 +96,21 @@ class RedecompositionReport:
 def _split_at_level(u0: GridFunction, a: float, b: float, p: float) -> tuple[float, CzDecomposition, bool]:
     """Split u0 at lam with lam^(p-1) a = b^p, in units of b so b^p is never formed.
 
-    Returns (lam, split, degenerate).  No mass (a <= DEGENERATE_TOL) or no
-    ball part (b = 0) leaves no level: lam = 0, all of u0 is good and the
-    split is degenerate, as is one that selects the root cube.
+    Returns (lam, split, degenerate).  No mass (a <= DEGENERATE_TOL), no
+    ball part (b = 0) or a level beyond the doubles leaves no level: lam = 0,
+    all of u0 is good, as at any level above max |u0|, and the split is
+    degenerate.  So is a split that selects the root cube, as a level that
+    underflows to 0 does; lam then reads 0 too.
     """
-    if a <= DEGENERATE_TOL or b == 0.0:
-        empty = GridSet(np.zeros(u0.n, dtype=bool))
-        return 0.0, CzDecomposition(0.0, (), u0, GridFunction.zeros(u0.n), empty), True
-    try:
-        lam = b * (b / a) ** (1.0 / (p - 1.0))
-    except OverflowError:  # lam beyond the doubles: cz_decompose rejects it as it does an underflowed 0
-        lam = np.inf
-    d = cz_decompose(u0, lam)
-    return lam, d, d.root_selected
+    if a > DEGENERATE_TOL and b > 0.0:
+        with np.errstate(over="ignore"):  # a level beyond the doubles reads inf
+            lam = float(b * np.float64(b / a) ** (1.0 / (p - 1.0)))
+        if lam < np.inf:
+            # a level that underflows to 0 lies, as the least double does, below every positive mean of |u0|
+            d = cz_decompose(u0, lam or math.ulp(0.0))
+            return lam, d, d.root_selected
+    empty = GridSet(np.zeros(u0.n, dtype=bool))
+    return 0.0, CzDecomposition(0.0, (), u0, GridFunction.zeros(u0.n), empty), True
 
 
 def _guarded_ratio(numer: float, denom: float) -> tuple[float, bool]:

@@ -39,7 +39,6 @@ from stablab.dual_search import (
     DENSE_MAX_N,
     FEAS_TOL,
     HAAR_BLOCK,
-    HAAR_TABLE_MAX_N,
     MAX_ITER,
     SupportError,
     _dual_bound,
@@ -123,7 +122,7 @@ def test_graph_step_matches_dense_inverse(name, n):
     np.testing.assert_allclose(inst.t_sign * inst.apply_tstar(x), M.T @ x, rtol=0, atol=1e-12)
     # two rows at once are the two rows apart
     np.testing.assert_allclose(inst.apply_tstar(np.stack((v, w))), np.stack((M @ v, M @ w)), rtol=0, atol=1e-12)
-    vg, wg = inst.graph_step(np.concatenate((v, w))).reshape(2, n)
+    vg, wg = inst.graph_step(np.concatenate((v, w)), out=np.empty(2 * n)).reshape(2, n)
     vg_ref = K @ (v + M.T @ w)
     np.testing.assert_allclose(vg, vg_ref, rtol=0, atol=1e-12)
     np.testing.assert_allclose(wg, M @ vg_ref, rtol=0, atol=1e-12)
@@ -1005,7 +1004,7 @@ def _tables(inst):
     return inst.apply_tstar.args[0]
 
 
-@pytest.mark.parametrize("n", [512, 1024, 2048, HAAR_TABLE_MAX_N])
+@pytest.mark.parametrize("n", [512, 1024, 2048, 4096, 8192, 16384])
 def test_haar_tables_are_the_pyramid(n):
     # against apply_values' pyramid, one row and both rows; at n = 2048 the top band holds two means
     rng = np.random.default_rng(n)
@@ -1014,6 +1013,10 @@ def test_haar_tables_are_the_pyramid(n):
     widths = [band.shape[0] * band.shape[1] for band in tables]
     assert widths == [n // HAAR_BLOCK**j for j in range(len(widths))]
     assert tables[-1].shape[0] == 1
+    # what the applier cache keeps: HAAR_BLOCK doubles per cell in the finest band, each coarser band
+    # 1/HAAR_BLOCK of the one below, so less than HAAR_BLOCK / (HAAR_BLOCK - 1) of that in all
+    assert tables[0].size == HAAR_BLOCK * n
+    assert sum(band.size for band in tables) * (HAAR_BLOCK - 1) < HAAR_BLOCK * HAAR_BLOCK * n
     x = rng.standard_normal((2, n)) * 1e3
     for y in (x[0], x):
         got = inst.apply_tstar(y)
@@ -1022,11 +1025,11 @@ def test_haar_tables_are_the_pyramid(n):
         assert np.abs(got - want).max() <= 8 * np.finfo(float).eps * np.abs(y).max()
 
 
-def test_haar_tables_run_only_between_the_dense_and_the_table_limits():
-    sizes = (DENSE_MAX_N, 2 * DENSE_MAX_N, HAAR_TABLE_MAX_N, 2 * HAAR_TABLE_MAX_N)
+def test_haar_tables_run_at_every_size_above_the_dense_limit():
+    sizes = (DENSE_MAX_N, 2 * DENSE_MAX_N, 4096, 8192, 16384)
     insts = [_mixture_instance("haar_transform", n, False) for n in sizes]
-    tables, dense, rows = dual_search._apply_haar_tables, dual_search._apply_dense, dual_search._apply_rows
-    assert [inst.apply_tstar.func for inst in insts] == [dense, tables, tables, rows]
+    tables, dense = dual_search._apply_haar_tables, dual_search._apply_dense
+    assert [inst.apply_tstar.func for inst in insts] == [dense, tables, tables, tables, tables]
     for kind in ("hilbert", "identity_minus_mean"):
         assert _mixture_instance(kind, 2 * DENSE_MAX_N, False).apply_tstar.func is dual_search._apply_columns
 
@@ -1072,7 +1075,7 @@ def test_haar_tables_are_shared_read_only_and_exact():
 
 
 @pytest.mark.parametrize("negate", [False, True])
-@pytest.mark.parametrize("n", [512, 1024, 2048, HAAR_TABLE_MAX_N])
+@pytest.mark.parametrize("n", [512, 1024, 2048, 4096, 8192, 16384])
 def test_every_haar_table_is_the_block_as_matrix(n, negate):
     # each band is one transform of a comb; every table must keep the bits of as_matrix of its own block
     signs = tuple(int(e) for e in np.random.default_rng(n + negate).choice([-1, 1], n - 1))

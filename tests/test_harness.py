@@ -386,9 +386,6 @@ def test_cli_dual_support_mode(tmp_path):
         ("construct --s inf", None, "ball radius must be positive and finite, got inf"),
         ("cz --level inf", None, "decomposition level must be positive and finite, got inf"),
         ("dual --tol inf", None, "dual.tol must be positive and finite, got inf"),
-        # a split level below the doubles: b * (b/a)^(1/(p-1)) is about 1e-400
-        ("construct --n 8 --s 1e-200", None, "decomposition level must be positive and finite, got 0.0"),
-        ("redecompose --s 1e-200", None, "decomposition level must be positive and finite, got 0.0"),
         # a set holds only 0 and 1 (or false and true)
         ("dual --n 8 --support {path}", "[0.5, 2, 0, 1, 0, 0, 0, 0]", "a set must be a JSON array of 0/1 values"),
         ("dual --n 8 --support {path}", '["x", "", "y", "", 0, 0, 0, 0]', "a set must be a JSON array of 0/1 values"),
@@ -420,8 +417,8 @@ def test_cli_dual_support_mode(tmp_path):
         "negative-radius", "zero-tol", "zero-level", "nan-radius",
         "report-mask", "redecompose-grid", "dual-mask-grid", "json-object", "input-strings-and-bools",
         "input-integer-overflow", "infinite-radius",
-        "distance-infinite-radius", "construct-infinite-radius", "infinite-level", "infinite-tol", "level-underflow",
-        "redecompose-level-underflow", "mask-fraction-and-two", "mask-strings", "mask-negative",
+        "distance-infinite-radius", "construct-infinite-radius", "infinite-level", "infinite-tol",
+        "mask-fraction-and-two", "mask-strings", "mask-negative",
         "zero-s-min", "s-max-below-min", "zero-s-count", "zero-dual-tol", "negative-dual-s", "negative-per-family",
         "negative-seed", "string-seed", "fractional-count", "operators-string", "float-n", "no-dual-operators",
         "out-missing-dir", "outdir-is-a-file", "dual-constant-overflow", "empty-corpus-distance", "empty-corpus-cz",
@@ -485,14 +482,24 @@ def test_cli_redecompose_bytes():
     )
 
 
+# the steps:1 draw of the default corpus at n = 8
+STEPS_1_N8 = [-1.3159245957027639] * 4 + [0.6840754042972362] * 4
+
+
 @pytest.mark.parametrize("command", ["construct", "redecompose"])
 @pytest.mark.parametrize(
-    "flags, values",
-    # b^p underflows at p = 40, s = 1e-12, and overflows at p = 80, s = 1e5 on the spike pair
-    [("--p 40 --s 1e-12", None), ("--p 80 --s 1e5", [1e10, 0, 0, 0, 0, 0, 0, 3e9])],
-    ids=["b-to-the-p-underflows", "b-to-the-p-overflows"],
+    "flags, values, level_in_range",
+    # b^p underflows at p = 40, s = 1e-12, and overflows at p = 80, s = 1e5 on the spike pair, with lam a double;
+    # lam itself overflows at p = 1.01, s = 1 on steps:1 and underflows to 0 at p = 1.5, s = 1e-200
+    [
+        ("--p 40 --s 1e-12", None, True),
+        ("--p 80 --s 1e5", [1e10, 0, 0, 0, 0, 0, 0, 3e9], True),
+        ("--p 1.01 --s 1", STEPS_1_N8, False),
+        ("--p 1.5 --s 1e-200", None, False),
+    ],
+    ids=["b-to-the-p-underflows", "b-to-the-p-overflows", "lam-overflows", "lam-underflows"],
 )
-def test_cli_split_level_where_b_to_the_p_is_out_of_range(tmp_path, command, flags, values):
+def test_cli_split_level_where_b_to_the_p_is_out_of_range(tmp_path, command, flags, values, level_in_range):
     argv = [command, "--n", "8", *flags.split()]
     if values is not None:
         path = tmp_path / "f.json"
@@ -501,8 +508,18 @@ def test_cli_split_level_where_b_to_the_p_is_out_of_range(tmp_path, command, fla
     out = run_cli(*argv)
     assert out.returncode == 0, out.stderr
     payload = json.loads(out.stdout)
-    assert 0.0 < payload["lam"] < float("inf")
-    assert payload["degenerate"] is True  # both inputs select the root cube
+    if level_in_range:
+        assert 0.0 < payload["lam"] < float("inf")
+    else:
+        assert payload["lam"] == 0.0  # no level: the overflow selects no cube, the underflow the root
+    assert payload["degenerate"] is True  # no level, or a split that selects the root cube
+
+
+def test_cli_verify_where_the_split_level_overflows():
+    # at p = 1.01 some rows' lam = b (b / a)^100 lies beyond the doubles; they split at no level
+    out = run_cli("verify", "--n", "2", "--p", "1.01")
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["ok"] is True
 
 
 def test_cli_dual_reads_the_config_tol_and_the_flag_overrides_it(tmp_path):

@@ -167,15 +167,20 @@ def test_tiny_mass_is_left_whole():
 
 
 @pytest.mark.parametrize(
-    "p, s, values, got",
+    "p, s, values, cubes",
     # lam = b * (b/a)^(1/(p-1)) is about 1e-400 (below the doubles) and 1e400 (above them)
-    [(2.0, 1e-200, None, "0.0"), (1.01, 1.0, [1.0001, 1.0001], "inf")],
+    [(2.0, 1e-200, None, 1), (1.01, 1.0, [1.0001, 1.0001], 0)],
     ids=["underflow", "overflow"],
 )
-def test_level_beyond_the_doubles_is_rejected(p, s, values, got):
+def test_level_beyond_the_doubles_is_degenerate(p, s, values, cubes):
+    # an underflowed level selects the root, as every level below mean |u0| does; one above the doubles selects
+    # no cube, as no level does; both read lam = 0
     f = _level_rule_input(values)
-    with pytest.raises(ValueError, match=f"decomposition level must be positive and finite, got {got}$"):
-        bourgain_construct(f, make_operator("hilbert", f.n), s, p)
+    u, rep = bourgain_construct(f, make_operator("hilbert", f.n), s, p)
+    assert rep.degenerate and rep.lam == 0.0 and rep.cube_count == cubes
+    assert rep.omega_measure == float(cubes)  # the root dilates to the whole circle
+    if cubes == 0:
+        assert u == f and rep.resid_l1 == 0.0
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
