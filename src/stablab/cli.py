@@ -87,10 +87,11 @@ def _load_function(args, cfg: ExperimentConfig, support: GridSet | None = None) 
     if args.input:
         with _input_errors(), open(args.input) as fh:
             return GridFunction.from_json(fh.read())
-    corpus = generate_corpus(cfg, support)
-    if not corpus:
+    # the corpus's first draw alone: each draw is seeded by (seed, family, index), not by the draws before it
+    first = next(((name, 1) for name, count in cfg.corpus_counts if count > 0), None)
+    if first is None:
         raise InputError("the config's corpus is empty: give the function with --input")
-    return corpus[0][1]
+    return generate_corpus(replace(cfg, corpus_counts=(first,)), support)[0][1]
 
 
 def _load_support(args, cfg: ExperimentConfig) -> GridSet | None:

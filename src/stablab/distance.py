@@ -104,10 +104,10 @@ def _clip_level(f: GridFunction, s: float, p: float) -> tuple[float | None, floa
     av = np.abs(f.values)
     # ascending, in place: with the cells from m on clipped, tau^p = (n - sum of bp below m) / (n - m)
     bp = np.sort(av)
-    bp /= s
     tau_p = np.empty(f.n)
     tau_p[0] = 0.0
     with np.errstate(over="ignore"):
+        bp /= s
         bp **= p
         np.cumsum(bp[:-1], out=tau_p[1:])
     np.subtract(f.n, tau_p, out=tau_p)

@@ -35,7 +35,7 @@ blocks.  So above DENSE_MAX_N its T* is one batched product of
 HAAR_BLOCK x HAAR_BLOCK tables per band of log2 HAAR_BLOCK dyadic levels,
 applied to the means at that band's scale, each band added into the finer
 one.  Each band's tables come from one transform of a comb of HAAR_BLOCK
-columns.  Which T* runs belongs to the operator, not to the instance or the
+rows.  Which T* runs belongs to the operator, not to the instance or the
 call: its applier, with the dense T* or the tables it holds, is built once
 per operator and shared, read-only, by every instance and call on it.  The
 iteration runs on preallocated stacked buffers, each of length 2n and
@@ -200,10 +200,10 @@ def _tstar_applier(kind: str, n: int, signs: tuple[int, ...] | None, negate: boo
     """T* of an array of n cells, or of each row of a (2, n) array, for the operator with these fields.
 
     Keyed by the fields rather than the spec: specs compare by identity, and
-    adjoint builds a fresh hilbert spec on every call.  One array is always
-    one matvec or one transform, so every direct check measures T*v the same
-    way; two rows are one gemm, one two-row transform, or one product per
-    band of Haar tables.
+    adjoint builds a fresh hilbert spec on every call.  Every outcome takes
+    the cells along the last axis, as apply_values does.  One array is always
+    one matvec, transform or product per band of Haar tables, so every direct
+    check measures T*v the same way; two rows are one gemm or one of those.
     """
     Ts = LinearOperatorSpec(kind, n, signs, negate)
     if n <= DENSE_MAX_N:
@@ -212,15 +212,11 @@ def _tstar_applier(kind: str, n: int, signs: tuple[int, ...] | None, negate: boo
         return partial(_apply_dense, M)
     if kind == "haar_transform":
         return partial(_apply_haar_tables, _haar_tables(Ts))
-    return partial(_apply_columns, Ts)
+    return partial(apply_values, Ts)
 
 
 def _apply_dense(M: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return M @ x if x.ndim == 1 else x @ M.T
-
-
-def _apply_columns(T: LinearOperatorSpec, x: np.ndarray) -> np.ndarray:
-    return apply_values(T, x.T).T
+    return x @ M.T  # for a C-ordered M, one row gets the bits of M @ x
 
 
 def _haar_tables(T: LinearOperatorSpec) -> tuple[np.ndarray, ...]:
@@ -229,10 +225,10 @@ def _haar_tables(T: LinearOperatorSpec) -> tuple[np.ndarray, ...]:
     Band j acts on the n / HAAR_BLOCK^j means over blocks of HAAR_BLOCK^j
     cells, the top of the dyadic pyramid, whose own heap is the heap's first
     nodes, and holds the next log2 HAAR_BLOCK levels of nodes above them.  It
-    is one transform of a comb, column c a 1 at cell c of every block, with
-    the signs of the nodes above the blocks at 0, which add exactly 0.0: so
-    each block's rows are as_matrix of its own transform, bit for bit,
-    transposed here for rows on the left.
+    is one transform of a comb, row c a 1 at cell c of every block, with the
+    signs of the nodes above the blocks at 0, which add exactly 0.0: so row
+    c of each block's table is the transform of its cell c, and the table is
+    as_matrix of the block's own transform, transposed, bit for bit.
     """
     tables = []
     width = T.n  # the number of means the band acts on
@@ -241,8 +237,8 @@ def _haar_tables(T: LinearOperatorSpec) -> tuple[np.ndarray, ...]:
         blocks = width // size
         signs = T.sign_values[: width - 1].copy()
         signs[: blocks - 1] = 0.0
-        comb = _apply_haar(np.tile(np.eye(size), (blocks, 1)), signs).reshape(blocks, size, size)
-        tables.append(np.ascontiguousarray((-comb if T.negate else comb).transpose(0, 2, 1)))
+        comb = _apply_haar(np.tile(np.eye(size), (1, blocks)), signs).reshape(size, blocks, size)
+        tables.append(np.ascontiguousarray((-comb if T.negate else comb).transpose(1, 0, 2)))
         tables[-1].flags.writeable = False
         width = blocks
     return tuple(tables)

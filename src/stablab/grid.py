@@ -274,20 +274,20 @@ def dilated_cells(level: int, index, factor: float, n: int):
 def dyadic_pyramid(values: np.ndarray) -> np.ndarray:
     """The dyadic means of values as one heap: entry 2^l + j is the mean over (l, j).
 
-    The n = 2^k cells run along axis 0, so a 2-D array gives the means of
-    each column.  Entries n .. 2n - 1 are the cells themselves, entry 1 is the
+    The n = 2^k cells run along the last axis, so a 2-D array gives a heap
+    per row.  Entries n .. 2n - 1 are the cells themselves, entry 1 is the
     mean over the circle and entry 0, which names no interval, is 0.  The
     parent of entry i is entry i // 2, and it is filled in place, coarsest
     level last, with 0.5 * (left + right) of its two children.
     """
-    n = values.shape[0]
-    heap = np.empty((2 * n,) + values.shape[1:])
-    heap[0] = 0.0
-    heap[n:] = values
+    n = values.shape[-1]
+    heap = np.empty(values.shape[:-1] + (2 * n,))
+    heap[..., 0] = 0.0
+    heap[..., n:] = values
     width = n // 2
     while width:
-        level = heap[width : 2 * width]
-        np.add(heap[2 * width : 4 * width : 2], heap[2 * width + 1 : 4 * width : 2], out=level)
+        level = heap[..., width : 2 * width]
+        np.add(heap[..., 2 * width : 4 * width : 2], heap[..., 2 * width + 1 : 4 * width : 2], out=level)
         level *= 0.5
         width //= 2
     return heap

@@ -77,6 +77,16 @@ def _is(value, kind=numbers.Real) -> bool:  # JSON's true and false are not numb
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
+def _double(value, where: str, rule: str, low: float, strict: bool = True) -> float:
+    """value as a double in (low, inf), or [low, inf) when not strict, so that equal configs write equal bytes."""
+    try:
+        x = float(value) if _is(value) else math.nan  # NaN breaks the rule
+    except OverflowError:  # an integer beyond the doubles
+        x = math.nan
+    _check((low < x if strict else low <= x) and x < math.inf, where, rule, value)
+    return x
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     seed: int = 7
@@ -99,23 +109,23 @@ class ExperimentConfig:
     support: str | None = None  # None or "left-half"
 
     def __post_init__(self):
-        integer = numbers.Integral
+        integer, settle = numbers.Integral, functools.partial(object.__setattr__, self)
         _check(_is(self.seed, integer) and self.seed >= 0, "seed", "a nonnegative integer", self.seed)
         _check(_is(self.n, integer) and self.n >= 2 and self.n & (self.n - 1) == 0, "n", "a power of two >= 2", self.n)
-        _check(_is(self.p) and 1.0 < self.p < math.inf, "p", "finite and > 1", self.p)
-        _check(_is(self.s_min) and 0.0 < self.s_min < math.inf, "s_sweep.min", "positive and finite", self.s_min)
-        _check(_is(self.s_max) and self.s_min <= self.s_max < math.inf, "s_sweep.max", "finite and >= s_sweep.min", self.s_max)
+        settle("p", _double(self.p, "p", "finite and > 1", 1.0))
+        settle("s_min", _double(self.s_min, "s_sweep.min", "positive and finite", 0.0))
+        settle("s_max", _double(self.s_max, "s_sweep.max", "finite and >= s_sweep.min", self.s_min, strict=False))
         _check(_is(self.s_count, integer) and self.s_count >= 1, "s_sweep.count", "a positive integer", self.s_count)
         for name, count in self.corpus_counts:
             if name not in FAMILIES:
                 raise ConfigError(f"unknown corpus family {name!r}")
             _check(_is(count, integer) and count >= 0, f"corpus.{name}", "a nonnegative integer", count)
         _check(isinstance(self.dual_s_values, tuple), "dual.s_values", "a list", self.dual_s_values)
-        for s in self.dual_s_values:
-            _check(_is(s) and 0.0 < s < math.inf, "every dual.s_values entry", "positive and finite", s)
+        entries = (_double(s, "every dual.s_values entry", "positive and finite", 0.0) for s in self.dual_s_values)
+        settle("dual_s_values", tuple(entries))
         per_family = self.dual_corpus_per_family
         _check(_is(per_family, integer) and per_family >= 0, "dual.per_family", "a nonnegative integer", per_family)
-        _check(_is(self.dual_tol) and 0.0 < self.dual_tol < math.inf, "dual.tol", "positive and finite", self.dual_tol)
+        settle("dual_tol", _double(self.dual_tol, "dual.tol", "positive and finite", 0.0))
         for where, kinds in (("operators", self.operators), ("dual.operators", self.dual_operators)):
             _check(isinstance(kinds, tuple) and len(kinds) > 0, where, "a non-empty list", kinds)
             for kind in kinds:
@@ -127,7 +137,7 @@ class ExperimentConfig:
     def s_values(self) -> list[float]:
         """s_count radii from s_min to s_max, evenly spaced in log s."""
         if self.s_count == 1:
-            return [float(self.s_min)]
+            return [self.s_min]
         lo, hi = math.log(self.s_min), math.log(self.s_max)
         return [math.exp(lo + (hi - lo) * i / (self.s_count - 1)) for i in range(self.s_count)]
 

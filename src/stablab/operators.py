@@ -37,7 +37,7 @@ __all__ = [
 ]
 
 KINDS = ("hilbert", "haar_transform", "identity_minus_mean")
-MATRIX_BLOCK = 64  # columns per transform call in as_matrix
+MATRIX_BLOCK = 64  # identity rows per transform call in as_matrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,18 +87,13 @@ def identity_minus_mean(n: int) -> LinearOperatorSpec:
     return LinearOperatorSpec("identity_minus_mean", n)
 
 
-def _by_cell(a: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """A per-cell array shaped to broadcast along axis 0 of ``values``."""
-    return a.reshape(a.shape + (1,) * (values.ndim - 1))
-
-
 def _apply_hilbert(values: np.ndarray) -> np.ndarray:
-    n = values.shape[0]
-    spec = np.fft.rfft(values, axis=0)
-    mult = np.full(spec.shape[0], -1j)
+    n = values.shape[-1]
+    spec = np.fft.rfft(values)
+    mult = np.full(spec.shape[-1], -1j)
     mult[0] = 0.0
     mult[-1] = 0.0  # unpaired top mode of an even grid
-    return np.fft.irfft(spec * _by_cell(mult, spec), n, axis=0)
+    return np.fft.irfft(spec * mult, n)
 
 
 def _apply_haar(values: np.ndarray, signs: np.ndarray) -> np.ndarray:
@@ -110,19 +105,19 @@ def _apply_haar(values: np.ndarray, signs: np.ndarray) -> np.ndarray:
     (the transform has mean zero) and each child holds its parent's sum
     plus (left) or minus (right) the parent's signed half-difference.
     """
-    n = values.shape[0]
+    n = values.shape[-1]
     heap = dyadic_pyramid(values)
-    half_diff = np.subtract(heap[2::2], heap[3::2])
+    half_diff = np.subtract(heap[..., 2::2], heap[..., 3::2])
     half_diff *= 0.5
-    half_diff *= _by_cell(signs, half_diff)
-    heap[1] = 0.0
+    half_diff *= signs
+    heap[..., 1] = 0.0
     width = 1
     while width < n:
-        sums, diffs = heap[width : 2 * width], half_diff[width - 1 : 2 * width - 1]
-        np.add(sums, diffs, out=heap[2 * width : 4 * width : 2])
-        np.subtract(sums, diffs, out=heap[2 * width + 1 : 4 * width : 2])
+        sums, diffs = heap[..., width : 2 * width], half_diff[..., width - 1 : 2 * width - 1]
+        np.add(sums, diffs, out=heap[..., 2 * width : 4 * width : 2])
+        np.subtract(sums, diffs, out=heap[..., 2 * width + 1 : 4 * width : 2])
         width *= 2
-    return heap[n:]
+    return heap[..., n:]
 
 
 def apply(T: LinearOperatorSpec, f: GridFunction) -> GridFunction:
@@ -135,15 +130,15 @@ def apply(T: LinearOperatorSpec, f: GridFunction) -> GridFunction:
 def apply_values(T: LinearOperatorSpec, values: np.ndarray) -> np.ndarray:
     """The arithmetic of ``apply`` on a raw array of length T.n, unchecked.
 
-    A 2-D array is transformed column by column (along axis 0); the result
-    is negated when ``T.negate`` is set.
+    A 2-D array is transformed row by row, each row with the bits of its own
+    call; the result is negated when ``T.negate`` is set.
     """
     if T.kind == "hilbert":
         out = _apply_hilbert(values)
     elif T.kind == "haar_transform":
         out = _apply_haar(values, T.sign_values)
     else:
-        out = values - values.mean(axis=0)
+        out = values - values.mean(axis=-1, keepdims=True)
     return -out if T.negate else out
 
 
@@ -157,19 +152,16 @@ def adjoint(T: LinearOperatorSpec) -> LinearOperatorSpec:
 
 
 def as_matrix(T: LinearOperatorSpec) -> np.ndarray:
-    """Dense matrix of T in the cell basis (columns are T applied to cells).
+    """Dense matrix of T in the cell basis (columns are T applied to cells), C-ordered.
 
-    The transforms run on blocks of MATRIX_BLOCK columns of the identity at
+    The transforms run on blocks of MATRIX_BLOCK rows of the identity at
     once, which gives the bits of applying T to each cell in turn.
     One apply_values(T, np.eye(n)) gives the same bits at twice the peak memory (n = 256).
     """
     n = T.n
     cols = np.empty((n, n))
-    for j in range(0, n, MATRIX_BLOCK):
-        width = min(MATRIX_BLOCK, n - j)
-        block = np.zeros((n, width))
-        block[np.arange(j, j + width), np.arange(width)] = 1.0
-        cols[:, j : j + width] = apply_values(T, block)
+    for j in range(0, n, MATRIX_BLOCK):  # rows j, j + 1, ... of the identity
+        cols[:, j : j + MATRIX_BLOCK] = apply_values(T, np.eye(min(MATRIX_BLOCK, n - j), n, j)).T
     return cols
 
 

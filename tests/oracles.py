@@ -79,8 +79,9 @@ by -1, 0 and 1 for the wrap.  ``dilated_cells`` must give the same cells,
 and ``reference_cz_parts`` builds omega with the reference, so the cz tests
 check the cell ranges against the float geometry.
 
-``identity_block`` is the last block of identity columns ``as_matrix``
-transforms, scaled; the pyramid tests feed it as a 2-D input.
+``identity_block`` is the last block of identity rows ``as_matrix``
+transforms, scaled; the pyramid tests feed it as a 2-D input, and the
+references, which batch along axis 0, its transpose.
 
 ``reference_dyadic_means`` and ``reference_apply_haar`` are verbatim copies
 of the former ``grid.dyadic_means`` and ``operators._apply_haar`` before both
@@ -349,10 +350,10 @@ def reference_dilate_interval(Q: DyadicInterval, factor: float, n: int) -> GridS
 
 
 def identity_block(n: int, magnitude: float) -> np.ndarray:
-    """The last block of identity columns as_matrix transforms, scaled by magnitude."""
+    """The last block of identity rows as_matrix transforms, scaled by magnitude."""
     width = min(MATRIX_BLOCK, n)
-    block = np.zeros((n, width))
-    block[np.arange(n - width, n), np.arange(width)] = magnitude
+    block = np.zeros((width, n))
+    block[np.arange(width), np.arange(n - width, n)] = magnitude
     return block
 
 

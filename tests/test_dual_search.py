@@ -925,7 +925,7 @@ def test_stacked_loop_is_the_unfused_loop_on_the_transform_paths(kind, with_supp
     # n = 1024: the two-row FFT and the Haar tables, and calls that end on the start's dual bound,
     # which the stacked loop reads before its first step and the unfused one after it
     inst = _gaussian_instance(kind, 1024, with_support)
-    assert inst.apply_tstar.func in (dual_search._apply_columns, dual_search._apply_haar_tables)
+    assert inst.apply_tstar.func in (apply_values, dual_search._apply_haar_tables)
     _, calls = _bisection_calls(inst, monkeypatch, tol=3e-3)
     calls += [(c, None, None) for c, _, _ in calls[:3]]
     first_bound_ends = 0
@@ -999,6 +999,18 @@ def test_dense_matrix_is_shared_read_only_and_exact(kind):
     assert M.tobytes() == as_matrix(insts[0].Tstar).tobytes()
 
 
+@pytest.mark.parametrize("n", [8, 64, DENSE_MAX_N])
+@pytest.mark.parametrize("kind", ["hilbert", "haar_transform", "identity_minus_mean"])
+def test_dense_one_row_is_the_matvec_bit_for_bit(kind, n):
+    # the dense T* takes rows, x @ M.T; on one row it must keep the bits of M @ x
+    inst = _mixture_instance(kind, n, False)
+    (M,) = inst.apply_tstar.args
+    assert M.flags.c_contiguous
+    rng = np.random.default_rng(n)
+    for x in (inst.f.values, inst.v0.values, rng.standard_normal(n), rng.standard_normal(n) * 2.0**1000):
+        assert dual_search._apply_dense(M, x).tobytes() == (M @ x).tobytes()
+
+
 def _tables(inst):
     assert inst.apply_tstar.func is dual_search._apply_haar_tables
     return inst.apply_tstar.args[0]
@@ -1021,7 +1033,7 @@ def test_haar_tables_are_the_pyramid(n):
     for y in (x[0], x):
         got = inst.apply_tstar(y)
         assert got.shape == y.shape
-        want = apply_values(inst.Tstar, y.T).T
+        want = apply_values(inst.Tstar, y)
         assert np.abs(got - want).max() <= 8 * np.finfo(float).eps * np.abs(y).max()
 
 
@@ -1031,7 +1043,7 @@ def test_haar_tables_run_at_every_size_above_the_dense_limit():
     tables, dense = dual_search._apply_haar_tables, dual_search._apply_dense
     assert [inst.apply_tstar.func for inst in insts] == [dense, tables, tables, tables, tables]
     for kind in ("hilbert", "identity_minus_mean"):
-        assert _mixture_instance(kind, 2 * DENSE_MAX_N, False).apply_tstar.func is dual_search._apply_columns
+        assert _mixture_instance(kind, 2 * DENSE_MAX_N, False).apply_tstar.func is apply_values
 
 
 def test_haar_tables_are_built_once_per_operator(monkeypatch):

@@ -213,13 +213,14 @@ def test_dyadic_means_are_the_per_level_pyramid_bit_for_bit(k):
         for values in (
             rng.standard_normal(n) * magnitude,
             rng.choice([-1.0, 1.0], n) * magnitude,
-            rng.standard_normal((n, 3)) * magnitude,
+            rng.standard_normal((3, n)) * magnitude,
             identity_block(n, magnitude),
         ):
-            heap, want = dyadic_pyramid(values), reference_dyadic_means(values)
-            got = [heap[1 << l : 2 << l] for l in range(k + 1)]
+            # the pyramid batches rows, the reference columns: it runs on the transpose
+            heap, want = dyadic_pyramid(values), [m.T for m in reference_dyadic_means(values.T)]
+            got = [heap[..., 1 << l : 2 << l] for l in range(k + 1)]
             assert [m.shape for m in got] == [m.shape for m in want]
             assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
             # entry 2^l + j is means[l][j]; entry 0 names no interval
-            assert heap[1:].tobytes() == np.concatenate(want).tobytes()
-            assert not heap[0].any()
+            assert heap[..., 1:].tobytes() == np.concatenate(want, axis=-1).tobytes()
+            assert not heap[..., 0].any()

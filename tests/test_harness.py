@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from stablab import GridFunction, GridSet, harness, norm
+from stablab import GridFunction, GridSet, cli, dist_linf_to_lp_ball, harness, make_instance, min_constant, norm
 from stablab.cli import build_parser
 from stablab.grid import DyadicInterval
 from stablab.harness import (
@@ -402,6 +402,11 @@ def test_cli_dual_support_mode(tmp_path):
         ("verify --config {path}", '{"corpus": {"spikes": 1.5}}', "corpus.spikes must be a nonnegative integer, got 1.5"),
         ("verify --config {path}", '{"operators": "hilbert"}', "operators must be a non-empty list, got 'hilbert'"),
         ("verify --config {path}", '{"n": 8.0}', "n must be a power of two >= 2, got 8.0"),
+        # a JSON integer beyond the doubles has no double to hold
+        ("verify --config {path}", '{"p": ' + "9" * 401 + "}", "p must be finite and > 1, got " + "9" * 401),
+        ("dual --config {path}", '{"dual": {"tol": ' + "9" * 401 + "}}", "dual.tol must be positive and finite, got 9"),
+        ("report --config {path} --outdir {path}.d", '{"s_sweep": {"max": ' + "9" * 401 + "}}",
+         "s_sweep.max must be finite and >= s_sweep.min, got 9"),
         ("report --config {path} --outdir {path}.d", '{"dual": {"operators": []}}', "dual.operators must be a non-empty list, got ()"),
         # outputs that cannot be written: a missing directory, and a file where a directory belongs
         ("distance --out {path}.d/x.json", None, "No such file or directory"),
@@ -420,7 +425,8 @@ def test_cli_dual_support_mode(tmp_path):
         "distance-infinite-radius", "construct-infinite-radius", "infinite-level", "infinite-tol",
         "mask-fraction-and-two", "mask-strings", "mask-negative",
         "zero-s-min", "s-max-below-min", "zero-s-count", "zero-dual-tol", "negative-dual-s", "negative-per-family",
-        "negative-seed", "string-seed", "fractional-count", "operators-string", "float-n", "no-dual-operators",
+        "negative-seed", "string-seed", "fractional-count", "operators-string", "float-n",
+        "p-beyond-the-doubles", "dual-tol-beyond-the-doubles", "s-max-beyond-the-doubles", "no-dual-operators",
         "out-missing-dir", "outdir-is-a-file", "dual-constant-overflow", "empty-corpus-distance", "empty-corpus-cz",
         "empty-corpus-construct", "empty-corpus-redecompose", "empty-corpus-dual",
     ],
@@ -520,6 +526,49 @@ def test_cli_verify_where_the_split_level_overflows():
     out = run_cli("verify", "--n", "2", "--p", "1.01")
     assert out.returncode == 0, out.stderr
     assert json.loads(out.stdout)["ok"] is True
+
+
+def test_integer_and_float_spellings_of_a_config_write_the_same_report(tmp_path):
+    # equal configs must write equal bytes: every real setting is held as a double
+    spellings = {
+        "int": '{"p": 2, "n": 64, "dual": {"s_values": [1]}, "s_sweep": {"min": 1, "max": 2, "count": 2}}',
+        "float": '{"p": 2.0, "n": 64, "dual": {"s_values": [1.0]}, "s_sweep": {"min": 1.0, "max": 2.0, "count": 2}}',
+    }
+    configs = [ExperimentConfig.from_json(text) for text in spellings.values()]
+    assert configs[0] == configs[1] and hash(configs[0]) == hash(configs[1])
+    assert configs[0].to_json() == configs[1].to_json()
+    for name, text in spellings.items():
+        (tmp_path / f"{name}.json").write_text(text)
+        out = run_cli("report", "--config", str(tmp_path / f"{name}.json"), "--outdir", str(tmp_path / name))
+        assert out.returncode == 0, out.stderr
+        (tmp_path / name / "stdout").write_text(out.stdout)
+    for name in ("theorem1.csv", "theorem2.csv", "summary.json", "stdout"):
+        assert (tmp_path / "int" / name).read_bytes() == (tmp_path / "float" / name).read_bytes(), name
+
+
+def test_cli_takes_the_first_draw_without_the_rest_of_the_corpus(monkeypatch, capsys):
+    # the default dual row is the search on the corpus's first function; spikes comes first,
+    # so no smooth draw (nor the mixture's, which makes one) is made
+    cfg = default_config()
+    T = make_operator(cfg.dual_operators[0], cfg.n, cfg.seed)
+    want = min_constant(make_instance(generate_corpus(cfg)[0][1], T, 1.0, cfg.p), tol=cfg.dual_tol).to_json()
+
+    def no_smooth(rng, n):
+        raise AssertionError("a smooth draw was made")
+
+    monkeypatch.setattr(harness, "_smooth", no_smooth)
+    monkeypatch.setitem(harness._MAKERS, "smooth", no_smooth)
+    assert cli.main(["dual"]) == 0
+    assert capsys.readouterr().out == want + "\n"
+
+
+def test_cli_reads_the_first_family_with_draws(tmp_path, capsys):
+    # an empty family is skipped: the function is the first draw of the next one, as in the corpus
+    path = tmp_path / "cfg.json"
+    path.write_text('{"n": 8, "corpus": {"spikes": 0, "steps": 2}}')
+    assert cli.main(["distance", "--config", str(path), "--ambient", "inf"]) == 0
+    f = generate_corpus(ExperimentConfig.from_json(path.read_text()))[0][1]
+    assert capsys.readouterr().out == dist_linf_to_lp_ball(f, 1.0, 2.0).to_json() + "\n"
 
 
 def test_cli_dual_reads_the_config_tol_and_the_flag_overrides_it(tmp_path):

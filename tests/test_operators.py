@@ -246,8 +246,24 @@ def test_haar_on_the_pyramid_is_the_per_level_synthesis_bit_for_bit(k):
             for values in (
                 rng.standard_normal(n) * magnitude,
                 rng.choice([-1.0, 1.0], n) * magnitude,
-                rng.standard_normal((n, 3)) * magnitude,
+                rng.standard_normal((3, n)) * magnitude,
                 identity_block(n, magnitude),
             ):
-                got, want = apply_values(T, values), reference_apply_haar(values, level_signs)
+                # apply_values batches rows, the reference columns: it runs on the transpose
+                got, want = apply_values(T, values), reference_apply_haar(values.T, level_signs).T
                 assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("negate", [False, True])
+@pytest.mark.parametrize("kind", ["hilbert", "haar_transform", "identity_minus_mean"])
+def test_a_batch_of_rows_is_each_row_bit_for_bit(kind, negate):
+    # the cells run along the last axis: a C-ordered (3, n) batch gives every row the bits of its own call
+    rng = np.random.default_rng(3 * len(kind) + negate)
+    for k in range(1, 15):
+        n = 2**k
+        T = LinearOperatorSpec(kind, n, signs=make_operator(kind, n, k).signs, negate=negate)
+        for magnitude in (2.0**-1070, 1.0, 2.0**1000):
+            values = rng.standard_normal((3, n)) * magnitude
+            got = apply_values(T, values)
+            assert got.shape == values.shape
+            assert got.tobytes() == np.stack([apply_values(T, row) for row in values]).tobytes()
