@@ -39,10 +39,10 @@ rows.  Which T* runs belongs to the operator, not to the instance or the
 call: its applier, with the dense T* or the tables it holds, is built once
 per operator and shared, read-only, by every instance and call on it.  The
 iteration runs on preallocated stacked buffers, each of length 2n and
-holding a (v, w) pair: the iterate, the box displacements and the graph
-projection.  The box bounds are stacked the same way once per call, so the
-step and its size are one numpy call each, and the spread of the
-displacements is three dot products.  At p = 2 with
+holding a (v, w) pair: the iterate, the box displacements, their running
+sum and the graph projection.  The box bounds are stacked the same way once
+per call, so the step and its size are one numpy call each, and the spread
+of the displacements is three dot products.  At p = 2 with
 no support the p-ball projection is a radial scaling, whose factor and
 displacement size come from v.v.  Outside T*, the p-ball projection at
 other p, the support mask and the checks on every fifth iteration, the
@@ -60,13 +60,20 @@ proof: for any pair (a, b) and z = a + T b,
 
     c* >= |<z, f>| / (r |a|_1 + (t+r) |b|_1 + s |chi_E z|_p'),
 
-and ``feasible`` evaluates this at the two box normals of its iterate on
-every check iteration, the first time before its first step.  A bound above
-the largest constant at which the direct check could still accept a
-candidate ends the call.  When no such
+and ``feasible`` evaluates this on every check iteration at two pairs: the
+two box normals of its iterate, and their running sum since the call began,
+from one application of T* to the two rows.  The bound does not change when
+a pair is scaled, so the sum stands for the mean.  When the sets do not meet,
+parallel projections still converge to a least-squares point (Combettes,
+IEEE Trans. Signal Process. 42(11), 1994), so the sum settles on a pair that
+separates them while the current normals can stall.  The first bound, of the
+start's normals, which are also the sum's at the first iteration, is read
+before the first step.  A bound above the largest constant at which the
+direct check could still accept a candidate ends the call.  When no such
 bound turns up, a run that stops improving is still called "infeasible"
-(the stagnation rule, a heuristic kept as the fallback), and a run that
-neither finds a witness, nor a bound, nor stagnates ends "inconclusive".
+(the stagnation rule, a heuristic kept as the fallback; no verdict of the
+default theorem-2 campaign at n = 256, 1024 or 4096 rests on it), and a run
+that neither finds a witness, nor a bound, nor stagnates ends "inconclusive".
 Every bound is a certified lower bound on c*: ``feasible`` returns the
 largest one it found, and ``min_constant`` reports the largest over its calls
 as the lower end ``c_lower`` of a bracket whose upper end is the certified
@@ -431,7 +438,7 @@ def _measure(inst: DualInstance, c: float, v: np.ndarray) -> tuple[float, tuple[
     return _violation(inst, c, sizes), sizes, tv
 
 
-def _dual_bound(inst: DualInstance, a: np.ndarray, b: np.ndarray) -> float:
+def _dual_bound(inst: DualInstance, pairs: np.ndarray) -> float | list[float]:
     """Weak-duality lower bound on the constants at which the constraints meet.
 
     For any pair (a, b) and z = a + T b, a v meeting the three constraints
@@ -444,17 +451,25 @@ def _dual_bound(inst: DualInstance, a: np.ndarray, b: np.ndarray) -> float:
 
     The bound is unchanged when (a, b) is scaled, or f with r, t and s, so
     f, r, t and s enter in units of inst.unit, the units feasible's pairs
-    come in.
+    come in.  The pairs are stacked as feasible holds them: one (a, b) of 2n
+    cells gives a float, and the rows of a (k, 2n) array give the list of
+    their k bounds, from one application of T* to the rows' b.
     """
-    n, unit = a.size, inst.unit
-    z = a + inst.t_sign * inst.apply_tstar(b)
-    pairing = abs(float(z @ (unit * inst.f.values))) / n
+    rows = pairs.reshape(-1, pairs.shape[-1])
+    n, unit = rows.shape[1] // 2, inst.unit
+    z = rows[:, :n] + inst.t_sign * inst.apply_tstar(rows[:, n:])
+    pairings = (z @ (unit * inst.f.values)).tolist()
     if inst.support is not None:
-        z[~inst.support.membership] = 0.0
-    size = power_mean(np.abs(z), inst.p / (inst.p - 1.0))
+        z[:, ~inst.support.membership] = 0.0
+    sizes = power_mean(np.abs(z), inst.p / (inst.p - 1.0)).tolist()
+    # |a|_1 and |b|_1 of every row, from one reduction over the halves
+    sums = np.add.reduce(np.abs(rows).reshape(-1, 2, n), axis=-1).tolist()
     r, t, s = unit * inst.r, unit * inst.t, unit * inst.s
-    denom = r * float(np.abs(a).sum()) / n + (t + r) * float(np.abs(b).sum()) / n + s * size
-    return pairing / denom if denom > 0.0 else 0.0
+    bounds = []
+    for pairing, (sum_a, sum_b), size in zip(pairings, sums, sizes):
+        denom = r * sum_a / n + (t + r) * sum_b / n + s * size
+        bounds.append(abs(pairing) / n / denom if denom > 0.0 else 0.0)
+    return bounds[0] if pairs.ndim == 1 else bounds
 
 
 def feasible(
@@ -471,20 +486,22 @@ def feasible(
     Candidates are read off the graph projection on every fifth iteration
     and accepted only after the direct check, so a "feasible" outcome is
     always certified, and it carries the sizes that check measured with
-    T* v.  A rejected candidate is followed by the weak-duality
-    bound of the two box normals; a bound above every constant the direct
-    check could accept reports a certified "infeasible".  The first bound,
-    that of the start's box normals, is read before the first step and
-    ends the call there when it is that large, with one iteration counted;
-    otherwise it joins the others only once the first candidate is
+    T* v.  A rejected candidate is followed by the weak-duality bounds of
+    two pairs, read from one two-row T*: the two box normals, and their
+    running sum since the call began; the larger one above every constant
+    the direct check could accept reports a certified "infeasible".  The
+    first bound, that of the start's box normals, is read before the first
+    step and ends the call there when it is that large, with one iteration
+    counted; otherwise it joins the others only once the first candidate is
     rejected.  Every outcome carries the largest bound the call found.  A
-    step too small to move x
-    puts x itself through the same direct check: at a fixed point every
-    projection agrees and x is a witness.
-    Otherwise such a run, or one that stops improving while still violated,
-    reports "infeasible" (at tolerance), and MAX_ITER iterations exhausted
-    by every rule report "inconclusive".  The iteration runs in units of
-    inst.unit; witnesses are checked and returned in the caller's units.
+    step too small to move x puts x itself through the same direct check:
+    at a fixed point every projection agrees and x is a witness.  Otherwise
+    such a run, or one that stops improving while still violated, reports
+    "infeasible" (at tolerance; the stagnation rule, a fallback that no
+    verdict of the default theorem-2 campaign reaches), and MAX_ITER
+    iterations exhausted by every rule report "inconclusive".  The iteration
+    runs in units of inst.unit; witnesses are checked and returned in the
+    caller's units.
     """
     c = float(c)
     if not 0 < c < math.inf:
@@ -504,9 +521,11 @@ def feasible(
     bound_p = c * (unit * inst.s)
     bound_f = c * (unit * inst.r)
     bound_T = c * (unit * (inst.t + inst.r))
-    # stacked (v, w) buffers: the iterate x, the box displacements, the graph
-    # projection, and the two sup-norm boxes (np.clip's arithmetic on finite input)
-    x, box, graph, lo, hi = np.empty((5, 2 * n))
+    # stacked (v, w) buffers: the iterate x, the box displacements, their running sum,
+    # the graph projection, and the two sup-norm boxes (np.clip's arithmetic on finite input)
+    x, box, total, graph, lo, hi = buffers = np.empty((6, 2 * n))
+    total[:] = 0.0
+    pairs = buffers[1:3]  # the box normals and their running sum, the two dual pairs
     v, w = x[:n], x[n:]
     p2, p3 = box[:n], box[n:]
     vg = graph[:n]
@@ -543,7 +562,7 @@ def feasible(
     # already rules out every candidate, the call ends with no step taken
     np.minimum(np.maximum(x, lo, out=box), hi, out=box)
     box -= x
-    first_bound = _dual_bound(inst, p2, p3)
+    first_bound = _dual_bound(inst, box)
     if first_bound > c_accept:
         return FeasibilityOutcome("infeasible", None, 1, first_bound)
 
@@ -555,6 +574,7 @@ def feasible(
         # the box displacements p2 - v and p3 - w, which are also the box normals
         np.minimum(np.maximum(x, lo, out=box), hi, out=box)
         box -= x
+        total += box
         if k % 5 == 1:
             res, found = witness(vg, k)
             if found is not None:
@@ -564,8 +584,9 @@ def feasible(
                 best_iter = k
             elif k - best_iter > 300 and k > 400:
                 return FeasibilityOutcome("infeasible", None, k, best_bound)
-            # the box normals of the current iterate as the dual pair
-            bound = first_bound if k == 1 else _dual_bound(inst, p2, p3)
+            # the better of two dual pairs: the box normals of the current iterate, and their
+            # running sum, which at k = 1 is the start's normals
+            bound = first_bound if k == 1 else max(_dual_bound(inst, pairs))
             best_bound = max(best_bound, bound)
             if bound > c_accept:
                 return FeasibilityOutcome("infeasible", None, k, best_bound)
@@ -622,10 +643,15 @@ def min_constant(inst: DualInstance, tol: float = 1e-2) -> DualResult:
     inconclusive solver verdicts count as infeasible here only and flag
     the result.  After every call lo also rises to c_lower, the largest
     weak-duality bound the calls returned less 1e-9 relative for rounding,
-    so the next midpoint is never below a bound.  The search ends once
-    hi - lo <= tol * hi, that is as soon as either the certified bracket
-    [c_lower, hi] or the verdicts' bracket is within tol, or once lo and hi
-    are adjacent doubles.  At r = 0, c* is exact and c_lower = c*.  Raises
+    so the next midpoint is never below a bound.  Those bounds include
+    feasible's running sums of the box normals, so every "infeasible" of the
+    default theorem-2 campaign rests on a bound, none on the stagnation
+    rule, and its largest certified gap (c_star - c_lower) / c_star measured
+    0.0080, 0.0087 and 0.0083 at n = 256, 1024 and 4096, within tol = 0.01.
+    The search ends once hi - lo <= tol * hi, that is as soon as either the
+    certified bracket [c_lower, hi] or the verdicts' bracket is within tol,
+    or once lo and hi are adjacent doubles.  At r = 0, c* is exact and
+    c_lower = c*.  Raises
     ValueError when the start norm(f, p) / s is not a finite double, as no
     certified constant can then be reported.
     """

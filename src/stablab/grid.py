@@ -220,14 +220,24 @@ def norm(f: GridFunction, p) -> float:
 # np.add.reduce(x) / x.size is np.mean's arithmetic for a 1-D x without its 5 us of Python
 # (numpy 2.4, x86-64); norm and each p = 2 projection step of the dual search call this
 @np.errstate(over="ignore")
-def power_mean(a: np.ndarray, p: float) -> float:
-    """(mean a_i^p)^(1/p) of a 1-D non-negative array, without overflow warnings.
+def power_mean(a: np.ndarray, p: float) -> float | np.ndarray:
+    """(mean a_i^p)^(1/p) of a non-negative array, without overflow warnings.
 
-    When the direct value overflows, or mean a_i^p falls below the normal
-    range for a non-zero a, it is recomputed as m * (mean (a_i/m)^p)^(1/p)
-    with m = max a_i.
+    Of a 1-D a, a float; of a 2-D a, the value of each row, from one power
+    and one sum over all rows, each with the bits of its own 1-D call.  When
+    the direct value overflows, or mean a_i^p falls below the normal range
+    for a non-zero a, it is recomputed as m * (mean (a_i/m)^p)^(1/p) with
+    m = max a_i.
     """
-    direct = (float(np.add.reduce(a**p)) / a.size) ** (1.0 / p)
+    sums = np.add.reduce(a**p, axis=-1)
+    if a.ndim == 1:
+        return _power_mean_from(a, p, float(sums))
+    return np.array([_power_mean_from(row, p, total) for row, total in zip(a, sums.tolist())])
+
+
+def _power_mean_from(a: np.ndarray, p: float, total: float) -> float:
+    """power_mean of the 1-D a, given the sum of a_i^p."""
+    direct = (total / a.size) ** (1.0 / p)
     if math.isinf(direct) or (direct < 1.0 and direct**p < _TINY):
         m = float(a.max())
         if m > 0.0:

@@ -48,10 +48,11 @@ class StabilityReport:
 
     A run is degenerate when it has no mass to split (a <= DEGENERATE_TOL),
     no ball part (b = 0; neither leaves a level, so lam = 0 and all of u0 is
-    good), a split that selects the root cube, or a ratio whose denominator
-    falls below DEGENERATE_TOL (that ratio reads 0.0).  A selected root
-    (s < a puts lam below mean |u0|) makes the good part the mean of u0 on
-    the whole circle, and the ratio_p bound 1 + 2^((p-1)/p) does not hold.
+    good), a split that selects the root cube, a ratio whose denominator
+    falls below DEGENERATE_TOL, or a ratio_p beyond the doubles (that ratio
+    reads 0.0).  A selected root (s < a puts lam below mean |u0|) makes the
+    good part the mean of u0 on the whole circle, and the ratio_p bound
+    1 + 2^((p-1)/p) does not hold.
     """
 
     s: float
@@ -151,17 +152,19 @@ def bourgain_construct(
     resid_T = norm(apply(T, h), 1) if h.values.any() else 0.0
     ratio_f, deg_f = _guarded_ratio(resid_l1, dist_f.value)
     ratio_T, deg_T = _guarded_ratio(resid_T, dist_f.value + c)
+    ratio_p = norm(u, p) / s
+    deg_p = not math.isfinite(ratio_p)  # s below norm(u, p) / DBL_MAX
     report = StabilityReport(
         s=s, p=p, a=a, b=b, c=c,
         lam=lam,
-        ratio_p=norm(u, p) / s,
+        ratio_p=0.0 if deg_p else ratio_p,
         ratio_f=ratio_f,
         ratio_T=ratio_T,
         resid_l1=resid_l1,
         resid_T=resid_T,
         cube_count=len(d.cubes),
         omega_measure=d.omega.measure,
-        degenerate=degenerate or deg_f or deg_T,
+        degenerate=degenerate or deg_f or deg_T or deg_p,
     )
     return u, report
 

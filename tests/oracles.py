@@ -526,10 +526,13 @@ def unfused_feasible(
     best_bound = 0.0
     best_res = math.inf
     best_iter = 0
+    total = np.zeros(2 * n)  # the running sum of the box normals
     for k in range(1, MAX_ITER + 1):
         vg, wg = unfused_graph_step(inst, v, w)
         p2 = np.minimum(np.maximum(v, lo_f), hi_f) - v
         p3 = np.minimum(np.maximum(w, lo_T), hi_T) - w
+        normals = np.concatenate((p2, p3))
+        total = total + normals
         if k % 5 == 1:
             res, found = witness(vg, k)
             if found is not None:
@@ -539,7 +542,8 @@ def unfused_feasible(
                 best_iter = k
             elif k - best_iter > 300 and k > 400:
                 return FeasibilityOutcome("infeasible", None, k, best_bound)
-            bound = _dual_bound(inst, p2, p3)
+            # the better of the box normals and their running sum, which at k = 1 are one pair
+            bound = _dual_bound(inst, normals) if k == 1 else max(_dual_bound(inst, np.stack((normals, total))))
             best_bound = max(best_bound, bound)
             if bound > c_accept:
                 return FeasibilityOutcome("infeasible", None, k, best_bound)
@@ -650,6 +654,7 @@ def two_matvec_graph_step(
 
 
 def two_matvec_dual_bound(inst: DualInstance, a: np.ndarray, b: np.ndarray) -> float:
+    """The weak-duality bound of the pair (a, b), with T b by the two-matvec step's own T."""
     n, unit = a.size, inst.unit
     z = a + _two_matvec_appliers(inst)[0](b)
     pairing = abs(float(z @ (unit * inst.f.values))) / n
@@ -719,11 +724,13 @@ def two_matvec_feasible(
     best_bound = 0.0
     best_res = math.inf
     best_iter = 0
+    total = np.zeros(2 * n)  # the running sum of the box normals
     for k in range(1, MAX_ITER + 1):
         two_matvec_graph_step(inst, v, w, out=graph)
         # the box displacements p2 - v and p3 - w, which are also the box normals
         np.minimum(np.maximum(x, lo, out=box), hi, out=box)
         box -= x
+        total += box
         if k % 5 == 1:
             res, found = witness(vg, k)
             if found is not None:
@@ -733,8 +740,8 @@ def two_matvec_feasible(
                 best_iter = k
             elif k - best_iter > 300 and k > 400:
                 return FeasibilityOutcome("infeasible", None, k, best_bound)
-            # the box normals of the current iterate as the dual pair
-            bound = two_matvec_dual_bound(inst, p2, p3)
+            # the better of the box normals of the current iterate and their running sum
+            bound = max(two_matvec_dual_bound(inst, p2, p3), two_matvec_dual_bound(inst, total[:n], total[n:]))
             best_bound = max(best_bound, bound)
             if bound > c_accept:
                 return FeasibilityOutcome("infeasible", None, k, best_bound)

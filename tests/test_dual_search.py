@@ -243,6 +243,14 @@ def test_fixed_point_is_checked_before_stagnation():
     assert min_constant(inst, tol=1e-3).c_star == pytest.approx(2.0 / 3.0, rel=1e-3)
 
 
+def _pair_bounds(pairs, bound):
+    """(a, b, bound) of each pair a _dual_bound call took: the one stacked pair, or each row."""
+    n = pairs.shape[-1] // 2
+    if pairs.ndim == 1:
+        return [(pairs[:n].copy(), pairs[n:].copy(), bound)]
+    return [(row[:n].copy(), row[n:].copy(), rbound) for row, rbound in zip(pairs, bound)]
+
+
 def _bound_by_hand(inst, a, b):
     """The weak-duality bound from (a, b), through the public grid algebra."""
     f = inst.f
@@ -298,9 +306,31 @@ def test_dual_bound_never_exceeds_a_certified_constant(kind, n, with_support, p,
     # random pairs, pulled towards the signs of f and T*f to make the bound bite
     a = scales[0] * (rng.standard_normal(n) + pulls[0] * np.sign(inst.f.values))
     b = scales[1] * (rng.standard_normal(n) + pulls[1] * np.sign(inst.Tstar_f.values))
-    bound = _dual_bound(inst, a, b)
+    bound = _dual_bound(inst, np.concatenate((a, b)))
     assert bound == pytest.approx(_bound_by_hand(inst, a, b), rel=1e-9)
     assert bound <= upper * (1 + 1e-9)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("with_support", [False, True])
+@pytest.mark.parametrize("n", [8, DENSE_MAX_N, 2 * DENSE_MAX_N])
+@pytest.mark.parametrize("kind", ["hilbert", "haar_transform"])
+def test_dual_bound_takes_row_pairs(kind, n, with_support, p):
+    # the k rows of a (k, 2n) array are k stacked pairs (a, b), whose bounds come from one T* of the b
+    inst = _mixture_instance(kind, n, with_support, p)
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal((3, n)) + np.sign(inst.f.values)
+    b = rng.standard_normal((3, n)) + np.sign(inst.Tstar_f.values)
+    b[2] = 0.0  # a pair with b = 0, whose bound needs no T*
+    pairs = np.concatenate((a, b), axis=1)
+    bounds = _dual_bound(inst, pairs)
+    assert isinstance(bounds, list) and len(bounds) == 3
+    for row in range(3):
+        assert bounds[row] == pytest.approx(_dual_bound(inst, pairs[row]), rel=1e-12)
+        assert bounds[row] == pytest.approx(_bound_by_hand(inst, a[row], b[row]), rel=1e-9)
+    # the zero pair proves nothing, in a row as alone
+    assert _dual_bound(inst, np.zeros((2, 2 * n))) == [0.0, 0.0]
+    assert _dual_bound(inst, np.zeros(2 * n)) == 0.0
 
 
 @pytest.mark.parametrize("with_support", [False, True])
@@ -308,11 +338,12 @@ def test_dual_bound_never_exceeds_a_certified_constant(kind, n, with_support, p,
 @pytest.mark.parametrize("kind", ["hilbert", "haar_transform"])
 def test_every_early_exit_carries_a_bound_above_the_accepting_constant(kind, n, with_support, monkeypatch):
     inst = _mixture_instance(kind, n, with_support)
-    bounds = []
+    bounds = []  # the pairs of each _dual_bound call, with their bounds
 
-    def recording(inst_, a, b):
-        bounds.append((a.copy(), b.copy(), _dual_bound(inst_, a, b)))
-        return bounds[-1][2]
+    def recording(inst_, pairs):
+        bound = _dual_bound(inst_, pairs)
+        bounds.append(_pair_bounds(pairs, bound))
+        return bound
 
     monkeypatch.setattr("stablab.dual_search._dual_bound", recording)
     res = min_constant(inst, tol=0.05)
@@ -325,15 +356,15 @@ def test_every_early_exit_carries_a_bound_above_the_accepting_constant(kind, n, 
         ref = reference_feasible(inst, c)
         _dominates(inst, c, out, ref)
         if not out.is_feasible and out.iterations < ref.iterations:
-            # the exit rests on the last bound, taken at the exit's own iteration
+            # the exit rests on the last call's better pair, taken at the exit's own iteration
             early += 1
-            a, b, bound = bounds[-1]
             assert len(bounds) == (out.iterations + 4) // 5
             c_accept = (1 + FEAS_TOL) * (c + dust / min(inst.s, inst.r, inst.t + inst.r))
-            assert bound > c_accept
-            assert bound == pytest.approx(_bound_by_hand(inst, a, b), rel=1e-9)
-            # weak duality: no bound passes the certified upper end
-            assert bound <= res.c_star * (1 + 1e-9)
+            assert max(bound for _, _, bound in bounds[-1]) > c_accept
+            for a, b, bound in bounds[-1]:
+                assert bound == pytest.approx(_bound_by_hand(inst, a, b), rel=1e-9)
+                # weak duality: no bound passes the certified upper end
+                assert bound <= res.c_star * (1 + 1e-9)
     assert early >= 6
 
 
@@ -345,9 +376,9 @@ def test_c_lower_is_the_largest_bound_the_feasible_calls_returned(kind, n, with_
     bounds = []
     returned = []
 
-    def recording_bound(inst_, a, b):
-        bound = _dual_bound(inst_, a, b)
-        bounds.append((a.copy(), b.copy(), bound))
+    def recording_bound(inst_, pairs):
+        bound = _dual_bound(inst_, pairs)
+        bounds.extend(_pair_bounds(pairs, bound))
         return bound
 
     def recording_feasible(inst_, c, x0=None, w0=None):
@@ -439,12 +470,14 @@ CAMPAIGNS = {
     "report": {},
     "n1024": {"n": 1024, "corpus_counts": (("spikes", 3),), "dual_s_values": (0.5,), "dual_corpus_per_family": 3},
 }
+# the default theorem-2 campaign at n = 256, and the same 32 rows at n = 1024 (`stablab report --n 1024`)
+REPORT_CAMPAIGNS = {"report": {}, "report_n1024": {"n": 1024}}
 
 
 @functools.lru_cache(maxsize=None)
 def _campaign_instances(name):
     """The campaign's theorem-2 instances, as run_theorem2 builds them, and its tol."""
-    cfg = default_config(**CAMPAIGNS[name])
+    cfg = default_config(**{**CAMPAIGNS, **REPORT_CAMPAIGNS}[name])
     per_family = tuple((family, min(count, cfg.dual_corpus_per_family)) for family, count in cfg.corpus_counts)
     corpus = generate_corpus(replace(cfg, corpus_counts=per_family))
     insts = [
@@ -515,6 +548,43 @@ def test_the_one_tstar_step_keeps_the_constants_of_the_two_matvec_step(campaign)
         assert res.iterations <= ref.iterations
 
 
+@functools.lru_cache(maxsize=None)
+def _recorded_campaign(name):
+    """The campaign's results, its tol, and the constant and outcome of every feasible call its bisections made."""
+    insts, tol = _campaign_instances(name)
+    calls = []
+
+    def recording_feasible(inst_, c, x0=None, w0=None):
+        out = feasible(inst_, c, x0=x0, w0=w0)
+        calls.append((c, out))
+        return out
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("stablab.dual_search.feasible", recording_feasible)
+        results = [min_constant(inst, tol=tol) for inst in insts]
+    return results, tol, calls
+
+
+@pytest.mark.parametrize("campaign", sorted(REPORT_CAMPAIGNS))
+def test_no_verdict_of_the_default_campaign_rests_on_the_stagnation_rule(campaign):
+    # the parent's box normals alone left 1 stagnation verdict at n = 256 and 2 at n = 1024
+    results, _, calls = _recorded_campaign(campaign)
+    assert all(res.status == "certified" and 0.0 < res.c_lower <= res.c_star for res in results)
+    refused = [(c, out) for c, out in calls if not out.is_feasible]
+    assert refused
+    # every "infeasible" is certified: it carries a weak-duality bound above the constant it was asked at
+    for c, out in refused:
+        assert out.status == "infeasible" and out.bound > c, (c, out.iterations, out.bound)
+
+
+@pytest.mark.parametrize("campaign", sorted(REPORT_CAMPAIGNS))
+def test_every_certified_gap_of_the_default_campaign_is_within_tol(campaign):
+    # the largest (c* - c_lower) / c* was 0.0197 at n = 256 and 0.0364 at n = 1024 on the box normals alone
+    results, tol, _ = _recorded_campaign(campaign)
+    assert len(results) == 32
+    assert max((res.c_star - res.c_lower) / res.c_star for res in results) <= tol
+
+
 @pytest.mark.parametrize(
     "kind, n", [("hilbert", DENSE_MAX_N), ("haar_transform", DENSE_MAX_N), ("hilbert", 1024), ("haar_transform", 1024)]
 )
@@ -529,14 +599,16 @@ def test_one_stacked_tstar_application_per_iteration(kind, n, monkeypatch):
         return apply_tstar(x)
 
     checks = {"measure": 0, "bound": 0}
+    pair_shapes = []  # the shape of the stacked pairs of every dual bound
 
     def counting_measure(inst_, c, v):
         checks["measure"] += 1
         return _measure(inst_, c, v)
 
-    def counting_bound(inst_, a, b):
+    def counting_bound(inst_, pairs):
         checks["bound"] += 1
-        return _dual_bound(inst_, a, b)
+        pair_shapes.append(pairs.shape)
+        return _dual_bound(inst_, pairs)
 
     monkeypatch.setattr(inst, "apply_tstar", counting_tstar)
     monkeypatch.setattr("stablab.dual_search._measure", counting_measure)
@@ -545,20 +617,27 @@ def test_one_stacked_tstar_application_per_iteration(kind, n, monkeypatch):
     iterations = first_bound_ends = 0
     for c, x0, w0 in calls + [(c, None, None) for c, _, _ in calls[:2]]:
         applied.clear()
+        pair_shapes.clear()
         checks.update(measure=0, bound=0)
         out = feasible(inst, c, x0=x0, w0=w0)
         iterations += out.iterations
+        # the start's dual bound, one pair, with T* of its b as one row, before the first step
+        assert pair_shapes[0] == (2 * n,)
+        assert applied.count((1, n)) == 1
         if (out.status, out.iterations) == ("infeasible", 1):
-            # ended on the start's dual bound: no step and no direct check
+            # ended on it: no step and no direct check
             first_bound_ends += 1
             assert checks == {"measure": 0, "bound": 1}
-            assert applied == [(n,)] * (1 + (w0 is None))
+            assert applied == [(n,)] * (w0 is None) + [(1, n)]
             continue
-        # one application to both rows of (v, w) per iteration ...
-        assert applied.count((2, n)) == out.iterations
-        # ... and one to a single row per direct check and per dual bound, on every fifth iteration
+        # every later bound takes both pairs, the box normals and their running sum, as two rows
+        later = checks["bound"] - 1
+        assert pair_shapes[1:] == [(2, 2 * n)] * later
+        # one application to both rows of (v, w) per iteration, and one to both pairs per later bound ...
+        assert applied.count((2, n)) == out.iterations + later
+        # ... and one to a single row per direct check, on every fifth iteration
         assert checks["measure"] >= (out.iterations + 4) // 5
-        assert applied.count((n,)) == checks["measure"] + checks["bound"] + (w0 is None)
+        assert applied.count((n,)) == checks["measure"] + (w0 is None)
         assert len(applied) == out.iterations + checks["measure"] + checks["bound"] + (w0 is None)
     assert iterations >= 100
     assert first_bound_ends >= 2

@@ -13,7 +13,7 @@ from stablab import (
     norm,
 )
 from oracles import identity_block, reference_dilate_interval, reference_dyadic_means
-from stablab.grid import DimensionError, dilated_cells, dyadic_pyramid
+from stablab.grid import DimensionError, dilated_cells, dyadic_pyramid, power_mean
 
 
 def dilated_set(q, factor, n):
@@ -66,6 +66,17 @@ def test_norm_rescales_a_subnormal_power_mean():
     g = np.array([3.0, -4.0, 0.5, 2.0])
     assert norm(GridFunction(g), 1.5) == float(np.mean(np.abs(g) ** 1.5) ** (1 / 1.5))
     assert norm(GridFunction(g * 1e-100), 3) == float(np.mean(np.abs(g * 1e-100) ** 3) ** (1 / 3))
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 40.0])
+def test_power_mean_of_rows_is_each_row_bit_for_bit(p, rng):
+    # a direct row, one whose direct value overflows, one below the normal range, and zero
+    x = rng.standard_normal((3, 300))
+    rows = np.abs(np.stack((x[0], x[1] * 1e200, x[2] * 1e-200, np.zeros(300))))
+    got = power_mean(rows, p)
+    assert isinstance(got, np.ndarray) and got.shape == (4,)
+    assert got.tobytes() == np.array([power_mean(row, p) for row in rows]).tobytes()
+    assert isinstance(power_mean(rows[0], p), float)
 
 
 def test_norm_zero_iff_zero(rng):

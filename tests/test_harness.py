@@ -284,6 +284,20 @@ def test_cli_distance_json():
     assert set(payload) == {"value", "threshold", "s", "p", "ambient"}
 
 
+def _reject_constant(name):
+    raise ValueError(f"not JSON: {name}")
+
+
+@pytest.mark.parametrize("command", ["distance", "construct"])
+def test_cli_radius_below_the_doubles_over_the_sup_prints_strict_json(command):
+    # at s = 1e-310, norm(u, p) / s overflows: that ratio_p reads 0.0 on the degenerate row, not Infinity
+    out = run_cli(command, "--n", "8", "--s", "1e-310")
+    assert out.returncode == 0, out.stderr
+    payload = json.loads(out.stdout, parse_constant=_reject_constant)
+    if command == "construct":
+        assert payload["ratio_p"] == 0.0 and payload["degenerate"] is True
+
+
 def test_cli_dual_on_the_two_cell_grid():
     out = run_cli("dual", "--n", "2")
     assert out.returncode == 0, out.stderr
