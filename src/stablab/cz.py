@@ -87,48 +87,58 @@ def _stopping_nodes(av: np.ndarray, level: float) -> np.ndarray:
     return nodes
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a cube's sum beyond the doubles; its mean then comes off a pyramid
+def _stopping_split(values: np.ndarray, av: np.ndarray, level: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The arithmetic of ``cz_decompose`` on the cells values, given av = |values|.
+
+    Returns (nodes, good, omega): the heap indices of the cubes (see
+    dyadic_pyramid), ascending; the good part; and the cells of omega.  Each
+    level's cubes get their good part in one assignment, the mean summed as
+    np.mean sums it or, when that sum leaves the doubles, read off the
+    dyadic_pyramid of the cube, and their dilations are marked in omega as
+    the integer cell ranges of grid.dilated_cells, wrapping round the circle.
+    """
+    n = values.shape[0]
+    nodes = _stopping_nodes(av, level)
+    heap_order = nodes.tolist()
+    good = values.copy()
+    omega = np.zeros(n, dtype=bool)
+    for lev in sorted({node.bit_length() - 1 for node in heap_order}):
+        picked = nodes[bisect_left(heap_order, 1 << lev) : bisect_left(heap_order, 2 << lev)] - (1 << lev)
+        per = n >> lev
+        if per > 1:  # a one-cell cube's mean is its cell, which good already holds
+            # row i of the reshape is the cells of interval (lev, i)
+            rows = values.reshape(2**lev, -1)[picked]
+            means = np.add.reduce(rows, axis=1, keepdims=True) / per
+            if not np.logical_and.reduce(np.isfinite(means), axis=None):
+                means = dyadic_pyramid(rows)[:, 1:2]
+            good.reshape(2**lev, -1)[picked] = means
+        cells = dilated_cells(lev, picked, DILATION, n)
+        if cells is None:
+            omega[:] = True
+            continue
+        lo, count = cells
+        marked = np.add.outer(lo, np.arange(count))
+        marked &= n - 1  # modulo n, a power of two
+        omega[marked] = True
+    return nodes, good, omega
+
+
 def cz_decompose(f: GridFunction, level: float) -> CzDecomposition:
     """Stopping-time decomposition of f at the given level.
 
     The cubes are the hot nodes of the dyadic pyramid of |f| (mean above
     the level) that have no hot ancestor, chosen in heap order, down to
     single cells, so a cell with |f| > level becomes a one-cell cube where
-    the bad part vanishes identically.  Each level's cubes get their good
-    part in one assignment and are dilated into omega as the integer cell
-    ranges of grid.dilated_cells: the cells that meet the open dilated
-    interval, wrapping round the circle.  When max |f| <= level nothing is
+    the bad part vanishes identically.  Omega holds the cells that meet a
+    cube's open dilated interval.  When max |f| <= level nothing is
     selected and no pyramid is built.  The cubes come out left to right.
     """
     level = float(level)
     if not 0 < level < np.inf:
         raise ValueError(f"decomposition level must be positive and finite, got {level}")
-    n = f.n
-    nodes = _stopping_nodes(np.abs(f.values), level)
-    heap_order = nodes.tolist()
-    good = f.values.copy()
-    edges = np.zeros(n + 1)  # +1 where a dilated cube starts, -1 one past its end
-    whole_circle = False
-    cubes: list[DyadicInterval] = []
-    for lev in sorted({node.bit_length() - 1 for node in heap_order}):
-        picked = nodes[bisect_left(heap_order, 1 << lev) : bisect_left(heap_order, 2 << lev)] - (1 << lev)
-        cubes += [DyadicInterval(lev, i) for i in picked.tolist()]
-        per = n >> lev
-        if per > 1:  # a one-cell cube's mean is its cell, which good already holds
-            # row i of the reshape is the cells of interval (lev, i)
-            good.reshape(2**lev, -1)[picked] = f.values.reshape(2**lev, -1)[picked].mean(axis=1, keepdims=True)
-        cells = dilated_cells(lev, picked, DILATION, n)
-        if cells is None:
-            whole_circle = True
-            continue
-        # a level's cubes are disjoint, so no index repeats within one statement below
-        lo, count = cells
-        hi = lo + count
-        edges[lo] += 1.0
-        edges[np.minimum(hi, n)] -= 1.0  # edges[n] is never read, so ranges may share it
-        wraps = hi > n  # these go on from cell 0
-        edges[0] += np.count_nonzero(wraps)
-        edges[hi[wraps] - n] -= 1.0
-    omega = np.ones(n, dtype=bool) if whole_circle else np.cumsum(edges[:n]) > 0
+    nodes, good, omega = _stopping_split(f.values, np.abs(f.values), level)
+    cubes = [DyadicInterval(node.bit_length() - 1, node - (1 << (node.bit_length() - 1))) for node in nodes.tolist()]
     cubes.sort(key=lambda q: q.left)  # dyadic lefts are exact, and disjoint cubes have distinct lefts
     return CzDecomposition(level, tuple(cubes), GridFunction(good), GridFunction(f.values - good), GridSet(omega))
 

@@ -67,8 +67,9 @@ class DistanceResult:
         )
 
 
-def _hard_clip(values: np.ndarray, tau: float) -> np.ndarray:
-    return np.sign(values) * np.minimum(np.abs(values), tau)
+def _hard_clip(values: np.ndarray, av: np.ndarray, tau: float) -> np.ndarray:
+    """sign(values) min(|values|, tau), given av = |values|."""
+    return np.sign(values) * np.minimum(av, tau)
 
 
 def _soft_threshold(values: np.ndarray, eps: float) -> np.ndarray:
@@ -89,35 +90,37 @@ def _check_finite_p(p) -> float:
     return p
 
 
-def _clip_level(f: GridFunction, s: float, p: float) -> tuple[float | None, float]:
-    """The clip level tau of f to the ball B_p(s), s > 0, and the excess mass
-    norm((|f| - tau)_+, 1), which is the L^1 distance; (None, 0.0) when f
-    lies in the ball.
+def _clip_level(av: np.ndarray, s: float, p: float) -> tuple[float | None, float, np.ndarray | None]:
+    """The clip level tau of the cells av = |f| to the ball B_p(s), s > 0, the
+    excess mass norm((|f| - tau)_+, 1), which is the L^1 distance, and
+    (|f| - tau)_+ itself, which is |f - clip(f)| cell for cell; (None, 0.0,
+    None) when f lies in the ball.
 
     With the k largest |f| clipped, the clip level solves
     k tau^p + sum_{i > k} |f|_(i)^p = n s^p; the answer is the first k whose
     tau reaches the largest unclipped cell.  In units of s, tau lies in
     [1, n^(1/p)], so only cells that end up clipped can overflow.
     """
-    if norm(f, p) <= s:
-        return None, 0.0
-    av = np.abs(f.values)
+    if power_mean(av, p) <= s:  # norm(f, p) <= s
+        return None, 0.0, None
+    n = av.shape[0]
     # ascending, in place: with the cells from m on clipped, tau^p = (n - sum of bp below m) / (n - m)
     bp = np.sort(av)
-    tau_p = np.empty(f.n)
+    tau_p = np.empty(n)
     tau_p[0] = 0.0
     with np.errstate(over="ignore"):
         bp /= s
         bp **= p
         np.cumsum(bp[:-1], out=tau_p[1:])
-    np.subtract(f.n, tau_p, out=tau_p)
-    tau_p /= np.arange(f.n, 0, -1)
+    np.subtract(n, tau_p, out=tau_p)
+    tau_p /= np.arange(n, 0, -1)
     # the fewest clipped cells whose level reaches the largest unclipped one (m = 0 always does)
     reaches = tau_p[1:] >= bp[:-1]
     m = reaches.size - int(np.argmax(reaches[::-1]))  # one past the last that reaches, if any
     tau = s * float(tau_p[m if reaches[m - 1] else 0]) ** (1.0 / p)
     removed = av - tau
-    return tau, power_mean(np.maximum(removed, 0.0, out=removed), 1.0)  # norm(f - clip(f), 1), cell for cell
+    np.maximum(removed, 0.0, out=removed)
+    return tau, power_mean(removed, 1.0), removed
 
 
 def dist_l1_to_lp_ball(f: GridFunction, s: float, p) -> DistanceResult:
@@ -130,10 +133,11 @@ def dist_l1_to_lp_ball(f: GridFunction, s: float, p) -> DistanceResult:
     p = _check_finite_p(p)
     if s == 0.0:
         return DistanceResult(norm(f, 1), GridFunction.zeros(f.n), s, p, 1.0, 0.0)
-    tau, value = _clip_level(f, s, p)
+    av = np.abs(f.values)
+    tau, value, _ = _clip_level(av, s, p)
     if tau is None:
-        return DistanceResult(0.0, f, s, p, 1.0, float(np.abs(f.values).max()))
-    return DistanceResult(value, GridFunction(_hard_clip(f.values, tau)), s, p, 1.0, tau)
+        return DistanceResult(0.0, f, s, p, 1.0, float(av.max()))
+    return DistanceResult(value, GridFunction(_hard_clip(f.values, av, tau)), s, p, 1.0, tau)
 
 
 def dist_linf_to_lp_ball(f: GridFunction, s: float, p) -> DistanceResult:

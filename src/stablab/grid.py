@@ -40,11 +40,16 @@ def _as_grid_values(values) -> np.ndarray:
     n = arr.shape[0]
     if n < 2 or (n & (n - 1)) != 0:
         raise ValueError(f"grid size must be a power of two >= 2, got {n}")
-    if not np.logical_and.reduce(np.isfinite(arr)):  # np.all without its Python wrapper, a third of the check
-        raise ValueError("grid values must be finite")
-    arr = arr.copy()
+    arr = _require_finite(arr).copy()
     arr.flags.writeable = False
     return arr
+
+
+def _require_finite(values: np.ndarray) -> np.ndarray:
+    """values itself, or the ValueError a GridFunction of non-finite values raises."""
+    if not np.logical_and.reduce(np.isfinite(values)):  # np.all without its Python wrapper, a third of the check
+        raise ValueError("grid values must be finite")
+    return values
 
 
 @dataclass(frozen=True, eq=False)
@@ -229,7 +234,7 @@ def power_mean(a: np.ndarray, p: float) -> float | np.ndarray:
     for a non-zero a, it is recomputed as m * (mean (a_i/m)^p)^(1/p) with
     m = max a_i.
     """
-    sums = np.add.reduce(a**p, axis=-1)
+    sums = np.add.reduce(a if p == 1.0 else a**p, axis=-1)  # a**1.0 is a copy of a
     if a.ndim == 1:
         return _power_mean_from(a, p, float(sums))
     return np.array([_power_mean_from(row, p, total) for row, total in zip(a, sums.tolist())])
@@ -281,6 +286,7 @@ def dilated_cells(level: int, index, factor: float, n: int):
     return (index * per - reach) % n, per + 2 * reach
 
 
+@np.errstate(over="ignore", invalid="ignore")  # inf - inf of two overflowed sums
 def dyadic_pyramid(values: np.ndarray) -> np.ndarray:
     """The dyadic means of values as one heap: entry 2^l + j is the mean over (l, j).
 
@@ -288,7 +294,10 @@ def dyadic_pyramid(values: np.ndarray) -> np.ndarray:
     per row.  Entries n .. 2n - 1 are the cells themselves, entry 1 is the
     mean over the circle and entry 0, which names no interval, is 0.  The
     parent of entry i is entry i // 2, and it is filled in place, coarsest
-    level last, with 0.5 * (left + right) of its two children.
+    level last, with 0.5 * (left + right) of its two children.  A sum beyond
+    the doubles makes a non-finite mean, which always reaches entry 1; only
+    then are that heap's means recomputed as 0.5 * left + 0.5 * right, which
+    cannot overflow, so finite values give finite means.
     """
     n = values.shape[-1]
     heap = np.empty(values.shape[:-1] + (2 * n,))
@@ -300,5 +309,15 @@ def dyadic_pyramid(values: np.ndarray) -> np.ndarray:
         np.add(heap[..., 2 * width : 4 * width : 2], heap[..., 2 * width + 1 : 4 * width : 2], out=level)
         level *= 0.5
         width //= 2
+    overflowed = ~np.isfinite(heap[..., 1])
+    if overflowed.any():
+        rows = heap[overflowed]  # the heaps to redo, one per row (a 1-D heap gives one row)
+        width = n // 2
+        while width:
+            level = np.multiply(rows[:, 2 * width : 4 * width : 2], 0.5)
+            level += np.multiply(rows[:, 2 * width + 1 : 4 * width : 2], 0.5)
+            rows[:, width : 2 * width] = level
+            width //= 2
+        heap[overflowed] = rows
     return heap
 

@@ -16,6 +16,7 @@ Three kinds are provided, all linear maps on a fixed grid of n cells:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cache
 
 import numpy as np
 
@@ -87,13 +88,21 @@ def identity_minus_mean(n: int) -> LinearOperatorSpec:
     return LinearOperatorSpec("identity_minus_mean", n)
 
 
+@cache
+def _hilbert_multiplier(modes: int) -> np.ndarray:
+    """-i on the rfft modes of a grid, 0 on mode 0 and the unpaired top mode; read-only."""
+    mult = np.full(modes, -1j)
+    mult[0] = 0.0
+    mult[-1] = 0.0  # unpaired top mode of an even grid
+    mult.flags.writeable = False
+    return mult
+
+
 def _apply_hilbert(values: np.ndarray) -> np.ndarray:
     n = values.shape[-1]
     spec = np.fft.rfft(values)
-    mult = np.full(spec.shape[-1], -1j)
-    mult[0] = 0.0
-    mult[-1] = 0.0  # unpaired top mode of an even grid
-    return np.fft.irfft(spec * mult, n)
+    spec *= _hilbert_multiplier(spec.shape[-1])
+    return np.fft.irfft(spec, n)
 
 
 def _apply_haar(values: np.ndarray, signs: np.ndarray) -> np.ndarray:
@@ -120,10 +129,14 @@ def _apply_haar(values: np.ndarray, signs: np.ndarray) -> np.ndarray:
     return heap[..., n:]
 
 
-def apply(T: LinearOperatorSpec, f: GridFunction) -> GridFunction:
-    """Evaluate T f on a function of T's grid."""
+def _check_grid(T: LinearOperatorSpec, f: GridFunction) -> None:
     if T.n != f.n:
         raise DimensionError(f"operator on n={T.n} applied to f with n={f.n}")
+
+
+def apply(T: LinearOperatorSpec, f: GridFunction) -> GridFunction:
+    """Evaluate T f on a function of T's grid."""
+    _check_grid(T, f)
     return GridFunction(apply_values(T, f.values))
 
 
@@ -138,7 +151,8 @@ def apply_values(T: LinearOperatorSpec, values: np.ndarray) -> np.ndarray:
     elif T.kind == "haar_transform":
         out = _apply_haar(values, T.sign_values)
     else:
-        out = values - values.mean(axis=-1, keepdims=True)
+        # np.mean's arithmetic without its Python wrapper
+        out = values - np.add.reduce(values, axis=-1, keepdims=True) / values.shape[-1]
     return -out if T.negate else out
 
 

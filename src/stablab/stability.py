@@ -25,10 +25,10 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .cz import ConsistencyError, CzDecomposition, cz_decompose
-from .distance import _clip_level, dist_l1_to_lp_ball
-from .grid import GridFunction, GridSet, mask, norm
-from .operators import LinearOperatorSpec, apply
+from .cz import ConsistencyError, _stopping_split
+from .distance import _check_finite_p, _clip_level, _hard_clip
+from .grid import GridFunction, _require_finite, norm, power_mean
+from .operators import LinearOperatorSpec, _check_grid, apply, apply_values
 
 __all__ = [
     "StabilityReport",
@@ -94,10 +94,13 @@ class RedecompositionReport:
         return json.dumps(asdict(self), sort_keys=True)
 
 
-def _split_at_level(u0: GridFunction, a: float, b: float, p: float) -> tuple[float, CzDecomposition, bool]:
-    """Split u0 at lam with lam^(p-1) a = b^p, in units of b so b^p is never formed.
+def _split_at_level(
+    u0: np.ndarray, av0: np.ndarray, a: float, b: float, p: float
+) -> tuple[float, np.ndarray, np.ndarray, np.ndarray, int, bool]:
+    """Split the cells u0, with av0 = |u0|, at lam with lam^(p-1) a = b^p, in units of b so b^p is never formed.
 
-    Returns (lam, split, degenerate).  No mass (a <= DEGENERATE_TOL), no
+    Returns (lam, good, bad, omega, cube_count, degenerate), as the parts of
+    cz_decompose(u0, lam) would hold them.  No mass (a <= DEGENERATE_TOL), no
     ball part (b = 0) or a level beyond the doubles leaves no level: lam = 0,
     all of u0 is good, as at any level above max |u0|, and the split is
     degenerate.  So is a split that selects the root cube, as a level that
@@ -108,10 +111,10 @@ def _split_at_level(u0: GridFunction, a: float, b: float, p: float) -> tuple[flo
             lam = float(b * np.float64(b / a) ** (1.0 / (p - 1.0)))
         if lam < np.inf:
             # a level that underflows to 0 lies, as the least double does, below every positive mean of |u0|
-            d = cz_decompose(u0, lam or math.ulp(0.0))
-            return lam, d, d.root_selected
-    empty = GridSet(np.zeros(u0.n, dtype=bool))
-    return 0.0, CzDecomposition(0.0, (), u0, GridFunction.zeros(u0.n), empty), True
+            nodes, good, omega = _stopping_split(u0, av0, lam or math.ulp(0.0))
+            # the root is heap node 1, and a selected root is the only cube
+            return lam, good, _require_finite(u0 - good), omega, nodes.size, nodes[:1].tolist() == [1]
+    return 0.0, u0, np.zeros(u0.size), np.zeros(u0.size, dtype=bool), 0, True
 
 
 def _guarded_ratio(numer: float, denom: float) -> tuple[float, bool]:
@@ -134,36 +137,38 @@ def bourgain_construct(
     s = float(s)
     if not 0 < s < np.inf:
         raise ValueError(f"ball radius must be positive and finite, got {s}")
-    p = float(p)
-    dist_f = dist_l1_to_lp_ball(f, s, p)
-    u1 = dist_f.minimizer
-    u0 = f - u1
-    a = dist_f.value  # |f - clip(f)| is (|f| - tau)_+ cell by cell, so this is norm(u0, 1) to the bit
-    b = s
-    Tf = apply(T, f)
-    c = _clip_level(Tf, s, p)[1]  # dist_l1_to_lp_ball(Tf, s, p).value, without its minimizer
+    p = _check_finite_p(p)
+    _check_grid(T, f)
+    # dist_l1_to_lp_ball, apply and cz_decompose on raw arrays, each array checked where it may
+    # leave the doubles: the clip and u0 = f - clip(f) lie within |f|, the good part's means within |u0|
+    fv = f.values
+    av = np.abs(fv)
+    tau, a, av0 = _clip_level(av, s, p)  # a = norm(u0, 1) to the bit; av0 is None inside the ball, where a = 0
+    u1 = fv if tau is None else _hard_clip(fv, av, tau)
+    u0 = fv - u1  # |u0| = (|f| - tau)_+ = av0 bit for bit
+    Tf = _require_finite(apply_values(T, fv))
+    c = _clip_level(np.abs(Tf), s, p)[1]  # dist_l1_to_lp_ball(Tf, s, p).value, without its minimizer
 
-    lam, d, degenerate = _split_at_level(u0, a, b, p)
-    u = u1 + d.good
-    h = d.bad
+    lam, good, h, omega, cube_count, degenerate = _split_at_level(u0, av0, a, s, p)
+    u = GridFunction(u1 + good)  # the one GridFunction of the row
 
-    resid_l1 = norm(h, 1)
+    resid_l1 = power_mean(np.abs(h), 1.0)
     # T is linear: a bad part that vanishes (no cube, or one-cell cubes only) has T h = 0
-    resid_T = norm(apply(T, h), 1) if h.values.any() else 0.0
-    ratio_f, deg_f = _guarded_ratio(resid_l1, dist_f.value)
-    ratio_T, deg_T = _guarded_ratio(resid_T, dist_f.value + c)
-    ratio_p = norm(u, p) / s
+    resid_T = power_mean(np.abs(_require_finite(apply_values(T, h))), 1.0) if h.any() else 0.0
+    ratio_f, deg_f = _guarded_ratio(resid_l1, a)
+    ratio_T, deg_T = _guarded_ratio(resid_T, a + c)
+    ratio_p = power_mean(np.abs(u.values), p) / s
     deg_p = not math.isfinite(ratio_p)  # s below norm(u, p) / DBL_MAX
     report = StabilityReport(
-        s=s, p=p, a=a, b=b, c=c,
+        s=s, p=p, a=a, b=s, c=c,
         lam=lam,
         ratio_p=0.0 if deg_p else ratio_p,
         ratio_f=ratio_f,
         ratio_T=ratio_T,
         resid_l1=resid_l1,
         resid_T=resid_T,
-        cube_count=len(d.cubes),
-        omega_measure=d.omega.measure,
+        cube_count=cube_count,
+        omega_measure=float(np.count_nonzero(omega)) / f.n,
         degenerate=degenerate or deg_f or deg_T or deg_p,
     )
     return u, report
@@ -202,15 +207,15 @@ def kclosed_redecompose(
     b = max(norm(u1, p), norm(v1, p))
     c = norm(v0, 1)
 
-    lam, d, degenerate = _split_at_level(u0, a, b, p)
-    h = d.bad
-    w = u1 + d.good
+    lam, good, bad, omega, _, degenerate = _split_at_level(u0.values, np.abs(u0.values), a, b, p)
+    h = GridFunction(bad)
+    w = GridFunction(u1.values + good)
     Th = apply(T, h)
     Tw = apply(T, w)
 
     pprime = p / (p - 1.0)
-    holder_lhs = norm(mask(Th, d.omega), 1)
-    holder_rhs = c + d.omega.measure ** (1.0 / pprime) * (norm(v1, p) + norm(Tw, p))
+    holder_lhs = power_mean(np.abs(np.where(omega, Th.values, 0.0)), 1.0)  # norm(mask(Th, omega), 1)
+    holder_rhs = c + (float(np.count_nonzero(omega)) / u.n) ** (1.0 / pprime) * (norm(v1, p) + norm(Tw, p))
     ratio_h, deg_h = _guarded_ratio(norm(h, 1), a)
     ratio_w, deg_w = _guarded_ratio(norm(w, p), b)
     ratio_Tw, deg_Tw = _guarded_ratio(norm(Tw, p), b)

@@ -72,6 +72,14 @@ spelled with membership arrays, and it returns the three parts alone.  The
 library's single pass must reproduce the good and bad parts and omega bit for
 bit.
 
+``reference_bourgain_construct`` and ``reference_kclosed_redecompose`` are
+verbatim copies of the two constructions as compositions of the public
+functions: ``dist_l1_to_lp_ball``, ``cz_decompose`` and ``apply`` on
+GridFunctions, with a GridFunction for every intermediate.  The one private
+call they made, the clip level of T f, is spelled as the distance's value.
+The library's constructions on raw arrays must give the same bytes and the
+same reports, and raise the same exception with the same message.
+
 ``reference_dilate_interval`` is the library's former ``grid.dilate_interval``
 as it was before the integer cell ranges of ``grid.dilated_cells``: it
 compares each cell's float endpoints with the open dilated interval, shifted
@@ -108,13 +116,15 @@ from stablab.distance import (
     _check_s,
     _hard_clip,
     _soft_threshold,
+    dist_l1_to_lp_ball,
     dist_linf_to_lp_ball,
 )
 from stablab import dual_search
 from stablab.dual_search import DualInstance, FeasibilityOutcome
-from stablab.cz import DILATION
-from stablab.grid import DyadicInterval, GridFunction, GridSet, norm, power_mean
-from stablab.operators import MATRIX_BLOCK, LinearOperatorSpec, adjoint, apply_values, as_matrix
+from stablab.cz import DILATION, ConsistencyError, CzDecomposition, cz_decompose
+from stablab.grid import DyadicInterval, GridFunction, GridSet, mask, norm, power_mean
+from stablab.operators import MATRIX_BLOCK, LinearOperatorSpec, adjoint, apply, apply_values, as_matrix
+from stablab.stability import DEGENERATE_TOL, RedecompositionReport, StabilityReport, _guarded_ratio
 
 
 def certified(inst: DualInstance, c: float, v: GridFunction) -> bool:
@@ -264,7 +274,7 @@ def reference_dist_l1_to_lp_ball(f: GridFunction, s: float, p) -> DistanceResult
     if norm(f, p) <= s:
         return DistanceResult(0.0, f, s, p, 1.0, sup)
     tau, _ = _reference_bisect(lambda a, r, t: power_mean(np.minimum(a, t), p) <= r, av, s)
-    g = GridFunction(_hard_clip(f.values, tau))
+    g = GridFunction(_hard_clip(f.values, np.abs(f.values), tau))
     value = float(np.mean(np.maximum(av - tau, 0.0)))
     return DistanceResult(value, g, s, p, 1.0, tau)
 
@@ -386,6 +396,99 @@ def reference_cz_parts(
         omega = GridSet(omega.membership | reference_dilate_interval(q, DILATION, n).membership)
     bad = f.values - good
     return GridFunction(good), GridFunction(bad), omega
+
+
+def _reference_split_at_level(u0: GridFunction, a: float, b: float, p: float) -> tuple[float, CzDecomposition, bool]:
+    if a > DEGENERATE_TOL and b > 0.0:
+        with np.errstate(over="ignore"):  # a level beyond the doubles reads inf
+            lam = float(b * np.float64(b / a) ** (1.0 / (p - 1.0)))
+        if lam < np.inf:
+            # a level that underflows to 0 lies, as the least double does, below every positive mean of |u0|
+            d = cz_decompose(u0, lam or math.ulp(0.0))
+            return lam, d, d.root_selected
+    empty = GridSet(np.zeros(u0.n, dtype=bool))
+    return 0.0, CzDecomposition(0.0, (), u0, GridFunction.zeros(u0.n), empty), True
+
+
+def reference_bourgain_construct(
+    f: GridFunction, T: LinearOperatorSpec, s: float, p
+) -> tuple[GridFunction, StabilityReport]:
+    s = float(s)
+    if not 0 < s < np.inf:
+        raise ValueError(f"ball radius must be positive and finite, got {s}")
+    p = float(p)
+    dist_f = dist_l1_to_lp_ball(f, s, p)
+    u1 = dist_f.minimizer
+    u0 = f - u1
+    a = dist_f.value
+    b = s
+    Tf = apply(T, f)
+    c = dist_l1_to_lp_ball(Tf, s, p).value
+
+    lam, d, degenerate = _reference_split_at_level(u0, a, b, p)
+    u = u1 + d.good
+    h = d.bad
+
+    resid_l1 = norm(h, 1)
+    resid_T = norm(apply(T, h), 1) if h.values.any() else 0.0
+    ratio_f, deg_f = _guarded_ratio(resid_l1, dist_f.value)
+    ratio_T, deg_T = _guarded_ratio(resid_T, dist_f.value + c)
+    ratio_p = norm(u, p) / s
+    deg_p = not math.isfinite(ratio_p)
+    report = StabilityReport(
+        s=s, p=p, a=a, b=b, c=c,
+        lam=lam,
+        ratio_p=0.0 if deg_p else ratio_p,
+        ratio_f=ratio_f,
+        ratio_T=ratio_T,
+        resid_l1=resid_l1,
+        resid_T=resid_T,
+        cube_count=len(d.cubes),
+        omega_measure=d.omega.measure,
+        degenerate=degenerate or deg_f or deg_T or deg_p,
+    )
+    return u, report
+
+
+def reference_kclosed_redecompose(
+    u: GridFunction,
+    T: LinearOperatorSpec,
+    split: tuple[GridFunction, GridFunction, GridFunction, GridFunction],
+    p,
+) -> tuple[tuple[GridFunction, GridFunction], tuple[GridFunction, GridFunction], RedecompositionReport]:
+    p = float(p)
+    u0, v0, u1, v1 = split
+    Tu = apply(T, u)
+    scale = max(1.0, norm(u, np.inf), norm(Tu, np.inf))
+    if norm(u0 + u1 - u, np.inf) > 1e-9 * scale:
+        raise ConsistencyError("u0 + u1 does not reproduce u")
+    if norm(v0 + v1 - Tu, np.inf) > 1e-9 * scale:
+        raise ConsistencyError("v0 + v1 does not reproduce T u")
+
+    a = max(norm(u0, 1), norm(v0, 1))
+    b = max(norm(u1, p), norm(v1, p))
+    c = norm(v0, 1)
+
+    lam, d, degenerate = _reference_split_at_level(u0, a, b, p)
+    h = d.bad
+    w = u1 + d.good
+    Th = apply(T, h)
+    Tw = apply(T, w)
+
+    pprime = p / (p - 1.0)
+    holder_lhs = norm(mask(Th, d.omega), 1)
+    holder_rhs = c + d.omega.measure ** (1.0 / pprime) * (norm(v1, p) + norm(Tw, p))
+    ratio_h, deg_h = _guarded_ratio(norm(h, 1), a)
+    ratio_w, deg_w = _guarded_ratio(norm(w, p), b)
+    ratio_Tw, deg_Tw = _guarded_ratio(norm(Tw, p), b)
+    ratio_Th, deg_Th = _guarded_ratio(norm(Th, 1), a + c)
+    report = RedecompositionReport(
+        a=a, b=b, c=c, lam=lam,
+        ratio_h=ratio_h, ratio_w_p=ratio_w, ratio_Tw_p=ratio_Tw, ratio_Th=ratio_Th,
+        holder_lhs=holder_lhs, holder_rhs=holder_rhs,
+        degenerate=degenerate or deg_h or deg_w or deg_Tw or deg_Th,
+    )
+    return (h, Th), (w, Tw), report
 
 
 def _clamp_box(values: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -218,3 +219,15 @@ def test_pyramid_selection_is_the_reference_on_hundreds_of_one_cell_cubes():
     d = assert_reference_split(GridFunction(values), 600.0)
     assert len(d.cubes) == 300 and all(q.level == 12 for q in d.cubes)
     assert not d.bad.values.any()
+
+
+def test_a_split_whose_sums_leave_the_doubles_is_finite_and_silent():
+    # |f| = 1e308 everywhere: every pair sum of the pyramid overflows, and so does np.mean's sum of f
+    f = GridFunction([1e308, -1e308, 1e308, -1e308, 1e308, 1e308, -1e308, 1e308])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        d = cz_decompose(f, 1.0)
+    assert [(q.level, q.index) for q in d.cubes] == [(0, 0)]
+    assert np.all(d.good.values == 2.5e307)
+    assert d.bad.values.tobytes() == (f.values - 2.5e307).tobytes()
+    assert d.omega.measure == 1.0

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -235,3 +236,18 @@ def test_dyadic_means_are_the_per_level_pyramid_bit_for_bit(k):
             # entry 2^l + j is means[l][j]; entry 0 names no interval
             assert heap[..., 1:].tobytes() == np.concatenate(want, axis=-1).tobytes()
             assert not heap[..., 0].any()
+
+
+def test_dyadic_pyramid_of_finite_values_past_half_the_largest_double_is_finite():
+    # 0.5 * (l + r) overflows at l = r = 1e308; only a heap whose root is not finite is recomputed
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        heap = dyadic_pyramid(np.full(8, 1e308))
+        assert heap[0] == 0.0 and np.all(heap[1:] == 1e308)
+        rows = np.array([[1e308, -1e308, 1e308, -1e308, 1e308, 1e308, -1e308, 1e308], np.arange(8.0) / 3.0])
+        batch = dyadic_pyramid(rows)
+        assert batch[0, 1] == 2.5e307
+        assert batch.tobytes() == np.stack([dyadic_pyramid(row) for row in rows]).tobytes()
+    # the second row never overflowed and keeps the bits of 0.5 * (l + r)
+    assert batch[1].tobytes() == dyadic_pyramid(rows[1]).tobytes()
+    assert batch[1, 4:8].tobytes() == ((rows[1, ::2] + rows[1, 1::2]) * 0.5).tobytes()

@@ -298,6 +298,19 @@ def test_cli_radius_below_the_doubles_over_the_sup_prints_strict_json(command):
         assert payload["ratio_p"] == 0.0 and payload["degenerate"] is True
 
 
+def test_cli_cz_on_finite_values_whose_sums_overflow_prints_the_root_cube(tmp_path):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps([1e308, -1e308, 1e308, -1e308, 1e308, 1e308, -1e308, 1e308]))
+    env = {**os.environ, "PYTHONWARNINGS": "error"}
+    out = subprocess.run(
+        [sys.executable, "-m", "stablab", "cz", "--n", "8", "--input", str(path), "--level", "1"],
+        capture_output=True, text=True, env=env,
+    )
+    assert out.returncode == 0 and out.stderr == "", out.stderr
+    payload = json.loads(out.stdout, parse_constant=_reject_constant)
+    assert payload["cubes"] == [{"level": 0, "index": 0}]
+
+
 def test_cli_dual_on_the_two_cell_grid():
     out = run_cli("dual", "--n", "2")
     assert out.returncode == 0, out.stderr

@@ -19,7 +19,7 @@ from stablab import (
 from oracles import identity_block, reference_apply_haar, reference_level_signs
 from stablab.grid import DimensionError
 from stablab.harness import make_operator
-from stablab.operators import LinearOperatorSpec, apply_values, as_matrix, nyquist_free
+from stablab.operators import LinearOperatorSpec, _hilbert_multiplier, apply_values, as_matrix, nyquist_free
 
 N = 128
 
@@ -267,3 +267,22 @@ def test_a_batch_of_rows_is_each_row_bit_for_bit(kind, negate):
             got = apply_values(T, values)
             assert got.shape == values.shape
             assert got.tobytes() == np.stack([apply_values(T, row) for row in values]).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["hilbert", "identity_minus_mean"])
+def test_cached_multiplier_and_reduced_mean_keep_the_bits(kind):
+    # the former arithmetic: a fresh -1j multiplier per call, and np.mean
+    rng = np.random.default_rng(len(kind))
+    for k in range(1, 13):
+        n = 2**k
+        T = LinearOperatorSpec(kind, n)
+        for values in (rng.standard_normal(n), rng.standard_normal((3, n)) * 2.0**1000):
+            if kind == "hilbert":
+                spec = np.fft.rfft(values)
+                mult = np.full(spec.shape[-1], -1j)
+                mult[0] = mult[-1] = 0.0
+                want = np.fft.irfft(spec * mult, n)
+            else:
+                want = values - values.mean(axis=-1, keepdims=True)
+            assert apply_values(T, values).tobytes() == want.tobytes()
+    assert not _hilbert_multiplier(8).flags.writeable

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +15,9 @@ from stablab import (
     kclosed_redecompose,
     norm,
 )
+from oracles import reference_bourgain_construct, reference_kclosed_redecompose
 from stablab.cz import ConsistencyError, cz_decompose
+from stablab.grid import DimensionError
 from stablab.harness import default_config, generate_corpus, make_operator
 from stablab.stability import DEGENERATE_TOL
 
@@ -341,3 +344,90 @@ def test_report_serialization():
     obj = json.loads(rep.to_json())
     for key in ("s", "a", "b", "c", "lam", "ratio_p", "ratio_f", "ratio_T"):
         assert key in obj
+
+
+def _row_inputs(n):
+    """A spiky draw and a single spike on n cells."""
+    rng = np.random.default_rng(n)
+    spike = np.zeros(n)
+    spike[0] = float(n)
+    return [GridFunction(rng.standard_normal(n) * np.exp(rng.standard_normal(n))), GridFunction(spike)]
+
+
+def _outcome(fn):
+    """(bytes of every returned function, the report's repr), or the exception's type and message.
+
+    The repr shows each field's type as well as its value, so a numpy scalar
+    in place of a float, which the CSV writer would print differently, shows.
+    """
+    try:
+        *parts, rep = fn()
+    except Exception as exc:  # the parity is in what is raised
+        return type(exc), str(exc)
+    flat = [part for pair in parts for part in (pair if isinstance(pair, tuple) else (pair,))]
+    return [g.values.tobytes() for g in flat], repr(rep)
+
+
+def _both_splits(f, T, s, p):
+    """The ambient splits of (f, T f) at radius s that the redecompose command feeds in."""
+    Tf = apply(T, f)
+    u1 = dist_l1_to_lp_ball(f, s, p).minimizer
+    v1 = dist_l1_to_lp_ball(Tf, s, p).minimizer
+    return (f - u1, Tf - v1, u1, v1)
+
+
+@pytest.mark.parametrize("n", [2, 8, 64, 4096])
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 40.0])
+def test_the_row_on_raw_arrays_is_the_composition_of_the_public_functions(p, n):
+    seen = set()
+    for f in _row_inputs(n):
+        # inside the ball, around the mass, below the mass (the root is selected), and the tiny radii:
+        # ratio_p beyond the doubles at 1e-310, where the level underflows to 0 too
+        radii = [2.0 * norm(f, p) + 1.0, 1.0, 0.25, 1e-3, 1e-12, 1e-310]
+        for kind in ("hilbert", "haar_transform", "identity_minus_mean"):
+            T = make_operator(kind, n, 0)
+            for s in radii:
+                got = _outcome(lambda: bourgain_construct(f, T, s, p))
+                assert got == _outcome(lambda: reference_bourgain_construct(f, T, s, p)), (kind, s)
+                rep = bourgain_construct(f, T, s, p)[1]
+                if rep.a == 0.0:
+                    seen.add("inside")
+                if rep.lam > 0.0 and rep.degenerate and rep.cube_count == 1 and rep.lam < rep.a:
+                    seen.add("root")
+                if rep.a > DEGENERATE_TOL and rep.lam == 0.0:
+                    seen.add("underflow")
+                if rep.ratio_p == 0.0 and rep.a > 0.0:
+                    seen.add("ratio_p")
+                split = _both_splits(f, T, s, p)
+                got = _outcome(lambda: kclosed_redecompose(f, T, split, p))
+                assert got == _outcome(lambda: reference_kclosed_redecompose(f, T, split, p)), (kind, s)
+    assert {"inside", "root", "ratio_p"} <= seen
+    if p < 40.0:  # at p = 40 the level b (b/a)^(1/39) of b = 1e-310 stays a double
+        assert "underflow" in seen
+
+
+def test_the_row_on_raw_arrays_raises_what_the_composition_raises():
+    f = _row_inputs(8)[0]
+    huge = GridFunction(np.full(8, 1e308))
+    cases = [(f, "hilbert", 8, s, 2.0) for s in (0.0, -1.0, math.inf, math.nan)]
+    cases += [(f, "haar_transform", 8, 1.0, p) for p in (1.0, 0.5, math.inf, math.nan)]
+    cases += [(f, kind, 16, 1.0, 2.0) for kind in ("hilbert", "haar_transform", "identity_minus_mean")]
+    # T f leaves the doubles, with f outside the ball and inside it, where no later array is checked
+    cases += [(huge, kind, 8, s, 2.0) for kind in ("hilbert", "identity_minus_mean") for s in (1.0, 1.5e308)]
+    # an overflowing transform warns first: the parity holds where that warning raises, and where it does not
+    for action in ("error", "ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter(action, RuntimeWarning)
+            for g, kind, n, s, p in cases:
+                T = make_operator(kind, n, 0)
+                got = _outcome(lambda: bourgain_construct(g, T, s, p))
+                assert isinstance(got[0], type) and issubclass(got[0], Exception), (action, kind, n, s, p)
+                assert got == _outcome(lambda: reference_bourgain_construct(g, T, s, p)), (action, kind, n, s, p)
+    T = make_operator("hilbert", 8, 0)
+    for p in (1.0, 0.5):
+        split = _both_splits(f, T, 1.0, 2.0)
+        got = _outcome(lambda: kclosed_redecompose(f, T, split, p))
+        assert got == _outcome(lambda: reference_kclosed_redecompose(f, T, split, p)), p
+    got = _outcome(lambda: kclosed_redecompose(f, make_operator("hilbert", 16, 0), split, 2.0))
+    assert got == _outcome(lambda: reference_kclosed_redecompose(f, make_operator("hilbert", 16, 0), split, 2.0))
+    assert got[0] is DimensionError
